@@ -8,7 +8,7 @@ used everywhere: graded reverse lexicographic with x1 > x2 > ... > xn.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Iterator
 
 MultiIndex = tuple  # tuple[int, ...], all entries >= 0
@@ -25,13 +25,6 @@ def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
 def mi_unit(n: int, i: int) -> MultiIndex:
     """The i-th unit multi-index (0-based axis)."""
     return tuple(1 if k == i else 0 for k in range(n))
-
-
-def mi_factorial(a: MultiIndex) -> int:
-    out = 1
-    for e in a:
-        out *= factorial(e)
-    return out
 
 
 def grevlex_key(a: MultiIndex):
@@ -63,7 +56,9 @@ def mono_basis(n: int, j: int) -> list[MultiIndex]:
 
     rec([], j, n)
     out.sort(key=grevlex_key, reverse=True)
-    assert len(out) == comb(n - 1 + j, j)
+    if len(out) != comb(n - 1 + j, j):
+        raise AssertionError("mono_basis(%d, %d) has %d monomials, expected %d"
+                             % (n, j, len(out), comb(n - 1 + j, j)))
     return out
 
 
@@ -197,13 +192,6 @@ class RatPoly:
             terms[tuple(b)] = c * a[i]
         return RatPoly(self.n, terms)
 
-    def partial_multi(self, a: MultiIndex) -> "RatPoly":
-        p = self
-        for i, e in enumerate(a):
-            for _ in range(e):
-                p = p.partial(i)
-        return p
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RatPoly) and self.n == other.n and self.terms == other.terms
 
@@ -218,10 +206,6 @@ class RatPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def poly_mul(p: RatPoly, q: RatPoly) -> RatPoly:
-    return p * q
 
 
 def leading_monomial(p: RatPoly) -> MultiIndex:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 from importlib import resources
 
 from . import diagrams, engine, fixtures
@@ -123,7 +124,7 @@ def cmd_betti(args) -> int:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write("%d %d\n" % (mat.n_rows, mat.n_cols))
                     for (r, c) in sorted(mat.entries):
-                        v = mat.entries[(r, c)]
+                        v = Fraction(mat.entries[(r, c)], mat.denom)
                         fh.write("%d %d %d/%d\n" % (r, c, v.numerator, v.denominator))
 
         reports = run(obj, args.mode, [w], direction=args.direction,

@@ -9,18 +9,22 @@ on a single generator.  The basis/matrix builders below are shared.
 Generator ids are (degree, position) pairs; cochain basis elements are
 ascending tuples of generator ids, so wedge reordering signs reduce to
 inversion counts computed with bisect.
+
+Coefficients are integers over a denominator: a context's image2 of a
+degree-j generator is over image2_denom(j), and each builder accumulates
+its matrix in integers scaled to one lcm of the denominators it meets.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import combinations, product
+from math import comb, gcd, lcm
 
-from .algebra import RatPoly, mono_basis, mono_index
-from .casimir import casimir_space, normal_form
+from .algebra import mono_basis, mono_index
+from .casimir import casimir_space
 from .diagrams import degree_range, enumerate_signatures, sig_dim
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, clear_denominators
 from .poisson import GradedMultiVector, PoissonStructure, _lie_bracket_gens
 
 GenId = tuple  # (degree, position within the degree block)
@@ -57,8 +61,14 @@ class PolyContext:
         self.start = 0 if mode == "full" else 1
         self._gens: dict = {}
         self._casimirs: dict = {}
+        self._nf_rules: dict = {}
         self._pair_cache: dict = {}
         self._rev_cache: dict = {}
+        # the structure's terms (i, j, monomial of p_ij, int) over one denominator
+        terms = [(i, j, mono, c) for (i, j), poly in pi.p.items()
+                 for mono, c in poly.terms.items()]
+        ints, self._pdenom = clear_denominators([t[3] for t in terms])
+        self._pterms = [t[:3] + (c,) for t, c in zip(terms, ints)]
 
     def wt(self, j: int) -> int:
         return j - 2 + self.h
@@ -78,15 +88,34 @@ class PolyContext:
     def casimirs(self, j: int):
         if j not in self._casimirs:
             self._casimirs[j] = casimir_space(self.pi, j)
+            self._nf_rules[j] = _normal_form_rules(self._casimirs[j])
         return self._casimirs[j]
 
     def label(self, gid: GenId):
         return self.gens(gid[0])[gid[1]]
 
     # -- bracket structure constants ------------------------------------
-    def _pair_table(self, a: int, b: int) -> dict:
+    def _mono_bracket(self, a, b) -> dict:
+        """{x^a, x^b} = sum_{i<j} (a_i b_j - a_j b_i) p_ij x^(a+b-e_i-e_j),
+        as monomial -> int over the structure denominator."""
+        out: dict = {}
+        for i, j, mono, c in self._pterms:
+            k = a[i] * b[j] - a[j] * b[i]
+            if k:
+                e = [x + y + z for x, y, z in zip(a, b, mono)]
+                e[i] -= 1
+                e[j] -= 1
+                e = tuple(e)
+                out[e] = out.get(e, 0) + k * c
+        return out
+
+    def _pair_table(self, a: int, b: int) -> tuple:
         """Brackets of generator pairs of degrees (a, b), expanded over the
-        generator monomials of the target degree.  Keys are id pairs."""
+        generator monomials of the target degree, as (table, denom): keys
+        are id pairs, values lists of (target id, int), and the true
+        coefficient is int / denom.  The denominator is the lcm of the
+        table's own coefficient denominators: normal forms can carry one
+        even when the structure constants are integers."""
         key = (a, b)
         if key in self._pair_cache:
             return self._pair_cache[key]
@@ -95,20 +124,33 @@ class PolyContext:
             tgt_index = {lab: pos for pos, lab in enumerate(self.gens(target))}
         else:
             tgt_index = {}
+        rules = None
+        denom = self._pdenom
+        if self.mode == "hamiltonian" and target >= 1:
+            self.casimirs(target)
+            big, rules = self._nf_rules[target]
+            denom *= big
         table: dict = {}
         gens_a, gens_b = self.gens(a), self.gens(b)
-        cas = self.casimirs(target) if (self.mode == "hamiltonian" and target >= 1) else None
         for pa, la in enumerate(gens_a):
             qs = range(pa + 1, len(gens_b)) if a == b else range(len(gens_b))
             for pb in qs:
-                lb = gens_b[pb]
-                br = self.pi.bracket(RatPoly.monomial(la), RatPoly.monomial(lb))
-                if br.is_zero():
-                    continue
-                if cas is not None:
-                    br = normal_form(cas, br)
+                br = self._mono_bracket(la, gens_b[pb])
+                if rules is not None:
+                    red: dict = {}
+                    for mono, c in br.items():
+                        rule = rules.get(mono)
+                        if rule is None:
+                            red[mono] = red.get(mono, 0) + c * big
+                        else:
+                            f, tail = rule
+                            for m2, t in tail:
+                                red[m2] = red.get(m2, 0) + c * f * t
+                    br = red
                 out = []
-                for mono, c in br.terms.items():
+                for mono, c in br.items():
+                    if not c:
+                        continue
                     pos = tgt_index.get(mono)
                     if pos is None:
                         if self.mode == "hamiltonian":
@@ -117,8 +159,11 @@ class PolyContext:
                     out.append(((target, pos), c))
                 if out:
                     table[((a, pa), (b, pb))] = out
-        self._pair_cache[key] = table
-        return table
+        g = gcd(denom, *(c for out in table.values() for _, c in out))
+        if g > 1:
+            table = {ids: [(t, c // g) for t, c in out] for ids, out in table.items()}
+        self._pair_cache[key] = (table, denom // g)
+        return self._pair_cache[key]
 
     def _splits(self, g_degree: int) -> list:
         """Degree pairs (a, b), a <= b, with a + b = g_degree + 2 - h."""
@@ -132,32 +177,64 @@ class PolyContext:
             a += 1
         return out
 
+    def _coboundaries(self, deg: int) -> tuple:
+        """(gid -> image2 list, denom) for the degree-deg dual generators,
+        over the lcm of the denominators of the pair tables landing there."""
+        if deg not in self._rev_cache:
+            tables = [self._pair_table(a, b) for a, b in self._splits(deg)]
+            denom = lcm(1, *(d for _, d in tables))
+            rev: dict = {}
+            for table, d in tables:
+                f = denom // d
+                for (ida, idb), expansion in table.items():
+                    for tgt, c in expansion:
+                        rev.setdefault(tgt, []).append((ida, idb, -c * f))
+            self._rev_cache[deg] = ({g: sorted(lst) for g, lst in rev.items()}, denom)
+        return self._rev_cache[deg]
+
     def image2(self, gid: GenId) -> list:
         """Coboundary of the dual generator: list of (ga, gb, coeff) with
         ga < gb meaning a summand coeff * z_ga ^ z_gb; the coefficient is
-        minus the gid-component of the pair bracket."""
-        deg = gid[0]
-        if deg not in self._rev_cache:
-            rev: dict = {}
-            for a, b in self._splits(deg):
-                for (ida, idb), expansion in self._pair_table(a, b).items():
-                    for tgt, c in expansion:
-                        rev.setdefault(tgt, []).append((ida, idb, -c))
-            self._rev_cache[deg] = {g: sorted(lst) for g, lst in rev.items()}
-        return self._rev_cache[deg].get(gid, [])
+        minus the gid-component of the pair bracket, an integer over
+        image2_denom(gid[0])."""
+        return self._coboundaries(gid[0])[0].get(gid, [])
 
-    def bracket1(self, g1: GenId, g2: GenId) -> list:
-        """[u_{g1}, u_{g2}] expanded over generators (chain direction)."""
+    def image2_denom(self, deg: int) -> int:
+        """Denominator of the image2 coefficients of degree-deg generators."""
+        return self._coboundaries(deg)[1]
+
+    def bracket1(self, g1: GenId, g2: GenId) -> tuple:
+        """[u_{g1}, u_{g2}] expanded over generators (chain direction), as
+        (list of (gid, int), denom)."""
         if g1 == g2:
-            return []
+            return [], 1
         swap = g1 > g2
         if swap:
             g1, g2 = g2, g1
-        table = self._pair_table(g1[0], g2[0])
+        table, denom = self._pair_table(g1[0], g2[0])
         out = table.get((g1, g2), [])
         if swap:
             out = [(g, -c) for g, c in out]
-        return out
+        return out, denom
+
+
+def _normal_form_rules(cas) -> tuple:
+    """(big, rules) for the normal form modulo a Casimir basis in integers:
+    a coefficient c off the leading monomials becomes c * big, and a
+    coefficient c on a leading monomial lm becomes c * f * t on each tail
+    monomial, for rules[lm] = (f, [(monomial, t)]); the result is big times
+    the normal form.  One pass suffices because the basis is in reduced
+    echelon form (no element holds another's leading monomial)."""
+    polys = []
+    for f in cas.basis:
+        ints, _ = clear_denominators(list(f.terms.values()))
+        coeffs = dict(zip(f.terms, ints))
+        lm = f.leading_monomial()
+        polys.append((lm, coeffs.pop(lm), coeffs))
+    big = lcm(1, *(abs(lc) for _, lc, _ in polys))
+    rules = {lm: (big // lc, [(m, -c) for m, c in tail.items()])
+             for lm, lc, tail in polys}
+    return big, rules
 
 
 class PoissonLikeContext:
@@ -172,6 +249,8 @@ class PoissonLikeContext:
         self.h = h
         self.start = 0
         self._image2: dict = {}
+        ints, self._denom = clear_denominators(list(pi_like.terms.values()))
+        self._terms = [(u1, u2, c) for (u1, u2), c in zip(pi_like.terms, ints)]
         if pi_like.degree != 2:
             raise ValueError("Poisson-like structure must be a 2-vector")
         if check:
@@ -187,7 +266,6 @@ class PoissonLikeContext:
         return [(a, i) for a in mono_basis(self.n, j) for i in range(self.n)]
 
     def cap(self, j: int) -> int:
-        from math import comb
         return self.n * comb(self.n - 1 + j, j)
 
     def label(self, gid: GenId):
@@ -205,7 +283,7 @@ class PoissonLikeContext:
             return self._image2[gid]
         v = self.label(gid)
         acc: dict = {}
-        for (u1, u2), c in self.pi_like.terms.items():
+        for u1, u2, c in self._terms:
             # [u1 ^ u2, v] = [u1, v] ^ u2 - [u2, v] ^ u1
             for lead, other, sgn in ((u1, u2, 1), (u2, u1, -1)):
                 for gen, bc in _lie_bracket_gens(lead, v, self.n):
@@ -216,10 +294,14 @@ class PoissonLikeContext:
                     if ga > gb:
                         ga, gb = gb, ga
                         coeff = -coeff
-                    acc[(ga, gb)] = acc.get((ga, gb), Fraction(0)) + coeff
+                    acc[(ga, gb)] = acc.get((ga, gb), 0) + coeff
         result = [(ga, gb, c) for (ga, gb), c in sorted(acc.items()) if c]
         self._image2[gid] = result
         return result
+
+    def image2_denom(self, deg: int) -> int:
+        """One denominator for every degree: that of the 2-vector."""
+        return self._denom
 
 
 # ----------------------------------------------------------------------
@@ -244,20 +326,18 @@ def build_basis(ctx, m: int, w: int) -> Basis:
     return Basis(elements)
 
 
-def _insert_pair(tup: tuple, slot: int, ga, gb):
-    """Replace tup[slot] by the wedge ga^gb; (new_tuple, sign) or None."""
-    prefix, suffix = tup[:slot], tup[slot + 1:]
-    rest = prefix + suffix
+def _insert_pair(rest: tuple, ga, gb):
+    """Wedge ga^gb (ga < gb) onto a sorted tuple from the left;
+    (new_tuple, sign) or None.  A 2-form commutes with every factor, so
+    this is also the sign of putting ga^gb in any slot of rest."""
     ia = bisect_left(rest, ga)
     if ia < len(rest) and rest[ia] == ga:
         return None
-    ib = bisect_left(rest, gb)
+    ib = bisect_left(rest, gb, ia)
     if ib < len(rest) and rest[ib] == gb:
         return None
-    inv = (len(prefix) - bisect_left(prefix, ga)) + (len(prefix) - bisect_left(prefix, gb))
-    inv += bisect_left(suffix, ga) + bisect_left(suffix, gb)
-    newt = tuple(sorted(rest + (ga, gb)))
-    return newt, (-1 if inv % 2 else 1)
+    newt = rest[:ia] + (ga,) + rest[ia:ib] + (gb,) + rest[ib:]
+    return newt, (-1 if (ia + ib) % 2 else 1)
 
 
 def _insert_front(rest: tuple, gc):
@@ -270,42 +350,52 @@ def _insert_front(rest: tuple, gc):
 
 
 def cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
-    """Exact matrix of the coboundary from src (degree m) to tgt (m+1)."""
+    """Exact matrix of the coboundary from src (degree m) to tgt (m+1),
+    accumulated in integers over the lcm of the image2 denominators of the
+    generator degrees in src."""
+    denoms = {j: ctx.image2_denom(j) for j in {g[0] for tup in src.elements for g in tup}}
+    denom = lcm(1, *denoms.values())
+    scale = {j: denom // d for j, d in denoms.items()}
+    index = tgt.index
     entries: dict = {}
     for col, tup in enumerate(src.elements):
-        if tup == ():
-            continue  # scalars are closed
-        for slot in range(len(tup)):
-            sign0 = -1 if slot % 2 else 1
-            for ga, gb, c in ctx.image2(tup[slot]):
-                placed = _insert_pair(tup, slot, ga, gb)
+        for slot, gid in enumerate(tup):
+            f = -scale[gid[0]] if slot % 2 else scale[gid[0]]
+            rest = tup[:slot] + tup[slot + 1:]
+            for ga, gb, c in ctx.image2(gid):
+                placed = _insert_pair(rest, ga, gb)
                 if placed is None:
                     continue
                 newt, sign = placed
-                row = tgt.index.get(newt)
+                row = index.get(newt)
                 if row is None:
                     raise AssertionError("differential left the weight-graded basis")
                 key = (row, col)
-                s = entries.get(key, Fraction(0)) + sign0 * sign * c
-                if s:
-                    entries[key] = s
-                else:
-                    del entries[key]
-    return SparseMatrix(len(tgt), len(src), entries)
+                entries[key] = entries.get(key, 0) + sign * f * c
+    return SparseMatrix.from_ints(len(tgt), len(src),
+                                  {k: v for k, v in entries.items() if v}, denom)
 
 
 def boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
     """Exact matrix of the boundary operator from src (degree m) to tgt (m-1):
-    sum over slot pairs of (-1)^{i+j} [u_i, u_j] wedged in front."""
+    sum over slot pairs of (-1)^{i+j} [u_i, u_j] wedged in front, accumulated
+    in integers over the lcm of the pair-table denominators met so far."""
     entries: dict = {}
+    denom = 1
     for col, tup in enumerate(src.elements):
         mlen = len(tup)
         for k in range(mlen):
             for l in range(k + 1, mlen):
-                sign0 = -1 if (k + l) % 2 else 1  # (-1)^{(k+1)+(l+1)}
-                expansion = ctx.bracket1(tup[k], tup[l])
+                expansion, d = ctx.bracket1(tup[k], tup[l])
                 if not expansion:
                     continue
+                if denom % d:
+                    grow = lcm(denom, d) // denom
+                    entries = {key: v * grow for key, v in entries.items()}
+                    denom *= grow
+                f = denom // d
+                if (k + l) % 2:  # (-1)^{(k+1)+(l+1)}
+                    f = -f
                 rest = tup[:k] + tup[k + 1:l] + tup[l + 1:]
                 for gc, c in expansion:
                     placed = _insert_front(rest, gc)
@@ -316,12 +406,9 @@ def boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
                     if row is None:
                         raise AssertionError("boundary left the weight-graded basis")
                     key = (row, col)
-                    s = entries.get(key, Fraction(0)) + sign0 * sign * c
-                    if s:
-                        entries[key] = s
-                    else:
-                        del entries[key]
-    return SparseMatrix(len(tgt), len(src), entries)
+                    entries[key] = entries.get(key, 0) + sign * f * c
+    return SparseMatrix.from_ints(len(tgt), len(src),
+                                  {k: v for k, v in entries.items() if v}, denom)
 
 
 def weight_degree_range(ctx, w: int) -> tuple:
@@ -376,10 +463,12 @@ def constant_two_cochain(pi: PoissonStructure) -> list:
 
 def wedge_cochain_matrix(two_cochain: list, src: Basis, tgt: Basis) -> SparseMatrix:
     """Matrix of sigma -> (2-cochain) ^ sigma."""
+    ints, denom = clear_denominators([c for _, _, c in two_cochain])
+    terms = [(ga, gb, c) for (ga, gb, _), c in zip(two_cochain, ints)]
     entries: dict = {}
     for col, tup in enumerate(src.elements):
-        for ga, gb, c in two_cochain:
-            placed = _insert_pair((None,) + tup, 0, ga, gb)
+        for ga, gb, c in terms:
+            placed = _insert_pair(tup, ga, gb)
             if placed is None:
                 continue
             newt, sign = placed
@@ -387,9 +476,6 @@ def wedge_cochain_matrix(two_cochain: list, src: Basis, tgt: Basis) -> SparseMat
             if row is None:
                 raise AssertionError("wedge left the weight-graded basis")
             key = (row, col)
-            s = entries.get(key, Fraction(0)) + sign * c
-            if s:
-                entries[key] = s
-            else:
-                del entries[key]
-    return SparseMatrix(len(tgt), len(src), entries)
+            entries[key] = entries.get(key, 0) + sign * c
+    return SparseMatrix.from_ints(len(tgt), len(src),
+                                  {k: v for k, v in entries.items() if v}, denom)

@@ -265,14 +265,8 @@ def build_report(structure, mode: str, w: int, direction: str = "cochain",
 # cache
 # ----------------------------------------------------------------------
 
-def _structure_bytes(structure) -> bytes:
-    if isinstance(structure, PoissonStructure):
-        return structure.serialize().encode()
-    return structure.serialize().encode()
-
-
 def cache_key(structure, mode: str, w: int, direction: str) -> str:
-    blob = b"|".join([_structure_bytes(structure), mode.encode(),
+    blob = b"|".join([structure.serialize().encode(), mode.encode(),
                       str(w).encode(), direction.encode(), CODE_VERSION.encode()])
     return hashlib.sha256(blob).hexdigest()
 

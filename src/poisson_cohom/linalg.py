@@ -1,10 +1,15 @@
 """Exact sparse rational matrices with rank and kernel computation.
 
-Rank/kernel run fraction-free: rows are cleared to integers and kept
-gcd-reduced through elimination, so no rational blow-up occurs on the
-larger cochain matrices.  Pivots are chosen by a Markowitz-style fill
-estimate with deterministic tie-breaking, which keeps results identical
-across runs.
+A matrix is stored as integer entries over one positive denominator: the
+value at (r, c) is entries[(r, c)] / denom.  Builders accumulate integers
+scaled to that denominator, and the d o d check and elimination work on
+the integers directly, since scaling by a positive constant changes no
+rank, no kernel and no zero test.
+
+Rank/kernel run fraction-free: rows are kept gcd-reduced through
+elimination, so no integer blow-up occurs on the larger cochain matrices.
+Pivots are chosen by a Markowitz-style fill estimate with deterministic
+tie-breaking, which keeps results identical across runs.
 """
 
 from __future__ import annotations
@@ -12,99 +17,93 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+
+def clear_denominators(values: list) -> tuple:
+    """Rationals as (list of ints, denom) over one positive lcm denominator."""
+    vals = [v if type(v) is int else Fraction(v) for v in values]
+    denom = lcm(1, *(v.denominator for v in vals))
+    return [v.numerator * (denom // v.denominator) for v in vals], denom
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over Fraction entries."""
+    """Immutable-by-convention sparse matrix of integers over one positive
+    denominator; two matrices are equal when their values are."""
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+    __slots__ = ("n_rows", "n_cols", "entries", "denom")
 
     def __init__(self, n_rows: int, n_cols: int, entries: dict | None = None):
+        """Entries may be rationals; they are cleared with one lcm."""
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.entries: dict = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < n_rows and 0 <= c < n_cols):
-                    raise ValueError("index out of range")
-                v = Fraction(v)
-                if v:
-                    self.entries[(r, c)] = v
+        keys, vals = [], []
+        for (r, c), v in (entries or {}).items():
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError("index out of range")
+            if v:
+                keys.append((r, c))
+                vals.append(v)
+        ints, self.denom = clear_denominators(vals)
+        self.entries: dict = dict(zip(keys, ints))
+
+    @classmethod
+    def from_ints(cls, n_rows: int, n_cols: int, entries: dict,
+                  denom: int = 1) -> "SparseMatrix":
+        """Fast constructor for builders that hold nonzero in-range integer
+        entries already; the dict is taken over, not copied."""
+        if denom < 1:
+            raise ValueError("denominator must be positive")
+        m = cls.__new__(cls)
+        m.n_rows, m.n_cols, m.entries, m.denom = n_rows, n_cols, entries, denom
+        return m
 
     def nnz(self) -> int:
         return len(self.entries)
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.n_cols, self.n_rows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
+        return SparseMatrix.from_ints(
+            self.n_cols, self.n_rows,
+            {(c, r): v for (r, c), v in self.entries.items()}, self.denom)
 
     def columns(self) -> list[dict]:
+        """Integer columns (values times denom) as dicts row -> int."""
         cols: list[dict] = [dict() for _ in range(self.n_cols)]
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
 
-    def rows(self) -> list[dict]:
-        rows: list[dict] = [dict() for _ in range(self.n_rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector (dict col -> Fraction)."""
+        """Matrix times a sparse column vector (dict col -> number), exactly."""
         out: dict = {}
-        rows_touching = self.entries
-        for (r, c), v in rows_touching.items():
+        for (r, c), v in self.entries.items():
             x = vec.get(c)
             if x:
-                s = out.get(r, Fraction(0)) + v * x
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
-        return out
+                out[r] = out.get(r, 0) + v * x
+        d = self.denom
+        return {r: (s if d == 1 else Fraction(s) / d) for r, s in out.items() if s}
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SparseMatrix) and self.n_rows == other.n_rows
-                and self.n_cols == other.n_cols and self.entries == other.entries)
+        if not (isinstance(other, SparseMatrix) and self.n_rows == other.n_rows
+                and self.n_cols == other.n_cols):
+            return False
+        if self.denom == other.denom:
+            return self.entries == other.entries
+        if self.entries.keys() != other.entries.keys():
+            return False
+        d1, d2, theirs = self.denom, other.denom, other.entries
+        return all(v * d2 == theirs[k] * d1 for k, v in self.entries.items())
 
 
 @dataclass
 class RankResult:
     rank: int
     kernel_dim: int
-    kernel: list | None = None  # list of dict col -> Fraction, integer entries
-
-
-def _int_rows_from_columns(m: SparseMatrix, tail_at: int | None = None) -> list[dict]:
-    """Columns of m as integer rows (denominators cleared per column).
-
-    With tail_at set, row j carries an identity-tail entry at tail_at + j
-    scaled consistently with the left part, so row operations preserve
-    the invariant "left part = (tail) . transpose(m)".
-    """
-    cols = m.columns()
-    out = []
-    for j, col in enumerate(cols):
-        denom_lcm = 1
-        for v in col.values():
-            d = v.denominator
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-        row = {r: int(v * denom_lcm) for r, v in col.items()}
-        if tail_at is not None:
-            row[tail_at + j] = denom_lcm
-        _gcd_reduce(row)
-        out.append(row)
-    return out
+    kernel: list | None = None  # list of dict col -> int, primitive
 
 
 def _gcd_reduce(row: dict) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return
+    g = gcd(*row.values())
     if g > 1:
         for k in row:
             row[k] //= g
@@ -113,13 +112,19 @@ def _gcd_reduce(row: dict) -> None:
 def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     """Exact rank over Q and kernel dimension, optionally a kernel basis.
 
-    Works on the transpose (each matrix column becomes an elimination
-    row); with want_basis the rows carry an identity tail whose surviving
-    part spans the kernel.  Kernel vectors come out integral and primitive.
+    Works on the transpose: each integer column becomes an elimination row,
+    gcd-reduced.  With want_basis row j carries an identity-tail entry
+    m.denom at n_rows + j, so row operations keep the invariant "left part
+    = (tail) . transpose(m)" and the surviving tails span the kernel.
+    Kernel vectors come out as primitive integer dicts.
     """
     ncols = m.n_cols
     left_width = m.n_rows
-    rows = _int_rows_from_columns(m, tail_at=left_width if want_basis else None)
+    rows = m.columns()
+    for j, row in enumerate(rows):
+        if want_basis:
+            row[left_width + j] = m.denom
+        _gcd_reduce(row)
 
     # column index over left columns only
     col_rows: dict = {}
@@ -155,27 +160,27 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
             row = rows[r]
             v = row.pop(c)
             col_rows[c].discard(r)
-            touched = set(prow) | set(row)
-            newcnt = 0
-            for k in touched:
+            # row <- pval * row - v * prow, tracking the column index
+            if pval != 1:
+                row = rows[r] = {k: x * pval for k, x in row.items()}
+            cnt = left_count[r] - 1
+            for k, y in prow.items():
                 if k == c:
                     continue
-                a = row.get(k, 0) * pval - v * prow.get(k, 0)
-                old = k in row
+                a = row.get(k, 0) - v * y
                 if a:
+                    if k < left_width and k not in row:
+                        cnt += 1
+                        rs2 = col_rows.setdefault(k, set())
+                        rs2.add(r)
+                        heapq.heappush(heap, (len(rs2), k))
                     row[k] = a
+                elif k in row:
+                    del row[k]
                     if k < left_width:
-                        newcnt += 1
-                        if not old:
-                            rs2 = col_rows.setdefault(k, set())
-                            rs2.add(r)
-                            heapq.heappush(heap, (len(rs2), k))
-                else:
-                    if old:
-                        del row[k]
-                        if k < left_width:
-                            col_rows[k].discard(r)
-            left_count[r] = newcnt
+                        cnt -= 1
+                        col_rows[k].discard(r)
+            left_count[r] = cnt
             _gcd_reduce(row)
         # retire the pivot row
         for k in list(prow):
@@ -191,39 +196,33 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
         for ridx, row in enumerate(rows):
             if not active[ridx]:
                 continue
-            vec = {c - left_width: Fraction(v) for c, v in row.items() if c >= left_width}
+            vec = {c - left_width: v for c, v in row.items() if c >= left_width}
             if vec:
                 kernel.append(vec)
         kernel.sort(key=lambda v: sorted(v.items()))
-        assert len(kernel) == ncols - rank
+        if len(kernel) != ncols - rank:
+            raise AssertionError("kernel has %d vectors, expected n_cols - rank = %d"
+                                 % (len(kernel), ncols - rank))
     return RankResult(rank=rank, kernel_dim=ncols - rank, kernel=kernel)
 
 
-def rank_only(m: SparseMatrix) -> int:
-    return rank_kernel(m, want_basis=False).rank
-
-
 def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
-    """True iff a @ b is exactly the zero matrix."""
+    """True iff a @ b is exactly the zero matrix (checked on the integers)."""
     if a.n_cols != b.n_rows:
         raise ValueError("inner dimensions do not match")
     a_cols = a.columns()
-    b_cols = b.columns()
-    for col in b_cols:
+    for col in b.columns():
         acc: dict = {}
         for k, v in col.items():
             for r, w in a_cols[k].items():
-                s = acc.get(r, Fraction(0)) + w * v
-                if s:
-                    acc[r] = s
-                else:
-                    del acc[r]
-        if acc:
+                acc[r] = acc.get(r, 0) + w * v
+        if any(acc.values()):
             return False
     return True
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Exact product; its denominator is a.denom * b.denom."""
     if a.n_cols != b.n_rows:
         raise ValueError("inner dimensions do not match")
     a_cols = a.columns()
@@ -231,12 +230,10 @@ def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     for (r, c), v in b.entries.items():
         for rr, w in a_cols[r].items():
             key = (rr, c)
-            s = entries.get(key, Fraction(0)) + w * v
-            if s:
-                entries[key] = s
-            else:
-                del entries[key]
-    return SparseMatrix(a.n_rows, b.n_cols, entries)
+            entries[key] = entries.get(key, 0) + w * v
+    return SparseMatrix.from_ints(a.n_rows, b.n_cols,
+                                  {k: v for k, v in entries.items() if v},
+                                  a.denom * b.denom)
 
 
 def from_column_vectors(n_rows: int, vectors: list) -> SparseMatrix:

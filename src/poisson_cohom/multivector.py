@@ -9,7 +9,7 @@ from math import comb
 
 from .algebra import mono_basis
 from .complexes import PolyContext, build_basis, cochain_matrix
-from .linalg import SparseMatrix, compose_is_zero, rank_kernel
+from .linalg import SparseMatrix, clear_denominators, compose_is_zero, rank_kernel
 from .poisson import (GradedMultiVector, MultiVector, PoissonStructure,
                       phi_flatten, r_schouten, schouten)
 
@@ -33,23 +33,22 @@ class PolyModuleBasis:
 
 def poly_module_matrix(pi_mv: MultiVector, src: PolyModuleBasis,
                        tgt: PolyModuleBasis) -> SparseMatrix:
-    """Matrix of u -> [pi, u] between module bases."""
+    """Matrix of u -> [pi, u] between module bases.  pi_mv is scaled once by
+    the lcm of its coefficient denominators, so the Schouten brackets and
+    the assembly run in integers over that one denominator."""
+    ints, denom = clear_denominators(list(pi_mv.terms.values()))
+    pi_int = MultiVector(pi_mv.n, pi_mv.degree, dict(zip(pi_mv.terms, ints)))
     entries: dict = {}
     n = pi_mv.n
     for col, (a, axes) in enumerate(src.elements):
-        u = MultiVector(n, len(axes), {(a, axes): Fraction(1)})
-        image = schouten(pi_mv, u)
+        u = MultiVector(n, len(axes), {(a, axes): 1})
+        image = schouten(pi_int, u)
         for (b, jaxes), c in image.terms.items():
             row = tgt.index.get((b, jaxes))
             if row is None:
                 raise AssertionError("module differential left the weight basis")
-            key = (row, col)
-            s = entries.get(key, Fraction(0)) + c
-            if s:
-                entries[key] = s
-            else:
-                del entries[key]
-    return SparseMatrix(len(tgt), len(src), entries)
+            entries[(row, col)] = c
+    return SparseMatrix.from_ints(len(tgt), len(src), entries, denom)
 
 
 def poly_module_report(structure, w: int, jobs: int = 1, matrix_sink=None):

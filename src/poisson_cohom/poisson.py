@@ -10,6 +10,7 @@ is nonzero there; it is the carrier of the R-linear Schouten bracket.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 
 from .algebra import (MultiIndex, RatPoly, mi_add, mi_degree, mono_index,
@@ -136,8 +137,18 @@ def _sort_axes(axes) -> tuple | None:
     return tuple(axes), sign
 
 
+def _exact(c):
+    """A coefficient as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class MultiVector:
-    """Degree-m polynomial multivector: sum of c * w^A d_{i1}^...^d_{im}."""
+    """Degree-m polynomial multivector: sum of c * w^A d_{i1}^...^d_{im}.
+    Integral coefficients are stored as ints, so brackets of integer
+    multivectors run without Fraction arithmetic."""
 
     __slots__ = ("n", "degree", "terms")
 
@@ -147,7 +158,7 @@ class MultiVector:
         self.terms: dict = {}
         if terms:
             for (a, axes), c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if not c:
                     continue
                 if len(axes) != degree:
@@ -168,7 +179,7 @@ class MultiVector:
             return
         axes_sorted, sign = norm
         key = (tuple(a), axes_sorted)
-        s = self.terms.get(key, Fraction(0)) + sign * c
+        s = self.terms.get(key, 0) + sign * c
         if s:
             self.terms[key] = s
         else:
@@ -183,7 +194,7 @@ class MultiVector:
         return out
 
     def scale(self, c) -> "MultiVector":
-        c = Fraction(c)
+        c = _exact(c)
         return MultiVector(self.n, self.degree,
                            {k: c * v for k, v in self.terms.items()} if c else {})
 
@@ -211,32 +222,51 @@ def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
     """
     if p.n != q.n:
         raise ValueError("dimension mismatch")
-    n = p.n
-    deg = p.degree + q.degree - 1
-    out = MultiVector(n, max(deg, 0))
+    out = MultiVector(p.n, max(p.degree + q.degree - 1, 0))
+    terms = out.terms
+
+    def put(e: list, ax: int, axes_x: tuple, axes_y: tuple, coeff) -> None:
+        merged = _merge_axes(axes_x, axes_y)
+        if merged is None:
+            return
+        axes, sign = merged
+        e = e.copy()
+        e[ax] -= 1
+        key = (tuple(e), axes)
+        s = terms.get(key, 0) + sign * coeff
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
+
     for (a, axes_i), ca in p.terms.items():
+        pl = len(axes_i)
         for (b, axes_j), cb in q.terms.items():
             c = ca * cb
-            pl = len(axes_i)
+            ab = [x + y for x, y in zip(a, b)]
             # derivative of g-side along each I slot
             for pos, ax in enumerate(axes_i):
-                if b[ax] == 0:
-                    continue
-                bb = list(b)
-                bb[ax] -= 1
-                coeff = c * b[ax] * (-1 if (pl - (pos + 1)) % 2 else 1)
-                rest = axes_i[:pos] + axes_i[pos + 1:]
-                out.add_term(mi_add(a, tuple(bb)), rest + axes_j, coeff)
+                if b[ax]:
+                    put(ab, ax, axes_i[:pos] + axes_i[pos + 1:], axes_j,
+                        c * b[ax] * (-1 if (pl - (pos + 1)) % 2 else 1))
             # derivative of f-side along each J slot
             for pos, ax in enumerate(axes_j):
-                if a[ax] == 0:
-                    continue
-                aa = list(a)
-                aa[ax] -= 1
-                coeff = c * a[ax] * (-1 if (pos + 1) % 2 else 1)
-                rest = axes_j[:pos] + axes_j[pos + 1:]
-                out.add_term(mi_add(tuple(aa), b), axes_i + rest, coeff)
+                if a[ax]:
+                    put(ab, ax, axes_i, axes_j[:pos] + axes_j[pos + 1:],
+                        c * a[ax] * (-1 if (pos + 1) % 2 else 1))
     return out
+
+
+def _merge_axes(x: tuple, y: tuple):
+    """Wedge of two sorted axis tuples: (sorted tuple, sign) or None on a
+    repeat; the sign counts the pairs (x_i, y_j) with x_i > y_j."""
+    inv = 0
+    for ax in x:
+        k = bisect_left(y, ax)
+        if k < len(y) and y[k] == ax:
+            return None
+        inv += k
+    return tuple(sorted(x + y)), (-1 if inv % 2 else 1)
 
 
 # ----------------------------------------------------------------------
@@ -347,11 +377,11 @@ def _lie_bracket_gens(u, v, n: int) -> list:
     if b[i]:
         bb = list(b)
         bb[i] -= 1
-        out.append(((mi_add(a, tuple(bb)), j), Fraction(b[i])))
+        out.append(((mi_add(a, tuple(bb)), j), b[i]))
     if a[j]:
         aa = list(a)
         aa[j] -= 1
-        out.append(((mi_add(tuple(aa), b), i), Fraction(-a[j])))
+        out.append(((mi_add(tuple(aa), b), i), -a[j]))
     return out
 
 

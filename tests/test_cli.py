@@ -1,11 +1,14 @@
 import io
 import os
 
-from poisson_cohom.cli import main, parse_golden, render_table, run_goldens
+import pytest
+
+from poisson_cohom.cli import CACHE_ENV, main, parse_golden, render_table, run_goldens
 from poisson_cohom.engine import build_report
 from poisson_cohom import fixtures as fx
 
 STRUCT_DIR = os.path.join(os.path.dirname(fx.__file__), "structures")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_render_table_sl2(capsys):
@@ -81,6 +84,28 @@ def test_dump_matrices(tmp_path, capsys):
     head = open(tmp_path / "poly-bar_w1_d1.mtx").read().splitlines()
     assert head[0] == "18 6"
     assert all(len(line.split()) == 3 for line in head[1:])
+
+
+@pytest.mark.parametrize("structure, extra, ref", [
+    ("builtin:sl2", ["--mode", "hamiltonian"], "dump_sl2_ham_w2"),
+    ("builtin:h2_case1", [], "dump_h2_case1_w2"),
+])
+def test_dump_matrices_rational_byte_identical(tmp_path, capsys, monkeypatch,
+                                               structure, extra, ref):
+    """Dumps with rational entries (sl2 Hamiltonian normal forms carry
+    halves, h2_case1 has +-1/2) are byte-identical to the reference dumps
+    in tests/data, which were written when every entry was a Fraction."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    rc = main(["betti", structure, "--weights", "2", *extra,
+               "--dump-matrices", str(tmp_path)])
+    assert rc == 0
+    ref_dir = os.path.join(DATA_DIR, ref)
+    names = sorted(os.listdir(ref_dir))
+    assert sorted(os.listdir(tmp_path)) == names
+    ref_bytes = {n: open(os.path.join(ref_dir, n), "rb").read() for n in names}
+    assert any(b"/2\n" in b for b in ref_bytes.values())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == ref_bytes[name], name
 
 
 def test_golden_parse():

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_cohom.linalg import (SparseMatrix, compose_is_zero,
                                   from_column_vectors, matmul, rank_kernel)
@@ -97,3 +99,98 @@ def test_rational_entries():
     res = rank_kernel(m, want_basis=True)
     assert res.rank == 2 and res.kernel_dim == 1
     assert not m.apply(res.kernel[0])
+
+
+# ----------------------------------------------------------------------
+# property tests: integer storage over one denominator against Fraction
+# ----------------------------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8))
+
+
+@st.composite
+def rational_cells(draw, n_rows, n_cols):
+    """Sparse {(r, c): Fraction} with denominators 1-8, signs and zeros."""
+    keys = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    return draw(st.dictionaries(keys, RATIONALS, max_size=n_rows * n_cols))
+
+
+@st.composite
+def matrix_cells(draw, max_size=8):
+    n_rows = draw(st.integers(1, max_size))
+    n_cols = draw(st.integers(1, max_size))
+    return n_rows, n_cols, draw(rational_cells(n_rows, n_cols))
+
+
+def values(m):
+    return {k: Fraction(v, m.denom) for k, v in m.entries.items()}
+
+
+def reference_product(a_cells, b_cells):
+    out = {}
+    for (r, k), x in a_cells.items():
+        for (k2, c), y in b_cells.items():
+            if k == k2:
+                out[(r, c)] = out.get((r, c), Fraction(0)) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(matrix_cells())
+def test_property_rank_and_kernel(cells):
+    n_rows, n_cols, entries = cells
+    m = SparseMatrix(n_rows, n_cols, entries)
+    assert values(m) == {k: v for k, v in entries.items() if v}
+    assert all(type(v) is int for v in m.entries.values()) and m.denom >= 1
+    res = rank_kernel(m, want_basis=True)
+    assert res.rank == dense_rank(entries, n_rows, n_cols)
+    assert res.kernel_dim == n_cols - res.rank == len(res.kernel)
+    for vec in res.kernel:
+        assert vec and all(type(v) is int for v in vec.values())
+        assert gcd(*vec.values()) == 1
+        for r in range(n_rows):
+            assert sum(entries.get((r, c), 0) * v for c, v in vec.items()) == 0
+    assert rank_kernel(m).rank == res.rank
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_property_products_match_fraction_reference(data):
+    n, k, p = (data.draw(st.integers(1, 7)) for _ in range(3))
+    a_cells = data.draw(rational_cells(n, k))
+    b_cells = data.draw(rational_cells(k, p))
+    a, b = SparseMatrix(n, k, a_cells), SparseMatrix(k, p, b_cells)
+    ref = reference_product(a_cells, b_cells)
+    ab = matmul(a, b)
+    assert (ab.n_rows, ab.n_cols) == (n, p)
+    assert values(ab) == ref
+    assert ab == SparseMatrix(n, p, ref)
+    assert compose_is_zero(a, b) == (not ref)
+    # a genuinely zero product: a times its own kernel basis
+    kernel = rank_kernel(a, want_basis=True).kernel
+    if kernel:
+        assert compose_is_zero(a, from_column_vectors(k, kernel))
+        assert matmul(a, from_column_vectors(k, kernel)).nnz() == 0
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(matrix_cells(), st.integers(2, 6))
+def test_property_equality_compares_values(cells, scale):
+    n_rows, n_cols, entries = cells
+    m = SparseMatrix(n_rows, n_cols, entries)
+    scaled = SparseMatrix.from_ints(n_rows, n_cols,
+                                    {k: v * scale for k, v in m.entries.items()},
+                                    m.denom * scale)
+    assert scaled.denom != m.denom
+    assert scaled == m and m == scaled
+    assert m.transpose() == scaled.transpose()
+    # elimination sees only values: same pivots, so the same kernel basis
+    assert (rank_kernel(scaled, want_basis=True).kernel
+            == rank_kernel(m, want_basis=True).kernel)
+    if m.entries:
+        key = min(m.entries)
+        bumped = dict(scaled.entries)
+        bumped[key] += 1
+        if bumped[key] == 0:
+            del bumped[key]
+        assert SparseMatrix.from_ints(n_rows, n_cols, bumped, scaled.denom) != m
