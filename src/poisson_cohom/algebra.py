@@ -122,9 +122,6 @@ class RatPoly:
         degs = {sum(a) for a in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, j: int) -> "RatPoly":
-        return RatPoly(self.n, {a: c for a, c in self.terms.items() if sum(a) == j})
-
     def leading_monomial(self) -> MultiIndex:
         """The grevlex-maximal stored multi-index."""
         if not self.terms:
@@ -206,10 +203,6 @@ class RatPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def leading_monomial(p: RatPoly) -> MultiIndex:
-    return p.leading_monomial()
 
 
 # ----------------------------------------------------------------------

@@ -127,9 +127,11 @@ def cmd_betti(args) -> int:
                         v = Fraction(mat.entries[(r, c)], mat.denom)
                         fh.write("%d %d %d/%d\n" % (r, c, v.numerator, v.denominator))
 
-        reports = run(obj, args.mode, [w], direction=args.direction,
-                      cache_dir=_cache_dir(args), jobs=args.jobs, matrix_sink=sink)
-        rep = reports[0]
+        try:
+            rep = run(obj, args.mode, [w], direction=args.direction,
+                      cache_dir=_cache_dir(args), matrix_sink=sink)[0]
+        except ValueError as exc:
+            raise CliError(str(exc))
         bad = cross_check(rep)
         if bad:
             failures += 1
@@ -220,8 +222,7 @@ def parse_golden(text: str) -> dict:
 
 
 def run_goldens(directory: str | None = None, slow: bool = False,
-                cache_dir: str | None = None, jobs: int = 1,
-                out=None) -> tuple:
+                cache_dir: str | None = None, out=None) -> tuple:
     """Compare every golden file field-exactly; (passed, failed, skipped)."""
     if out is None:
         out = sys.stdout
@@ -241,7 +242,7 @@ def run_goldens(directory: str | None = None, slow: bool = False,
         structure = fixtures.load_structure(entry["structure"])
         rep = run(structure, entry["mode"], [entry["weight"]],
                   direction=entry.get("direction", "cochain"),
-                  cache_dir=cache_dir, jobs=jobs)[0]
+                  cache_dir=cache_dir)[0]
         problems = []
         for m, dim, ker, rank, betti in entry["rows"]:
             row = rep.row_at(m)
@@ -266,8 +267,11 @@ def run_goldens(directory: str | None = None, slow: bool = False,
 
 
 def cmd_goldens(args) -> int:
-    _, failed, _ = run_goldens(args.corpus, slow=args.slow,
-                               cache_dir=_cache_dir(args), jobs=args.jobs)
+    try:
+        _, failed, _ = run_goldens(args.corpus, slow=args.slow,
+                                   cache_dir=_cache_dir(args))
+    except ValueError as exc:
+        raise CliError(str(exc))
     return 1 if failed else 0
 
 
@@ -278,34 +282,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "homogeneous Poisson structures.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
+    def structure_arg(p, skippable=True):
         p.add_argument("structure",
                        help="structure file or builtin:<name> (%s)"
                             % ", ".join(fixtures.builtin_names()))
-        p.add_argument("--no-check", action="store_true",
-                       help="skip the Jacobi / self-bracket check at load")
-        if with_mode:
-            p.add_argument("--mode", default="poly-bar", choices=engine.MODES)
-        p.add_argument("--cache-dir", default=None,
-                       help="report cache directory (or $%s)" % CACHE_ENV)
-        p.add_argument("--jobs", type=int, default=1)
+        if skippable:
+            p.add_argument("--no-check", action="store_true",
+                           help="skip the Jacobi / self-bracket check at load")
 
     p = sub.add_parser("check", help="load a structure and verify its identity")
-    p.add_argument("structure",
-                   help="structure file or builtin:<name> (%s)"
-                        % ", ".join(fixtures.builtin_names()))
+    structure_arg(p, skippable=False)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("casimir", help="Casimir bases per degree")
-    common(p, with_mode=False)
+    structure_arg(p)
     p.add_argument("--min-degree", type=int, default=1)
     p.add_argument("--max-degree", type=int, default=4)
     p.set_defaults(fn=cmd_casimir)
 
     p = sub.add_parser("betti", help="dimension/kernel/rank/Betti tables")
-    common(p)
+    structure_arg(p)
+    p.add_argument("--mode", default="poly-bar", choices=engine.MODES)
+    p.add_argument("--cache-dir", default=None,
+                   help="report cache directory (or $%s)" % CACHE_ENV)
     p.add_argument("--weights", required=True, help="e.g. 2 or 0..4 or 1,3")
-    p.add_argument("--direction", default="cochain", choices=("cochain", "chain"))
+    p.add_argument("--direction", default="cochain", choices=engine.DIRECTIONS)
     p.add_argument("--format", default="table", choices=("table", "structured"))
     p.add_argument("--dump-matrices", default=None,
                    help="directory for coordinate-list matrix dumps")
@@ -334,7 +335,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow", action="store_true",
                    help="include the heavyweight gated entries")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_goldens)
 
     return ap

@@ -448,23 +448,22 @@ def with_constants_split(pi: PoissonStructure, m: int, w: int) -> tuple:
     return without, with_delta
 
 
-def constant_two_cochain(pi: PoissonStructure) -> list:
+def constant_two_cochain(pi: PoissonStructure) -> tuple:
     """The structure 2-cochain sum p_ij z_{e_i} ^ z_{e_j} of a constant
-    (h = 0) structure, as [(gid_i, gid_j, coeff)]."""
+    (h = 0) structure, as ([(gid_i, gid_j, int)], denom)."""
     if pi.h != 0:
         raise ValueError("annihilator subcomplex needs a 0-homogeneous structure")
-    out = []
-    for (i, j), poly in sorted(pi.p.items()):
-        c = poly.coeff(tuple([0] * pi.n))
-        if c:
-            out.append(((1, i), (1, j), c))
-    return out
+    zero = tuple([0] * pi.n)
+    pairs = [(i, j, poly.coeff(zero)) for (i, j), poly in sorted(pi.p.items())]
+    pairs = [t for t in pairs if t[2]]
+    ints, denom = clear_denominators([c for _, _, c in pairs])
+    return [((1, i), (1, j), c) for (i, j, _), c in zip(pairs, ints)], denom
 
 
-def wedge_cochain_matrix(two_cochain: list, src: Basis, tgt: Basis) -> SparseMatrix:
-    """Matrix of sigma -> (2-cochain) ^ sigma."""
-    ints, denom = clear_denominators([c for _, _, c in two_cochain])
-    terms = [(ga, gb, c) for (ga, gb, _), c in zip(two_cochain, ints)]
+def wedge_cochain_matrix(two_cochain: tuple, src: Basis, tgt: Basis) -> SparseMatrix:
+    """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain given as
+    (terms, denom) by constant_two_cochain."""
+    terms, denom = two_cochain
     entries: dict = {}
     for col, tup in enumerate(src.elements):
         for ga, gb, c in terms:

@@ -7,21 +7,17 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from . import multivector
-from .complexes import (Basis, PolyContext, PoissonLikeContext, basis_dimension_check,
+from .complexes import (PolyContext, PoissonLikeContext, basis_dimension_check,
                         boundary_matrix, build_basis, cochain_matrix,
                         constant_two_cochain, wedge_cochain_matrix,
                         weight_degree_range)
 from .linalg import compose_is_zero, from_column_vectors, matmul, rank_kernel
-from .poisson import GradedMultiVector, PoissonStructure
+from .multivector import PolyModuleBasis, poly_module_matrix
+from .poisson import GradedMultiVector, PoissonStructure, schouten
 
 CODE_VERSION = "1"
-
-MODES = ("poly-bar", "poly-with-constants", "hamiltonian", "pi-annihilator",
-         "poisson-like", "poly-module")
 
 
 @dataclass
@@ -57,12 +53,6 @@ class ComplexReport:
 
     def dim_list(self) -> list:
         return [r.dim for r in self.rows]
-
-    def kernel_list(self) -> list:
-        return [r.kernel_dim for r in self.rows]
-
-    def rank_list(self) -> list:
-        return [r.rank for r in self.rows]
 
     def is_empty(self) -> bool:
         return not self.rows
@@ -112,7 +102,7 @@ class ComplexReport:
 
 
 # ----------------------------------------------------------------------
-# report builders
+# one report pipeline; each mode only builds its complex
 # ----------------------------------------------------------------------
 
 def _trim_rows(rows: list) -> list:
@@ -123,70 +113,65 @@ def _trim_rows(rows: list) -> list:
     return [r for r in rows if lo <= r.m <= hi]
 
 
-def _rank_many(mats: dict, jobs: int) -> dict:
-    if jobs > 1 and len(mats) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {m: pool.submit(lambda mm=mm: rank_kernel(mm).rank)
-                    for m, mm in mats.items()}
-            return {m: f.result() for m, f in futs.items()}
-    return {m: rank_kernel(mm).rank for m, mm in mats.items()}
+def _complex_rows(dims: dict, maps: dict, step: int, ambient: dict,
+                  matrix_sink=None) -> list:
+    """Report rows of a complex with space dimensions dims[m] and
+    differentials maps[m] out of degree m into degree m + step (+1 for a
+    cochain complex, -1 for a chain complex).  ambient[m + step] is the
+    map that must annihilate maps[m] exactly; it is maps itself unless
+    the complex is a subcomplex whose maps land in the ambient spaces."""
+    for m, d in maps.items():
+        nxt = ambient.get(m + step)
+        if nxt is not None and not compose_is_zero(nxt, d):
+            raise AssertionError("d o d != 0 at degree %d" % m)
+    if matrix_sink is not None:
+        for m, d in maps.items():
+            matrix_sink(m, d)
+    ranks = {m: rank_kernel(d).rank for m, d in maps.items()}
+    rows = []
+    for m, dim in sorted(dims.items()):
+        rank = ranks.get(m, 0)
+        ker = dim - rank
+        rows.append(ReportRow(m, dim, ker, rank, ker - ranks.get(m - step, 0)))
+    return _trim_rows(rows)
 
 
-def _cochain_report(ctx, w: int, jobs: int = 1, matrix_sink=None,
-                    check_d2: bool = True) -> ComplexReport:
+def _context_complex(ctx, w: int, direction: str) -> tuple:
+    """A PolyContext or PoissonLikeContext complex: coboundaries m -> m+1,
+    or boundaries m -> m-1 in the chain direction."""
     lo, hi = weight_degree_range(ctx, w)
     bases: dict = {}
     for m in range(lo, hi + 2):
         bases[m] = build_basis(ctx, m, w)
         basis_dimension_check(ctx, m, w, bases[m])
-    mats: dict = {}
-    for m in range(lo, hi + 1):
-        if len(bases[m]):
-            mats[m] = cochain_matrix(ctx, bases[m], bases.get(m + 1, Basis([])))
-    if check_d2:
-        for m in mats:
-            nxt = mats.get(m + 1)
-            if nxt is not None and not compose_is_zero(nxt, mats[m]):
-                raise AssertionError("d o d != 0 at degree %d" % m)
-    if matrix_sink is not None:
-        for m, mat in mats.items():
-            matrix_sink(m, mat)
-    ranks = _rank_many(mats, jobs)
-    rows = []
-    for m in range(lo, hi + 1):
-        dim = len(bases[m])
-        rank = ranks.get(m, 0)
-        ker = dim - rank
-        betti = ker - ranks.get(m - 1, 0)
-        rows.append(ReportRow(m, dim, ker, rank, betti))
-    return ComplexReport(mode="", weight=w, rows=_trim_rows(rows))
+    maps: dict = {}
+    if direction == "cochain":
+        step = 1
+        for m in range(lo, hi + 1):
+            if len(bases[m]):
+                maps[m] = cochain_matrix(ctx, bases[m], bases[m + 1])
+    else:
+        step = -1
+        for m in range(lo + 1, hi + 1):
+            if len(bases[m]):
+                maps[m] = boundary_matrix(ctx, bases[m], bases[m - 1])
+    return {m: len(bases[m]) for m in range(lo, hi + 1)}, maps, step, maps
 
 
-def _chain_report(ctx, w: int, jobs: int = 1) -> ComplexReport:
-    lo, hi = weight_degree_range(ctx, w)
-    bases = {m: build_basis(ctx, m, w) for m in range(lo, hi + 2)}
-    for m in range(lo, hi + 2):
-        basis_dimension_check(ctx, m, w, bases[m])
-    mats: dict = {}
-    for m in range(lo + 1, hi + 1):
-        if len(bases[m]):
-            mats[m] = boundary_matrix(ctx, bases[m], bases.get(m - 1, Basis([])))
-    for m in mats:
-        prv = mats.get(m - 1)
-        if prv is not None and not compose_is_zero(prv, mats[m]):
-            raise AssertionError("boundary o boundary != 0 at degree %d" % m)
-    ranks = _rank_many(mats, jobs)
-    rows = []
-    for m in range(lo, hi + 1):
-        dim = len(bases[m])
-        rank = ranks.get(m, 0)  # rank of the outgoing map m -> m-1
-        ker = dim - rank
-        betti = ker - ranks.get(m + 1, 0)
-        rows.append(ReportRow(m, dim, ker, rank, betti))
-    return ComplexReport(mode="", weight=w, rows=_trim_rows(rows), direction="chain")
+def _poly_complex(kind: str):
+    return lambda pi, w, direction: _context_complex(PolyContext(pi, kind), w, direction)
 
 
-def _annihilator_report(pi: PoissonStructure, w: int, jobs: int = 1) -> ComplexReport:
+def _poisson_like_complex(pi_like: GradedMultiVector, w: int, direction: str) -> tuple:
+    return _context_complex(PoissonLikeContext(pi_like, pi_like.poly_degree()),
+                            w, direction)
+
+
+def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
+    """The subcomplex K^m = ker(two-cochain ^ -) of the poly-bar complex:
+    its maps are the full differentials restricted to kernel bases, so
+    they land in the full spaces, and the full differentials are the
+    ambient maps of the d o d check."""
     ctx = PolyContext(pi, "bar")
     two = constant_two_cochain(pi)
     lo, hi = weight_degree_range(ctx, w)
@@ -199,64 +184,66 @@ def _annihilator_report(pi: PoissonStructure, w: int, jobs: int = 1) -> ComplexR
             continue
         wedge = wedge_cochain_matrix(two, bases[m], shifted[m])
         kernels[m] = rank_kernel(wedge, want_basis=True).kernel
-    restricted: dict = {}
+    maps: dict = {}
     full_d: dict = {}
     for m in range(lo, hi + 1):
         if not kernels[m]:
             continue
         kmat = from_column_vectors(len(bases[m]), kernels[m])
-        dmat = cochain_matrix(ctx, bases[m], bases.get(m + 1, Basis([])))
-        full_d[m] = dmat
-        restricted[m] = matmul(dmat, kmat)
+        full_d[m] = cochain_matrix(ctx, bases[m], bases[m + 1])
+        maps[m] = matmul(full_d[m], kmat)
         # the differential must keep the subcomplex inside itself
-        if len(shifted[m + 1] if m + 1 in shifted else Basis([])):
+        if len(shifted[m + 1]):
             wedge_next = wedge_cochain_matrix(two, bases[m + 1], shifted[m + 1])
-            if not compose_is_zero(wedge_next, restricted[m]):
+            if not compose_is_zero(wedge_next, maps[m]):
                 raise AssertionError("annihilator subcomplex not preserved at m=%d" % m)
-    ranks = _rank_many(restricted, jobs)
-    rows = []
-    for m in range(lo, hi + 1):
-        dim = len(kernels[m])
-        rank = ranks.get(m, 0)
-        ker = dim - rank
-        betti = ker - ranks.get(m - 1, 0)
-        rows.append(ReportRow(m, dim, ker, rank, betti))
-    return ComplexReport(mode="pi-annihilator", weight=w, rows=_trim_rows(rows))
+    return {m: len(k) for m, k in kernels.items()}, maps, 1, full_d
+
+
+def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
+    """The Poisson polynomial complex u -> [pi, u] of multivector fields."""
+    pi_mv = pi.as_multivector()
+    if not schouten(pi_mv, pi_mv).is_zero():
+        raise ValueError("structure is not Poisson")
+    bases = {m: PolyModuleBasis(pi.n, pi.h, m, w) for m in range(0, pi.n + 2)}
+    maps = {m: poly_module_matrix(pi_mv, bases[m], bases[m + 1])
+            for m in range(0, pi.n + 1) if len(bases[m])}
+    return {m: len(bases[m]) for m in range(0, pi.n + 1)}, maps, 1, maps
+
+
+# mode -> (complex builder, structure type it needs, has a chain direction)
+_MODES = {
+    "poly-bar": (_poly_complex("bar"), PoissonStructure, True),
+    "poly-with-constants": (_poly_complex("full"), PoissonStructure, True),
+    "hamiltonian": (_poly_complex("hamiltonian"), PoissonStructure, True),
+    "pi-annihilator": (_annihilator_complex, PoissonStructure, False),
+    "poisson-like": (_poisson_like_complex, GradedMultiVector, False),
+    "poly-module": (_module_complex, PoissonStructure, False),
+}
+MODES = tuple(_MODES)
+DIRECTIONS = ("cochain", "chain")
 
 
 def build_report(structure, mode: str, w: int, direction: str = "cochain",
-                 jobs: int = 1, matrix_sink=None) -> ComplexReport:
+                 matrix_sink=None) -> ComplexReport:
+    """The weight-w report of one mode; a matrix_sink(m, matrix) receives
+    every differential that is ranked, keyed by its source degree."""
     start = time.monotonic()
-    if mode == "poly-bar":
-        ctx = PolyContext(structure, "bar")
-        rep = (_cochain_report(ctx, w, jobs, matrix_sink) if direction == "cochain"
-               else _chain_report(ctx, w, jobs))
-    elif mode == "poly-with-constants":
-        ctx = PolyContext(structure, "full")
-        rep = (_cochain_report(ctx, w, jobs, matrix_sink) if direction == "cochain"
-               else _chain_report(ctx, w, jobs))
-    elif mode == "hamiltonian":
-        ctx = PolyContext(structure, "hamiltonian")
-        rep = (_cochain_report(ctx, w, jobs, matrix_sink) if direction == "cochain"
-               else _chain_report(ctx, w, jobs))
-    elif mode == "pi-annihilator":
-        if direction != "cochain":
-            raise ValueError("pi-annihilator mode has no chain direction")
-        rep = _annihilator_report(structure, w, jobs)
-    elif mode == "poisson-like":
-        if not isinstance(structure, GradedMultiVector):
-            raise ValueError("poisson-like mode needs a graded 2-vector structure")
-        ctx = PoissonLikeContext(structure, structure.poly_degree())
-        rep = _cochain_report(ctx, w, jobs, matrix_sink)
-    elif mode == "poly-module":
-        rep = multivector.poly_module_report(structure, w, jobs=jobs,
-                                             matrix_sink=matrix_sink)
-    else:
+    if mode not in _MODES:
         raise ValueError("unknown mode %r (have: %s)" % (mode, ", ".join(MODES)))
-    rep.mode = mode
-    rep.weight = w
-    rep.direction = direction
-    rep.structure = getattr(structure, "name", "") or ""
+    builder, kind, has_chain = _MODES[mode]
+    if not isinstance(structure, kind):
+        raise ValueError("%s mode needs a %s, not a %s"
+                         % (mode, kind.__name__, type(structure).__name__))
+    if direction not in DIRECTIONS:
+        raise ValueError("unknown direction %r (have: %s)"
+                         % (direction, ", ".join(DIRECTIONS)))
+    if direction == "chain" and not has_chain:
+        raise ValueError("%s mode has no chain direction" % mode)
+    dims, maps, step, ambient = builder(structure, w, direction)
+    rep = ComplexReport(mode=mode, weight=w, direction=direction,
+                        structure=getattr(structure, "name", "") or "",
+                        rows=_complex_rows(dims, maps, step, ambient, matrix_sink))
     rep.seconds = time.monotonic() - start
     return rep
 
@@ -272,9 +259,11 @@ def cache_key(structure, mode: str, w: int, direction: str) -> str:
 
 
 def run(structure, mode: str, weights, direction: str = "cochain",
-        cache_dir: str | None = None, jobs: int = 1, matrix_sink=None) -> list:
+        cache_dir: str | None = None, matrix_sink=None) -> list:
     """One report per weight, deterministic; cached when cache_dir is set.
-    Weights outside the admissible range produce empty reports."""
+    Weights outside the admissible range produce empty reports.  With a
+    matrix_sink every report is built (so every matrix reaches the sink)
+    and the cache is written but not read."""
     reports = []
     for w in weights:
         rep = None
@@ -282,12 +271,12 @@ def run(structure, mode: str, weights, direction: str = "cochain",
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             path = os.path.join(cache_dir, cache_key(structure, mode, w, direction) + ".report")
-            if os.path.exists(path):
+            if matrix_sink is None and os.path.exists(path):
                 with open(path, "r", encoding="utf-8") as fh:
                     rep = ComplexReport.parse(fh.read())
         if rep is None:
             rep = build_report(structure, mode, w, direction=direction,
-                               jobs=jobs, matrix_sink=matrix_sink)
+                               matrix_sink=matrix_sink)
             if path:
                 tmp = path + ".tmp.%d" % os.getpid()
                 with open(tmp, "w", encoding="utf-8") as fh:

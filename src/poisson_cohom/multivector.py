@@ -9,7 +9,7 @@ from math import comb
 
 from .algebra import mono_basis
 from .complexes import PolyContext, build_basis, cochain_matrix
-from .linalg import SparseMatrix, clear_denominators, compose_is_zero, rank_kernel
+from .linalg import SparseMatrix, clear_denominators, rank_kernel
 from .poisson import (GradedMultiVector, MultiVector, PoissonStructure,
                       phi_flatten, r_schouten, schouten)
 
@@ -49,39 +49,6 @@ def poly_module_matrix(pi_mv: MultiVector, src: PolyModuleBasis,
                 raise AssertionError("module differential left the weight basis")
             entries[(row, col)] = c
     return SparseMatrix.from_ints(len(tgt), len(src), entries, denom)
-
-
-def poly_module_report(structure, w: int, jobs: int = 1, matrix_sink=None):
-    """ComplexReport rows of the weight-w Poisson polynomial complex."""
-    from .engine import ComplexReport, ReportRow, _rank_many, _trim_rows
-
-    if isinstance(structure, PoissonStructure):
-        pi_mv = structure.as_multivector()
-        n, h = structure.n, structure.h
-    else:
-        raise ValueError("poly-module mode needs a Poisson structure")
-    if not schouten(pi_mv, pi_mv).is_zero():
-        raise ValueError("structure is not Poisson")
-    bases = {m: PolyModuleBasis(n, h, m, w) for m in range(0, n + 2)}
-    mats: dict = {}
-    for m in range(0, n + 1):
-        if len(bases[m]):
-            mats[m] = poly_module_matrix(pi_mv, bases[m], bases[m + 1])
-    for m in mats:
-        nxt = mats.get(m + 1)
-        if nxt is not None and not compose_is_zero(nxt, mats[m]):
-            raise AssertionError("module differential does not square to zero")
-    if matrix_sink is not None:
-        for m, mat in mats.items():
-            matrix_sink(m, mat)
-    ranks = _rank_many(mats, jobs)
-    rows = []
-    for m in range(0, n + 1):
-        dim = len(bases[m])
-        rank = ranks.get(m, 0)
-        ker = dim - rank
-        rows.append(ReportRow(m, dim, ker, rank, ker - ranks.get(m - 1, 0)))
-    return ComplexReport(mode="poly-module", weight=w, rows=_trim_rows(rows))
 
 
 def commuting_square_holds(pi_like: GradedMultiVector, gen) -> bool:

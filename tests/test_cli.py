@@ -86,6 +86,45 @@ def test_dump_matrices(tmp_path, capsys):
     assert all(len(line.split()) == 3 for line in head[1:])
 
 
+@pytest.mark.parametrize("args, prefix, degrees", [
+    (["builtin:sl2", "--direction", "chain", "--weights", "1"], "poly-bar_w1", range(1, 5)),
+    (["builtin:symplectic_r2", "--mode", "pi-annihilator", "--weights", "2"],
+     "pi-annihilator_w2", range(2, 10)),
+])
+def test_dump_matrices_every_ranked_map(tmp_path, capsys, monkeypatch, args,
+                                        prefix, degrees):
+    """Chain boundaries and the annihilator's restricted maps are dumped
+    like cochain differentials, one file per source degree."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(["betti", *args, "--dump-matrices", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["%s_d%d.mtx" % (prefix, m) for m in degrees]
+    if "chain" in args:  # the boundary from degree 2 (18) to degree 1 (6)
+        assert open(tmp_path / "poly-bar_w1_d2.mtx").readline() == "6 18\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["builtin:poisson_like_h2", "--mode", "poisson-like", "--direction", "chain",
+     "--weights=-3"],
+    ["builtin:sl2", "--mode", "poly-module", "--direction", "chain", "--weights", "1"],
+    ["builtin:symplectic_r2", "--mode", "pi-annihilator", "--direction", "chain",
+     "--weights", "1"],
+    ["builtin:poisson_like_h2", "--mode", "poly-bar", "--weights", "1"],
+    ["builtin:sl2", "--mode", "poisson-like", "--weights", "1"],
+])
+def test_betti_bad_mode_combination_exits_2(capsys, args):
+    assert main(["betti", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mode" in err
+
+
+def test_goldens_bad_mode_exits_2(tmp_path, capsys):
+    (tmp_path / "bad.golden").write_text(
+        "structure = builtin:sl2\nmode = poisson-like\nweight = 1\n"
+        "rows = m dim ker rank betti\n")
+    assert main(["goldens", str(tmp_path)]) == 2
+    assert "poisson-like mode needs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("structure, extra, ref", [
     ("builtin:sl2", ["--mode", "hamiltonian"], "dump_sl2_ham_w2"),
     ("builtin:h2_case1", [], "dump_h2_case1_w2"),

@@ -4,8 +4,9 @@ import os
 import pytest
 
 from poisson_cohom import fixtures as fx
-from poisson_cohom.engine import (ComplexReport, ReportRow, build_report,
-                                  cache_key, cross_check, run)
+from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
+                                  build_report, cache_key, cross_check, run)
+from poisson_cohom.linalg import SparseMatrix
 
 
 def test_run_sl2_weight_range():
@@ -112,15 +113,11 @@ def test_cache_key_sensitivity():
     assert len({k1, k2, k3, k4}) == 4
 
 
-def test_reports_invariant_under_jobs():
-    a = build_report(fx.heisenberg(), "poly-bar", 2, jobs=1)
-    b = build_report(fx.heisenberg(), "poly-bar", 2, jobs=4)
-    assert a.rows == b.rows
-
-
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         build_report(fx.sl2(), "nonsense", 1)
+    with pytest.raises(ValueError):
+        build_report(fx.sl2(), "poly-bar", 1, direction="sideways")
 
 
 def test_poisson_like_needs_graded_structure():
@@ -134,3 +131,29 @@ def test_matrix_sink_receives_all_degrees(tmp_path):
                  matrix_sink=lambda m, mat: seen.setdefault(m, mat))
     assert sorted(seen) == [1, 2, 3, 4]
     assert seen[1].n_cols == 6 and seen[1].n_rows == 18
+
+
+def test_matrix_sink_bypasses_warm_cache(tmp_path):
+    cache = str(tmp_path / "cache")
+    for _ in range(2):
+        seen = {}
+        rep = run(fx.sl2(), "poly-bar", [1], cache_dir=cache,
+                  matrix_sink=lambda m, mat: seen.setdefault(m, mat))[0]
+        assert sorted(seen) == [1, 2, 3, 4]
+        assert len(os.listdir(cache)) == 1
+    assert rep.rows == run(fx.sl2(), "poly-bar", [1], cache_dir=cache)[0].rows
+
+
+def test_complex_rows_directions_and_ambient_check():
+    one = SparseMatrix(1, 1, {(0, 0): 1})
+    # cochain 0 -> 1: betti = ker - rank of the incoming map from m - 1
+    assert _complex_rows({0: 1, 1: 1}, {0: one}, 1, {0: one}) == [
+        ReportRow(0, 1, 0, 1, 0), ReportRow(1, 1, 1, 0, 0)]
+    # chain 1 -> 0: the incoming map comes from m + 1
+    assert _complex_rows({0: 1, 1: 1}, {1: one}, -1, {1: one}) == [
+        ReportRow(0, 1, 1, 0, 0), ReportRow(1, 1, 0, 1, 0)]
+    with pytest.raises(AssertionError):
+        _complex_rows({0: 1, 1: 1, 2: 1}, {0: one, 1: one}, 1, {0: one, 1: one})
+    # a map into an ambient space is checked against the ambient differential
+    with pytest.raises(AssertionError):
+        _complex_rows({0: 1}, {0: one}, 1, {1: one})

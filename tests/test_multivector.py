@@ -10,7 +10,7 @@ from poisson_cohom.engine import build_report
 from poisson_cohom.multivector import (PolyModuleBasis, commuting_square_holds,
                                        heisenberg_closed_form,
                                        heisenberg_kernel_form,
-                                       poly_module_report, sp2_closed_form,
+                                       sp2_closed_form,
                                        top_betti_probe)
 
 
@@ -68,7 +68,7 @@ def test_module_rejects_non_poisson():
     bad = PoissonStructure(3, 1, {(0, 1): parse_poly("x1", 3),
                                   (0, 2): parse_poly("x2", 3)}, check=False)
     with pytest.raises(ValueError):
-        poly_module_report(bad, 1)
+        build_report(bad, "poly-module", 1)
 
 
 def test_commuting_square_on_generators():
