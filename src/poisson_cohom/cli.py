@@ -31,14 +31,17 @@ def _parse_weights(text: str) -> list:
     out: list = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise CliError("empty weight range %r" % chunk)
-            out.extend(range(lo, hi + 1))
-        elif chunk:
-            out.append(int(chunk))
+        try:
+            if ".." in chunk:
+                lo, hi = chunk.split("..")
+                lo, hi = int(lo), int(hi)
+                if hi < lo:
+                    raise CliError("empty weight range %r" % chunk)
+                out.extend(range(lo, hi + 1))
+            elif chunk:
+                out.append(int(chunk))
+        except ValueError:
+            raise CliError("bad weight %r (want an integer or lo..hi)" % chunk)
     if not out:
         raise CliError("no weights given")
     return out

@@ -5,6 +5,9 @@ Hamiltonian quotient, the constant-structure annihilator subcomplex and
 the Poisson-like multivector complex) supplies the same small interface:
 graded generators with caps and weights plus the differential's action
 on a single generator.  The basis/matrix builders below are shared.
+cochain_matrix is the one assembly routine of a context: the chain
+boundary is the dual of the coboundary under the wedge-basis pairing,
+so boundary_matrix is its transpose.
 
 Generator ids are (degree, position) pairs; cochain basis elements are
 ascending tuples of generator ids, so wedge reordering signs reduce to
@@ -25,7 +28,8 @@ from .algebra import mono_basis, mono_index
 from .casimir import casimir_space
 from .diagrams import degree_range, enumerate_signatures, sig_dim
 from .linalg import SparseMatrix, clear_denominators
-from .poisson import GradedMultiVector, PoissonStructure, _lie_bracket_gens
+from .poisson import (GradedMultiVector, PoissonStructure, _lie_bracket_gens,
+                      r_schouten)
 
 GenId = tuple  # (degree, position within the degree block)
 
@@ -203,20 +207,6 @@ class PolyContext:
         """Denominator of the image2 coefficients of degree-deg generators."""
         return self._coboundaries(deg)[1]
 
-    def bracket1(self, g1: GenId, g2: GenId) -> tuple:
-        """[u_{g1}, u_{g2}] expanded over generators (chain direction), as
-        (list of (gid, int), denom)."""
-        if g1 == g2:
-            return [], 1
-        swap = g1 > g2
-        if swap:
-            g1, g2 = g2, g1
-        table, denom = self._pair_table(g1[0], g2[0])
-        out = table.get((g1, g2), [])
-        if swap:
-            out = [(g, -c) for g, c in out]
-        return out, denom
-
 
 def _normal_form_rules(cas) -> tuple:
     """(big, rules) for the normal form modulo a Casimir basis in integers:
@@ -243,7 +233,7 @@ class PoissonLikeContext:
 
     include_m0 = False  # tables never carry the scalar slot
 
-    def __init__(self, pi_like: GradedMultiVector, h: int, check: bool = True):
+    def __init__(self, pi_like: GradedMultiVector, h: int):
         self.pi_like = pi_like
         self.n = pi_like.n
         self.h = h
@@ -253,11 +243,9 @@ class PoissonLikeContext:
         self._terms = [(u1, u2, c) for (u1, u2), c in zip(pi_like.terms, ints)]
         if pi_like.degree != 2:
             raise ValueError("Poisson-like structure must be a 2-vector")
-        if check:
-            from .poisson import r_schouten
-            if not r_schouten(pi_like, pi_like).is_zero():
-                raise ValueError("structure is not Poisson-like "
-                                 "(nonzero R-Schouten self-bracket)")
+        if not r_schouten(pi_like, pi_like).is_zero():
+            raise ValueError("structure is not Poisson-like "
+                             "(nonzero R-Schouten self-bracket)")
 
     def wt(self, j: int) -> int:
         return j + 1 - self.h
@@ -340,15 +328,6 @@ def _insert_pair(rest: tuple, ga, gb):
     return newt, (-1 if (ia + ib) % 2 else 1)
 
 
-def _insert_front(rest: tuple, gc):
-    """Wedge gc onto a sorted tuple from the left; (new_tuple, sign) or None."""
-    pos = bisect_left(rest, gc)
-    if pos < len(rest) and rest[pos] == gc:
-        return None
-    newt = rest[:pos] + (gc,) + rest[pos:]
-    return newt, (-1 if pos % 2 else 1)
-
-
 def cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
     """Exact matrix of the coboundary from src (degree m) to tgt (m+1),
     accumulated in integers over the lcm of the image2 denominators of the
@@ -377,38 +356,10 @@ def cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
 
 
 def boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
-    """Exact matrix of the boundary operator from src (degree m) to tgt (m-1):
-    sum over slot pairs of (-1)^{i+j} [u_i, u_j] wedged in front, accumulated
-    in integers over the lcm of the pair-table denominators met so far."""
-    entries: dict = {}
-    denom = 1
-    for col, tup in enumerate(src.elements):
-        mlen = len(tup)
-        for k in range(mlen):
-            for l in range(k + 1, mlen):
-                expansion, d = ctx.bracket1(tup[k], tup[l])
-                if not expansion:
-                    continue
-                if denom % d:
-                    grow = lcm(denom, d) // denom
-                    entries = {key: v * grow for key, v in entries.items()}
-                    denom *= grow
-                f = denom // d
-                if (k + l) % 2:  # (-1)^{(k+1)+(l+1)}
-                    f = -f
-                rest = tup[:k] + tup[k + 1:l] + tup[l + 1:]
-                for gc, c in expansion:
-                    placed = _insert_front(rest, gc)
-                    if placed is None:
-                        continue
-                    newt, sign = placed
-                    row = tgt.index.get(newt)
-                    if row is None:
-                        raise AssertionError("boundary left the weight-graded basis")
-                    key = (row, col)
-                    entries[key] = entries.get(key, 0) + sign * f * c
-    return SparseMatrix.from_ints(len(tgt), len(src),
-                                  {k: v for k, v in entries.items() if v}, denom)
+    """Exact matrix of the boundary operator from src (degree m) to tgt
+    (m-1): the transpose of the coboundary from tgt to src, since the
+    boundary is the dual of the coboundary under the wedge-basis pairing."""
+    return cochain_matrix(ctx, tgt, src).transpose()
 
 
 def weight_degree_range(ctx, w: int) -> tuple:

@@ -17,7 +17,19 @@ from .linalg import compose_is_zero, from_column_vectors, matmul, rank_kernel
 from .multivector import PolyModuleBasis, poly_module_matrix
 from .poisson import GradedMultiVector, PoissonStructure, schouten
 
-CODE_VERSION = "1"
+
+def _source_digest() -> str:
+    """sha256 of the package's Python sources, file names in sorted order,
+    so any change to the code is a new cache key."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
+CODE_VERSION = _source_digest()
 
 
 @dataclass
@@ -71,33 +83,32 @@ class ComplexReport:
 
     @classmethod
     def parse(cls, text: str) -> "ComplexReport":
-        rep = cls(mode="", weight=0)
-        in_rows = False
+        """Inverse of serialize.  Raises ValueError unless the text is a
+        whole report: every row five integers, the mode, direction,
+        weight and euler lines present, and euler matching the rows."""
+        fields: dict = {}
+        rows = []
         for raw in text.splitlines():
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith("#") or line.startswith("rows"):
                 continue
-            if line.startswith("rows"):
-                in_rows = True
-                continue
-            if "=" in line and not (in_rows and line[0].isdigit() or line.startswith("-")):
+            if "=" in line:
                 key, val = [s.strip() for s in line.split("=", 1)]
-                if key == "mode":
-                    rep.mode = val
-                elif key == "structure":
-                    rep.structure = val
-                elif key == "direction":
-                    rep.direction = val
-                elif key == "weight":
-                    rep.weight = int(val)
-                elif key == "seconds":
-                    rep.seconds = float(val)
-                elif key == "euler":
-                    if rep.euler != int(val):
-                        raise ValueError("inconsistent euler line in report")
+                fields[key] = val
                 continue
             parts = line.split()
-            rep.rows.append(ReportRow(*[int(p) for p in parts]))
+            if len(parts) != 5:
+                raise ValueError("report row %r is not five integers" % line)
+            rows.append(ReportRow(*[int(p) for p in parts]))
+        missing = [k for k in ("mode", "direction", "weight", "euler") if k not in fields]
+        if missing:
+            raise ValueError("report lacks the %s line(s)" % ", ".join(missing))
+        rep = cls(mode=fields["mode"], weight=int(fields["weight"]),
+                  structure=fields.get("structure", ""),
+                  direction=fields["direction"], rows=rows,
+                  seconds=float(fields.get("seconds", 0)))
+        if rep.euler != int(fields["euler"]):
+            raise ValueError("inconsistent euler line in report")
         return rep
 
 
@@ -258,12 +269,26 @@ def cache_key(structure, mode: str, w: int, direction: str) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _read_cached(path: str, mode: str, w: int, direction: str):
+    """The report cached at path, or None when the file is cut short,
+    corrupt or holds a report of another mode, weight or direction."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rep = ComplexReport.parse(fh.read())
+    except ValueError:
+        return None
+    if (rep.mode, rep.weight, rep.direction) != (mode, w, direction):
+        return None
+    return rep
+
+
 def run(structure, mode: str, weights, direction: str = "cochain",
         cache_dir: str | None = None, matrix_sink=None) -> list:
     """One report per weight, deterministic; cached when cache_dir is set.
     Weights outside the admissible range produce empty reports.  With a
     matrix_sink every report is built (so every matrix reaches the sink)
-    and the cache is written but not read."""
+    and the cache is written but not read.  A cache file that does not
+    parse as the requested report is rebuilt and overwritten."""
     reports = []
     for w in weights:
         rep = None
@@ -272,8 +297,7 @@ def run(structure, mode: str, weights, direction: str = "cochain",
             os.makedirs(cache_dir, exist_ok=True)
             path = os.path.join(cache_dir, cache_key(structure, mode, w, direction) + ".report")
             if matrix_sink is None and os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as fh:
-                    rep = ComplexReport.parse(fh.read())
+                rep = _read_cached(path, mode, w, direction)
         if rep is None:
             rep = build_report(structure, mode, w, direction=direction,
                                matrix_sink=matrix_sink)

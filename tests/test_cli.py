@@ -59,6 +59,12 @@ def test_betti_rejects_empty_weights():
     assert main(["betti", "builtin:sl2", "--weights", " "]) == 2
 
 
+@pytest.mark.parametrize("weights", ["abc", "1..x"])
+def test_betti_rejects_non_numeric_weights(capsys, weights):
+    assert main(["betti", "builtin:sl2", "--weights", weights]) == 2
+    assert capsys.readouterr().err.startswith("error: bad weight")
+
+
 def test_negative_weight_range_equals_form(capsys):
     rc = main(["betti", "builtin:pibar", "--mode", "poly-module",
                "--weights=-3..-2"])

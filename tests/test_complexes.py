@@ -1,17 +1,102 @@
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import mono_index
 from poisson_cohom.casimir import quotient_basis
-from poisson_cohom.complexes import (PolyContext, PoissonLikeContext,
-                                     basis_dimension_check, boundary_matrix,
-                                     build_basis, cochain_matrix,
-                                     constant_two_cochain, wedge_cochain_matrix,
-                                     weight_degree_range, with_constants_split)
+from poisson_cohom.cli import _golden_paths, parse_golden
+from poisson_cohom.complexes import (PolyContext, PoissonLikeContext, Basis,
+                                     basis_dimension_check, build_basis,
+                                     cochain_matrix, constant_two_cochain,
+                                     wedge_cochain_matrix, weight_degree_range,
+                                     with_constants_split)
 from poisson_cohom.engine import build_report, homology_vs_cohomology_check
 from poisson_cohom.linalg import SparseMatrix, compose_is_zero, matmul, rank_kernel
+
+
+# ----------------------------------------------------------------------
+# reference oracle: the boundary assembled independently of the
+# coboundary, by pairwise bracket insertion on the chain side
+# ----------------------------------------------------------------------
+
+def bracket1(ctx, g1, g2) -> tuple:
+    """[u_{g1}, u_{g2}] expanded over generators (chain direction), as
+    (list of (gid, int), denom)."""
+    if g1 == g2:
+        return [], 1
+    swap = g1 > g2
+    if swap:
+        g1, g2 = g2, g1
+    table, denom = ctx._pair_table(g1[0], g2[0])
+    out = table.get((g1, g2), [])
+    if swap:
+        out = [(g, -c) for g, c in out]
+    return out, denom
+
+
+def _insert_front(rest: tuple, gc):
+    """Wedge gc onto a sorted tuple from the left; (new_tuple, sign) or None."""
+    pos = bisect_left(rest, gc)
+    if pos < len(rest) and rest[pos] == gc:
+        return None
+    newt = rest[:pos] + (gc,) + rest[pos:]
+    return newt, (-1 if pos % 2 else 1)
+
+
+def oracle_boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
+    """Exact matrix of the boundary operator from src (degree m) to tgt (m-1):
+    sum over slot pairs of (-1)^{i+j} [u_i, u_j] wedged in front, accumulated
+    in integers over the lcm of the pair-table denominators met so far."""
+    entries: dict = {}
+    denom = 1
+    for col, tup in enumerate(src.elements):
+        mlen = len(tup)
+        for k in range(mlen):
+            for l in range(k + 1, mlen):
+                expansion, d = bracket1(ctx, tup[k], tup[l])
+                if not expansion:
+                    continue
+                if denom % d:
+                    grow = lcm(denom, d) // denom
+                    entries = {key: v * grow for key, v in entries.items()}
+                    denom *= grow
+                f = denom // d
+                if (k + l) % 2:  # (-1)^{(k+1)+(l+1)}
+                    f = -f
+                rest = tup[:k] + tup[k + 1:l] + tup[l + 1:]
+                for gc, c in expansion:
+                    placed = _insert_front(rest, gc)
+                    if placed is None:
+                        continue
+                    newt, sign = placed
+                    row = tgt.index.get(newt)
+                    if row is None:
+                        raise AssertionError("boundary left the weight-graded basis")
+                    key = (row, col)
+                    entries[key] = entries.get(key, 0) + sign * f * c
+    return SparseMatrix.from_ints(len(tgt), len(src),
+                                  {k: v for k, v in entries.items() if v}, denom)
+
+
+def _polynomial_golden_contexts():
+    """(label, context, weight) for every fast golden in poly-bar or
+    hamiltonian mode, plus the with-constants context of each poly-bar
+    golden (the chain sweep's path)."""
+    kinds = {"poly-bar": ("bar", "full"), "hamiltonian": ("hamiltonian",)}
+    out = []
+    for path in _golden_paths(None):
+        with open(path) as fh:
+            spec = parse_golden(fh.read())
+        if spec["slow"] or spec["mode"] not in kinds:
+            continue
+        pi = fx.load_structure(spec["structure"])
+        for kind in kinds[spec["mode"]]:
+            label = "%s[%s]" % (path.rsplit("/", 1)[-1], kind)
+            out.append((label, PolyContext(pi, kind), spec["weight"]))
+    return out
 
 
 def test_basis_sizes_match_tables():
@@ -102,7 +187,7 @@ def test_boundary_squared_zero():
         for w in (0, 1, 2):
             lo, hi = weight_degree_range(ctx, w)
             bases = {m: build_basis(ctx, m, w) for m in range(lo, hi + 2)}
-            mats = {m: boundary_matrix(ctx, bases[m], bases[m - 1])
+            mats = {m: oracle_boundary_matrix(ctx, bases[m], bases[m - 1])
                     for m in range(lo + 1, hi + 1)}
             for m in range(lo + 2, hi + 1):
                 assert compose_is_zero(mats[m - 1], mats[m])
@@ -119,20 +204,21 @@ def test_so3_matches_sl2_betti():
 
 
 def test_coboundary_is_transpose_of_boundary():
-    """The two differentials are implemented independently (reverse-index
-    slot replacement vs pairwise bracket insertion); the dual pairing of
-    the wedge bases forces the matrices to be exact transposes."""
-    for s, mode, weights in ((fx.sl2(), "bar", (1, 2)),
-                             (fx.heisenberg(), "hamiltonian", (1, 2)),
-                             (fx.symplectic_r2(), "bar", (-2, 0))):
-        ctx = PolyContext(s, mode)
-        for w in weights:
-            lo, hi = weight_degree_range(ctx, w)
-            bases = {m: build_basis(ctx, m, w) for m in range(lo, hi + 2)}
-            for m in range(lo, hi + 1):
-                d = cochain_matrix(ctx, bases[m], bases[m + 1])
-                bd = boundary_matrix(ctx, bases[m + 1], bases[m])
-                assert d.transpose() == bd, (s.name, mode, w, m)
+    """The engine's chain boundary is the transpose of the coboundary; the
+    oracle assembles the boundary independently (pairwise bracket
+    insertion instead of reverse-index slot replacement), and the dual
+    pairing of the wedge bases forces the two to agree entry for entry on
+    every matrix of the polynomial-mode goldens."""
+    nonzero = 0
+    for label, ctx, w in _polynomial_golden_contexts():
+        lo, hi = weight_degree_range(ctx, w)
+        bases = {m: build_basis(ctx, m, w) for m in range(lo, hi + 2)}
+        for m in range(lo, hi + 1):
+            d = cochain_matrix(ctx, bases[m], bases[m + 1])
+            bd = oracle_boundary_matrix(ctx, bases[m + 1], bases[m])
+            assert d.transpose() == bd, (label, m)
+            nonzero += d.nnz() > 0
+    assert nonzero > 0
 
 
 def test_homology_equals_cohomology():

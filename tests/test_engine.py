@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from poisson_cohom import engine
 from poisson_cohom import fixtures as fx
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
@@ -103,6 +104,55 @@ def test_cache_round_trip(tmp_path):
     with open(path) as fh:
         payload = fh.read()
     assert second[0].serialize() == payload
+
+
+def test_parse_rejects_partial_reports():
+    """A missing header line or a short row in an otherwise whole report;
+    test_cache_rebuilds_cut_or_foreign_file covers cut files."""
+    text = build_report(fx.sl2(), "poly-bar", 2).serialize()
+    for bad in (text.replace("direction = cochain\n", ""),
+                text.replace(" 0\n", "\n", 1)):
+        with pytest.raises(ValueError):
+            ComplexReport.parse(bad)
+
+
+def test_cache_rebuilds_cut_or_foreign_file(tmp_path):
+    """A cache file cut at any line boundary, in the middle of a row, to
+    empty, or holding a report of another weight is a miss: run returns
+    the fresh rows and leaves a whole report in the file."""
+    cache = str(tmp_path / "cache")
+    fresh = run(fx.sl2(), "poly-bar", [2], cache_dir=cache)[0]
+    (name,) = os.listdir(cache)
+    path = os.path.join(cache, name)
+    with open(path) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    row = lines[-3]
+    assert row[0].isdigit()
+    cuts = ["".join(lines[:k]) for k in range(len(lines) + 1)]
+    cuts.append("".join(lines[:-3]) + row[:len(row) // 2])
+    cuts.append(build_report(fx.sl2(), "poly-bar", 1).serialize())
+    for text in cuts:
+        with open(path, "w") as fh:
+            fh.write(text)
+        rep = run(fx.sl2(), "poly-bar", [2], cache_dir=cache)[0]
+        assert rep.rows == fresh.rows, text
+        with open(path) as fh:
+            assert ComplexReport.parse(fh.read()).rows == fresh.rows
+    assert os.listdir(cache) == [name]
+
+
+def test_code_version_keys_the_cache(tmp_path, monkeypatch):
+    assert len(engine.CODE_VERSION) == 64
+    cache = str(tmp_path / "cache")
+    builds = []
+    real = engine.build_report
+    monkeypatch.setattr(engine, "build_report",
+                        lambda *a, **k: builds.append(a) or real(*a, **k))
+    for version, expect in (("old", 1), ("old", 1), ("new", 2)):
+        monkeypatch.setattr(engine, "CODE_VERSION", version)
+        run(fx.sl2(), "poly-bar", [1], cache_dir=cache)
+        assert len(builds) == expect
+    assert len(os.listdir(cache)) == 2
 
 
 def test_cache_key_sensitivity():
