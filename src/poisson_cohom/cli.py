@@ -104,6 +104,8 @@ def cmd_casimir(args) -> int:
     obj = _load(args.structure, args.no_check)
     if not isinstance(obj, PoissonStructure):
         raise CliError("casimir needs a Poisson structure")
+    if args.min_degree < 0:
+        raise CliError("--min-degree must be >= 0, got %d" % args.min_degree)
     for j in range(args.min_degree, args.max_degree + 1):
         cb = casimir_space(obj, j)
         print("degree %d: dim %d" % (j, len(cb)))
@@ -150,7 +152,13 @@ def cmd_betti(args) -> int:
     return 1 if failures else 0
 
 
+def _check_size(n: int, h: int) -> None:
+    if n < 1 or h < 0:
+        raise CliError("need --n >= 1 and --h >= 0, got --n %d --h %d" % (n, h))
+
+
 def cmd_euler(args) -> int:
+    _check_size(args.n, args.h)
     weights = _parse_weights(args.weights)
     vals = []
     for w in weights:
@@ -167,15 +175,14 @@ def cmd_diagrams(args) -> int:
     obj = _load(args.structure, args.no_check) if args.structure else None
     if obj is not None and isinstance(obj, PoissonStructure):
         ctx = PolyContext(obj, "hamiltonian" if args.mode == "hamiltonian" else "bar")
-        n, h, cap, start = obj.n, obj.h, ctx.cap, ctx.start
+        h, cap, start = obj.h, ctx.cap, ctx.start
     else:
-        n, h = args.n, args.h
-        cap, start = diagrams.poly_caps(n), 1
+        _check_size(args.n, args.h)
+        h, cap, start = args.h, diagrams.poly_caps(args.n), 1
     wt = lambda j: j - 2 + h
     for w in _parse_weights(args.weights):
         print("weight %d:" % w)
-        lo, hi = diagrams.degree_range(w, wt, cap, start)
-        for m in range(0, hi + 1):
+        for m in range(0, diagrams.degree_range(w, wt, cap, start) + 1):
             sigs = enumerate_signatures(m, w, wt, cap, start)
             if not sigs:
                 continue

@@ -95,9 +95,6 @@ class PolyContext:
             self._nf_rules[j] = _normal_form_rules(self._casimirs[j])
         return self._casimirs[j]
 
-    def label(self, gid: GenId):
-        return self.gens(gid[0])[gid[1]]
-
     # -- bracket structure constants ------------------------------------
     def _mono_bracket(self, a, b) -> dict:
         """{x^a, x^b} = sum_{i<j} (a_i b_j - a_j b_i) p_ij x^(a+b-e_i-e_j),
@@ -363,8 +360,7 @@ def boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
 
 
 def weight_degree_range(ctx, w: int) -> tuple:
-    lo, hi = degree_range(w, ctx.wt, ctx.cap, ctx.start)
-    return 0, max(hi, 0)
+    return 0, degree_range(w, ctx.wt, ctx.cap, ctx.start)
 
 
 def basis_dimension_check(ctx, m: int, w: int, basis: Basis) -> None:

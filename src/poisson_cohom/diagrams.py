@@ -10,7 +10,6 @@ sorted by degree.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 Signature = tuple  # tuple[tuple[int, int], ...]
@@ -20,25 +19,16 @@ Signature = tuple  # tuple[tuple[int, int], ...]
 # Partitions with fixed area and height
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def nabla(area: int, height: int) -> tuple:
     """All partitions with the given number of cells and exactly that many
-    rows, built by prepending a full column of the requested height:
+    rows, as descending row tuples sorted descending-lexicographically.
+    This is the uncapped case of enumerate_signatures, whose recursion is
+    the tower decomposition
 
         nabla(A, k) = T(k) . (nabla(A-k, 0) u ... u nabla(A-k, k)).
-
-    Returned partitions are row tuples, descending; the set is sorted
-    descending-lexicographically.
     """
-    if area == 0 and height == 0:
-        return ((),)
-    if area <= 0 or height <= 0 or area < height:
-        return ()
-    out = []
-    for j in range(0, height + 1):
-        for lam in nabla(area - height, j):
-            out.append(tuple(r + 1 for r in lam) + (1,) * (height - j))
-    return tuple(sorted(set(out), reverse=True))
+    sigs = enumerate_signatures(height, area, lambda j: j, lambda j: height)
+    return tuple(sorted((signature_to_partition(s) for s in sigs), reverse=True))
 
 
 def tower_decompose(lam: tuple) -> tuple:
@@ -106,118 +96,47 @@ def sig_dim(sig: Signature, cap) -> int:
     return out
 
 
-def _sort_key(sig: Signature) -> tuple:
-    """Descending lexicographic on the dense (k_start, k_start+1, ...) vector."""
-    dense = []
-    top = max((j for j, _ in sig), default=0)
-    counts = dict(sig)
-    for j in range(0, top + 1):
-        dense.append(-counts.get(j, 0))
-    return tuple(dense)
-
-
-def enumerate_signatures(m: int, w: int, wt, cap, start: int = 1,
-                         max_degree: int | None = None) -> list:
+def enumerate_signatures(m: int, w: int, wt, cap, start: int = 1) -> list:
     """All signatures with sum k_j = m, sum k_j wt(j) = w, 0 <= k_j <= cap(j),
-    degrees running from `start`.  wt must be strictly increasing in j.
+    degrees running from `start`.
 
-    The returned list is sorted descending-lexicographically on
-    (k_start, k_start+1, ...), which fixes basis order downstream.
+    The weight must be wt(j) = j + wt(0), as every grading here is, so a
+    signature of height m and weight w is a diagram of area
+    w - wt(0) m.  The diagram is built by the tower recursion of nabla,
+    capped per degree: the m_left slots still open all have degree >= d,
+    k_d of them close at degree d and the rest go on to d + 1, which
+    needs area at least m_left d.
+
+    The list comes out descending-lexicographic on (k_start, k_start+1,
+    ...), which fixes basis order downstream.
     """
-    if m < 0:
-        return []
-    if m == 0:
-        return [()] if w == 0 else []
-    if max_degree is None:
-        # one slot of degree J, the other m-1 slots as cheap as possible
-        budget = w - _min_weight_sum(m - 1, wt, cap, start)
-        j = start
-        while wt(j) <= budget:
-            j += 1
-            if j - start > budget + m * 4 + 64:
-                break
-        max_degree = max(start, j - 1)
     out: list = []
 
-    def rec(j: int, m_left: int, w_left: int, acc: list) -> None:
+    def rec(d: int, m_left: int, a_left: int, acc: tuple) -> None:
         if m_left == 0:
-            if w_left == 0:
-                out.append(tuple(reversed(acc)))
+            if a_left == 0:
+                out.append(acc)
             return
-        if j < start:
+        if a_left < m_left * d:
             return
-        lo = _min_weight_sum(m_left, wt, cap, start, j)
-        hi = _max_weight_sum(m_left, wt, cap, start, j)
-        if lo is None or not (lo <= w_left <= hi):
-            return
-        top = min(cap(j), m_left)
-        for k in range(top, -1, -1):
-            rest_w = w_left - k * wt(j)
-            if k:
-                rec(j - 1, m_left - k, rest_w, acc + [(j, k)])
-            else:
-                rec(j - 1, m_left, w_left, acc)
+        for k in range(min(cap(d), m_left), -1, -1):
+            rec(d + 1, m_left - k, a_left - k * d, acc + ((d, k),) if k else acc)
 
-    rec(max_degree, m, w, [])
-    out.sort(key=_sort_key)
+    if m >= 0:
+        rec(start, m, w - wt(0) * m, ())
     return out
 
 
-def _min_weight_sum(m: int, wt, cap, start: int, top: int | None = None):
-    """Smallest achievable sum of wt over m slots with caps; None if m slots
-    cannot be filled below `top`."""
-    total, j = 0, start
-    remaining = m
-    while remaining > 0:
-        if top is not None and j > top:
-            return None
-        take = min(cap(j), remaining)
-        total += take * wt(j)
-        remaining -= take
-        j += 1
-        if j > start + 10000:
-            raise RuntimeError("runaway weight bound")
-    return total
-
-
-def _max_weight_sum(m: int, wt, cap, start: int, top: int) -> int:
-    total, j = 0, top
-    remaining = m
-    while remaining > 0 and j >= start:
-        take = min(cap(j), remaining)
-        total += take * wt(j)
-        remaining -= take
-        j -= 1
-    if remaining:
-        return -(10 ** 9)
-    return total
-
-
-def degree_range(w: int, wt, cap, start: int = 1) -> tuple:
-    """Inclusive m-range outside which every signature set is empty:
-    m <= w + sum over non-positive-weight degrees of (1 - wt(j)) cap(j),
-    and m >= the forced minimum when w is negative."""
+def degree_range(w: int, wt, cap, start: int = 1) -> int:
+    """Largest m whose weight-w signature set can be non-empty: every slot
+    of positive weight adds at least 1 to w, so
+    m <= w + sum over non-positive-weight degrees of (1 - wt(j)) cap(j)."""
     m_max = w
     j = start
     while wt(j) <= 0:
         m_max += (1 - wt(j)) * cap(j)
         j += 1
-    m_min = 0
-    if w < 0:
-        # need enough negative-weight slots to reach w
-        total, m_min_acc, j = 0, 0, start
-        while total > w:
-            if wt(j) >= 0:
-                return (1, 0)  # empty range: w unreachable
-            take = cap(j)
-            total += take * wt(j)
-            m_min_acc += take
-            j += 1
-        # back off the overshoot
-        excess = w - total
-        give_back = excess // (-wt(j - 1)) if wt(j - 1) else 0
-        m_min = max(0, m_min_acc - give_back - 2)
-    return (m_min, max(m_max, 0))
+    return max(m_max, 0)
 
 
 # ----------------------------------------------------------------------
@@ -235,9 +154,8 @@ def euler_combinatorial(n: int, h: int, w: int, cap=None, start: int = 1) -> int
     if cap is None:
         cap = poly_caps(n)
     wt = lambda j: j - 2 + h
-    m_min, m_max = degree_range(w, wt, cap, start)
     total = 0
-    for m in range(0, m_max + 1):
+    for m in range(0, degree_range(w, wt, cap, start) + 1):
         dims = sum(sig_dim(s, cap) for s in enumerate_signatures(m, w, wt, cap, start))
         total += dims if m % 2 == 0 else -dims
     return total

@@ -14,7 +14,7 @@ from .complexes import (PolyContext, PoissonLikeContext, basis_dimension_check,
                         constant_two_cochain, wedge_cochain_matrix,
                         weight_degree_range)
 from .linalg import compose_is_zero, from_column_vectors, matmul, rank_kernel
-from .multivector import PolyModuleBasis, poly_module_matrix
+from .multivector import poly_module_basis, poly_module_matrix
 from .poisson import GradedMultiVector, PoissonStructure, schouten
 
 
@@ -216,7 +216,7 @@ def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     pi_mv = pi.as_multivector()
     if not schouten(pi_mv, pi_mv).is_zero():
         raise ValueError("structure is not Poisson")
-    bases = {m: PolyModuleBasis(pi.n, pi.h, m, w) for m in range(0, pi.n + 2)}
+    bases = {m: poly_module_basis(pi.n, pi.h, m, w) for m in range(0, pi.n + 2)}
     maps = {m: poly_module_matrix(pi_mv, bases[m], bases[m + 1])
             for m in range(0, pi.n + 1) if len(bases[m])}
     return {m: len(bases[m]) for m in range(0, pi.n + 1)}, maps, 1, maps

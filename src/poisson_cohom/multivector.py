@@ -8,31 +8,22 @@ from itertools import combinations
 from math import comb
 
 from .algebra import mono_basis
-from .complexes import PolyContext, build_basis, cochain_matrix
+from .complexes import Basis, PolyContext, build_basis, cochain_matrix
 from .linalg import SparseMatrix, clear_denominators, rank_kernel
 from .poisson import (GradedMultiVector, MultiVector, PoissonStructure,
                       phi_flatten, r_schouten, schouten)
 
 
-class PolyModuleBasis:
+def poly_module_basis(n: int, h: int, m: int, w: int) -> Basis:
     """Basis of (w + (h-1)m)-polynomials tensor the m-th constant wedge."""
-
-    def __init__(self, n: int, h: int, m: int, w: int):
-        self.n, self.h, self.m, self.w = n, h, m, w
-        self.poly_degree = w + (h - 1) * m
-        if self.poly_degree < 0 or not (0 <= m <= n):
-            self.elements: list = []
-        else:
-            self.elements = [(a, axes) for a in mono_basis(n, self.poly_degree)
-                             for axes in combinations(range(n), m)]
-        self.index = {e: i for i, e in enumerate(self.elements)}
-
-    def __len__(self) -> int:
-        return len(self.elements)
+    p = w + (h - 1) * m
+    if p < 0 or not (0 <= m <= n):
+        return Basis([])
+    return Basis([(a, axes) for a in mono_basis(n, p)
+                  for axes in combinations(range(n), m)])
 
 
-def poly_module_matrix(pi_mv: MultiVector, src: PolyModuleBasis,
-                       tgt: PolyModuleBasis) -> SparseMatrix:
+def poly_module_matrix(pi_mv: MultiVector, src: Basis, tgt: Basis) -> SparseMatrix:
     """Matrix of u -> [pi, u] between module bases.  pi_mv is scaled once by
     the lcm of its coefficient denominators, so the Schouten brackets and
     the assembly run in integers over that one denominator."""

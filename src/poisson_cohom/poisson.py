@@ -22,6 +22,8 @@ class PoissonStructure:
 
     def __init__(self, n: int, h: int, entries: dict, name: str = "", check: bool = True):
         """entries maps (i, j) with 0 <= i < j < n to RatPoly."""
+        if n < 1 or h < 0:
+            raise ValueError("need n >= 1 and h >= 0, got n = %d, h = %d" % (n, h))
         self.n = n
         self.h = h
         self.name = name

@@ -1,14 +1,17 @@
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
 from poisson_cohom.cli import CACHE_ENV, main, parse_golden, render_table, run_goldens
-from poisson_cohom.engine import build_report
+from poisson_cohom.engine import ComplexReport, build_report
 from poisson_cohom import fixtures as fx
 
 STRUCT_DIR = os.path.join(os.path.dirname(fx.__file__), "structures")
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+SRC_DIR = os.path.dirname(os.path.dirname(fx.__file__))
 
 
 def test_render_table_sl2(capsys):
@@ -121,6 +124,47 @@ def test_betti_bad_mode_combination_exits_2(capsys, args):
     assert main(["betti", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "mode" in err
+
+
+def test_zero_structure_hamiltonian_terminates(tmp_path):
+    """Every polynomial is a Casimir of the zero structure, so every
+    Hamiltonian generator space is empty and only the w = 0 scalar is
+    left.  The CLI runs in a subprocess, so a signature search that never
+    ends fails the test instead of blocking the suite."""
+    path = tmp_path / "zero.poisson"
+    path.write_text("n = 2\nh = 1\n")
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "poisson_cohom.cli", "betti", str(path),
+         "--mode", "hamiltonian", "--weights", "0..3", "--format", "structured"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    reports = [ComplexReport.parse(block) for block in proc.stdout.split("\n\n")
+               if block.strip()]
+    got = [(r.weight, [(row.m, row.dim, row.kernel_dim, row.rank, row.betti)
+                       for row in r.rows]) for r in reports]
+    assert got == [(0, [(0, 1, 1, 0, 1)]), (1, []), (2, []), (3, [])]
+
+
+@pytest.mark.parametrize("n, h", [(2, -1), (0, 1)])
+def test_betti_rejects_out_of_range_structure_size(tmp_path, capsys, n, h):
+    path = tmp_path / "bad.poisson"
+    path.write_text("n = %d\nh = %d\n" % (n, h))
+    assert main(["betti", str(path), "--weights", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: need n >= 1 and h >= 0")
+
+
+@pytest.mark.parametrize("command", ["euler", "diagrams"])
+@pytest.mark.parametrize("n, h", [("3", "-2"), ("0", "1")])
+def test_size_options_out_of_range_exit_2(capsys, command, n, h):
+    assert main([command, "--n", n, "--h", h, "--weights", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: need --n >= 1 and --h >= 0")
+
+
+def test_casimir_rejects_negative_min_degree(capsys):
+    assert main(["casimir", "builtin:sl2", "--min-degree", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --min-degree must be >= 0")
 
 
 def test_goldens_bad_mode_exits_2(tmp_path, capsys):

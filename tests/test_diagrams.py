@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -116,12 +117,40 @@ def test_signatures_respect_constraints():
                     assert all(0 < k <= cap(j) for j, k in sig)
 
 
+def brute_signatures(m, w, wt, cap, start):
+    """Every k-vector over degrees start..A (A = w - wt(0) m, the area, so
+    no slot can sit higher) with 0 <= k_j <= cap(j), filtered by height
+    and weight, in descending-lexicographic order of the dense vector."""
+    area = w - wt(0) * m
+    degrees = range(start, max(area, start) + 1)
+    ranges = [range(min(cap(j), m) + 1) for j in degrees]
+    hits = [ks for ks in product(*ranges)
+            if sum(ks) == m and sum(k * wt(j) for j, k in zip(degrees, ks)) == w]
+    return [tuple((j, k) for j, k in zip(degrees, ks) if k)
+            for ks in sorted(hits, reverse=True)]
+
+
+@pytest.mark.parametrize("cap", [lambda j: 0, lambda j: 1, lambda j: j % 3,
+                                 poly_caps(2)],
+                         ids=["zero", "one", "j_mod_3", "poly_n2"])
+def test_signatures_complete_and_ordered(cap):
+    for h in (0, 1, 2, 3):
+        wt = lambda j, h=h: j - 2 + h
+        for start in (0, 1):
+            for m in range(0, 5):
+                for w in range(-4, 7):
+                    if w - wt(0) * m > 7:
+                        continue
+                    assert (enumerate_signatures(m, w, wt, cap, start)
+                            == brute_signatures(m, w, wt, cap, start)), (h, start, m, w)
+
+
 def test_degree_range_is_sharp_enough():
     cap = poly_caps(3)
     for h in (0, 1, 2):
         wt = lambda j, h=h: j - 2 + h
         for w in range(0, 5):
-            lo, hi = degree_range(w, wt, cap)
+            hi = degree_range(w, wt, cap)
             for m in range(hi + 1, hi + 4):
                 assert enumerate_signatures(m, w, wt, cap) == []
 

@@ -7,19 +7,19 @@ from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import mono_basis
 from poisson_cohom.diagrams import euler_polymodule
 from poisson_cohom.engine import build_report
-from poisson_cohom.multivector import (PolyModuleBasis, commuting_square_holds,
+from poisson_cohom.multivector import (commuting_square_holds,
                                        heisenberg_closed_form,
                                        heisenberg_kernel_form,
-                                       sp2_closed_form,
+                                       poly_module_basis, sp2_closed_form,
                                        top_betti_probe)
 
 
 def test_module_basis_counts():
     for n, h, m, w in ((3, 2, 2, 1), (3, 1, 1, 2), (4, 1, 3, 0)):
-        b = PolyModuleBasis(n, h, m, w)
+        b = poly_module_basis(n, h, m, w)
         p = w + (h - 1) * m
         assert len(b) == comb(n - 1 + p, n - 1) * comb(n, m)
-    assert len(PolyModuleBasis(3, 0, 2, 1)) == 0  # negative polynomial degree
+    assert len(poly_module_basis(3, 0, 2, 1)) == 0  # negative polynomial degree
 
 
 def test_heisenberg_module_kernel_at_degree_zero():
