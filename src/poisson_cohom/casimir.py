@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import MultiIndex, RatPoly, grevlex_key, mono_basis, mono_index
-from .linalg import SparseMatrix, rank_kernel
+from .algebra import RatPoly, grevlex_key, mi_unit, mono_basis, mono_index
+from .linalg import SparseMatrix, clear_denominators, rank_kernel
 from .poisson import PoissonStructure
 
 
@@ -29,18 +29,9 @@ def _primitive(p: RatPoly) -> RatPoly:
     """Scale to integer coefficients with content 1 and positive leading term."""
     if p.is_zero():
         return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        d = c.denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    nums = [int(c * denom_lcm) for c in p.terms.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    scale = Fraction(denom_lcm, g)
-    if p.leading_coeff() < 0:
-        scale = -scale
-    return p.scale(scale)
+    ints, denom = clear_denominators(list(p.terms.values()))
+    scale = Fraction(denom, gcd(*ints))
+    return p.scale(-scale if p.leading_coeff() < 0 else scale)
 
 
 def casimir_space(pi: PoissonStructure, j: int) -> CasimirBasis:
@@ -54,12 +45,11 @@ def casimir_space(pi: PoissonStructure, j: int) -> CasimirBasis:
     tindex = mono_index(n, target_deg)
     entries: dict = {}
     for col, a in enumerate(monos):
-        wa = RatPoly.monomial(a)
         for i in range(n):
-            br = pi.bracket(RatPoly.var(n, i), wa)
-            for b, c in br.terms.items():
-                entries[(i * len(tindex) + tindex[b], col)] = c
-    mat = SparseMatrix(n * len(tindex), len(monos), entries)
+            for b, c in pi.mono_bracket(mi_unit(n, i), a).items():
+                if c:
+                    entries[(i * len(tindex) + tindex[b], col)] = c
+    mat = SparseMatrix.from_ints(n * len(tindex), len(monos), entries, pi.denom)
     result = rank_kernel(mat, want_basis=True)
     polys = [RatPoly(n, {monos[k]: v for k, v in vec.items()})
              for vec in result.kernel]

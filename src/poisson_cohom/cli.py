@@ -14,7 +14,7 @@ from importlib import resources
 
 from . import diagrams, engine, fixtures
 from .casimir import casimir_space
-from .complexes import PolyContext
+from .complexes import PolyContext, weight_degree_range
 from .diagrams import enumerate_signatures, sig_dim
 from .engine import ComplexReport, cross_check, run
 from .poisson import PoissonStructure, jacobi_check
@@ -172,21 +172,24 @@ def cmd_euler(args) -> int:
 
 
 def cmd_diagrams(args) -> int:
-    obj = _load(args.structure, args.no_check) if args.structure else None
-    if obj is not None and isinstance(obj, PoissonStructure):
-        ctx = PolyContext(obj, "hamiltonian" if args.mode == "hamiltonian" else "bar")
-        h, cap, start = obj.h, ctx.cap, ctx.start
+    kind = "hamiltonian" if args.mode == "hamiltonian" else "bar"
+    if args.structure:
+        obj = _load(args.structure, args.no_check)
+        if not isinstance(obj, PoissonStructure):
+            raise CliError("diagrams needs a Poisson structure")
+    elif kind == "hamiltonian":
+        raise CliError("--mode hamiltonian needs a structure")
     else:
         _check_size(args.n, args.h)
-        h, cap, start = args.h, diagrams.poly_caps(args.n), 1
-    wt = lambda j: j - 2 + h
+        obj = PoissonStructure(args.n, args.h, {})
+    ctx = PolyContext(obj, kind)
     for w in _parse_weights(args.weights):
         print("weight %d:" % w)
-        for m in range(0, diagrams.degree_range(w, wt, cap, start) + 1):
-            sigs = enumerate_signatures(m, w, wt, cap, start)
+        for m in range(weight_degree_range(ctx, w) + 1):
+            sigs = enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start)
             if not sigs:
                 continue
-            total = sum(sig_dim(s, cap) for s in sigs)
+            total = sum(sig_dim(s, ctx.cap) for s in sigs)
             desc = "  +  ".join(
                 " ".join("k%d=%d" % (j, k) for j, k in sig) for sig in sigs)
             print("  m=%d dim=%d: %s" % (m, total, desc))

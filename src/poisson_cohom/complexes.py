@@ -28,8 +28,7 @@ from .algebra import mono_basis, mono_index
 from .casimir import casimir_space
 from .diagrams import degree_range, enumerate_signatures, sig_dim
 from .linalg import SparseMatrix, clear_denominators
-from .poisson import (GradedMultiVector, PoissonStructure, _lie_bracket_gens,
-                      r_schouten)
+from .poisson import GradedMultiVector, PoissonStructure, r_schouten
 
 GenId = tuple  # (degree, position within the degree block)
 
@@ -68,11 +67,6 @@ class PolyContext:
         self._nf_rules: dict = {}
         self._pair_cache: dict = {}
         self._rev_cache: dict = {}
-        # the structure's terms (i, j, monomial of p_ij, int) over one denominator
-        terms = [(i, j, mono, c) for (i, j), poly in pi.p.items()
-                 for mono, c in poly.terms.items()]
-        ints, self._pdenom = clear_denominators([t[3] for t in terms])
-        self._pterms = [t[:3] + (c,) for t, c in zip(terms, ints)]
 
     def wt(self, j: int) -> int:
         return j - 2 + self.h
@@ -95,28 +89,13 @@ class PolyContext:
             self._nf_rules[j] = _normal_form_rules(self._casimirs[j])
         return self._casimirs[j]
 
-    # -- bracket structure constants ------------------------------------
-    def _mono_bracket(self, a, b) -> dict:
-        """{x^a, x^b} = sum_{i<j} (a_i b_j - a_j b_i) p_ij x^(a+b-e_i-e_j),
-        as monomial -> int over the structure denominator."""
-        out: dict = {}
-        for i, j, mono, c in self._pterms:
-            k = a[i] * b[j] - a[j] * b[i]
-            if k:
-                e = [x + y + z for x, y, z in zip(a, b, mono)]
-                e[i] -= 1
-                e[j] -= 1
-                e = tuple(e)
-                out[e] = out.get(e, 0) + k * c
-        return out
-
     def _pair_table(self, a: int, b: int) -> tuple:
-        """Brackets of generator pairs of degrees (a, b), expanded over the
-        generator monomials of the target degree, as (table, denom): keys
-        are id pairs, values lists of (target id, int), and the true
-        coefficient is int / denom.  The denominator is the lcm of the
-        table's own coefficient denominators: normal forms can carry one
-        even when the structure constants are integers."""
+        """The structure's mono_bracket of generator pairs of degrees (a, b),
+        expanded over the generator monomials of the target degree, as
+        (table, denom): keys are id pairs, values lists of (target id,
+        int), and the true coefficient is int / denom.  The denominator is
+        the lcm of the table's own coefficient denominators: normal forms
+        can carry one even when the structure constants are integers."""
         key = (a, b)
         if key in self._pair_cache:
             return self._pair_cache[key]
@@ -126,7 +105,7 @@ class PolyContext:
         else:
             tgt_index = {}
         rules = None
-        denom = self._pdenom
+        denom = self.pi.denom
         if self.mode == "hamiltonian" and target >= 1:
             self.casimirs(target)
             big, rules = self._nf_rules[target]
@@ -136,7 +115,7 @@ class PolyContext:
         for pa, la in enumerate(gens_a):
             qs = range(pa + 1, len(gens_b)) if a == b else range(len(gens_b))
             for pb in qs:
-                br = self._mono_bracket(la, gens_b[pb])
+                br = self.pi.mono_bracket(la, gens_b[pb])
                 if rules is not None:
                     red: dict = {}
                     for mono, c in br.items():
@@ -236,19 +215,16 @@ class PoissonLikeContext:
         self.h = h
         self.start = 0
         self._image2: dict = {}
-        ints, self._denom = clear_denominators(list(pi_like.terms.values()))
-        self._terms = [(u1, u2, c) for (u1, u2), c in zip(pi_like.terms, ints)]
         if pi_like.degree != 2:
             raise ValueError("Poisson-like structure must be a 2-vector")
         if not r_schouten(pi_like, pi_like).is_zero():
             raise ValueError("structure is not Poisson-like "
                              "(nonzero R-Schouten self-bracket)")
+        self._denom = clear_denominators(list(pi_like.terms.values()))[1]
+        self._pi_int = pi_like.scale(self._denom)
 
     def wt(self, j: int) -> int:
         return j + 1 - self.h
-
-    def gens(self, j: int) -> list:
-        return [(a, i) for a in mono_basis(self.n, j) for i in range(self.n)]
 
     def cap(self, j: int) -> int:
         return self.n * comb(self.n - 1 + j, j)
@@ -264,25 +240,15 @@ class PoissonLikeContext:
         return (deg, mono_index(self.n, deg)[a] * self.n + i)
 
     def image2(self, gid: GenId) -> list:
-        if gid in self._image2:
-            return self._image2[gid]
-        v = self.label(gid)
-        acc: dict = {}
-        for u1, u2, c in self._terms:
-            # [u1 ^ u2, v] = [u1, v] ^ u2 - [u2, v] ^ u1
-            for lead, other, sgn in ((u1, u2, 1), (u2, u1, -1)):
-                for gen, bc in _lie_bracket_gens(lead, v, self.n):
-                    ga, gb = self._gen_id(gen), self._gen_id(other)
-                    if ga == gb:
-                        continue
-                    coeff = c * bc * sgn
-                    if ga > gb:
-                        ga, gb = gb, ga
-                        coeff = -coeff
-                    acc[(ga, gb)] = acc.get((ga, gb), 0) + coeff
-        result = [(ga, gb, c) for (ga, gb), c in sorted(acc.items()) if c]
-        self._image2[gid] = result
-        return result
+        """The differential of the generator is its R-Schouten bracket with
+        the 2-vector; gen_sort_key orders generators as _gen_id does, so
+        each canonical term (u1, u2) comes out as ga < gb."""
+        if gid not in self._image2:
+            v = GradedMultiVector(self.n, 1, {(self.label(gid),): 1})
+            self._image2[gid] = sorted(
+                (self._gen_id(u1), self._gen_id(u2), c)
+                for (u1, u2), c in r_schouten(self._pi_int, v).terms.items())
+        return self._image2[gid]
 
     def image2_denom(self, deg: int) -> int:
         """One denominator for every degree: that of the 2-vector."""
@@ -359,8 +325,9 @@ def boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
     return cochain_matrix(ctx, tgt, src).transpose()
 
 
-def weight_degree_range(ctx, w: int) -> tuple:
-    return 0, degree_range(w, ctx.wt, ctx.cap, ctx.start)
+def weight_degree_range(ctx, w: int) -> int:
+    """Largest degree whose weight-w cochain space can be non-empty."""
+    return degree_range(w, ctx.wt, ctx.cap, ctx.start)
 
 
 def basis_dimension_check(ctx, m: int, w: int, basis: Basis) -> None:

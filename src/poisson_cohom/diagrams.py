@@ -147,16 +147,15 @@ def poly_caps(n: int):
     return lambda j: comb(n - 1 + j, j)
 
 
-def euler_combinatorial(n: int, h: int, w: int, cap=None, start: int = 1) -> int:
+def euler_combinatorial(n: int, h: int, w: int) -> int:
     """Alternating sum over m of the weighted cochain dimensions for the
     polynomial grading wt(j) = j - 2 + h.  Includes the m = 0 scalar term
     when w = 0."""
-    if cap is None:
-        cap = poly_caps(n)
+    cap = poly_caps(n)
     wt = lambda j: j - 2 + h
     total = 0
-    for m in range(0, degree_range(w, wt, cap, start) + 1):
-        dims = sum(sig_dim(s, cap) for s in enumerate_signatures(m, w, wt, cap, start))
+    for m in range(0, degree_range(w, wt, cap) + 1):
+        dims = sum(sig_dim(s, cap) for s in enumerate_signatures(m, w, wt, cap))
         total += dims if m % 2 == 0 else -dims
     return total
 

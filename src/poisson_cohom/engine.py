@@ -150,23 +150,23 @@ def _complex_rows(dims: dict, maps: dict, step: int, ambient: dict,
 def _context_complex(ctx, w: int, direction: str) -> tuple:
     """A PolyContext or PoissonLikeContext complex: coboundaries m -> m+1,
     or boundaries m -> m-1 in the chain direction."""
-    lo, hi = weight_degree_range(ctx, w)
+    hi = weight_degree_range(ctx, w)
     bases: dict = {}
-    for m in range(lo, hi + 2):
+    for m in range(hi + 2):
         bases[m] = build_basis(ctx, m, w)
         basis_dimension_check(ctx, m, w, bases[m])
     maps: dict = {}
     if direction == "cochain":
         step = 1
-        for m in range(lo, hi + 1):
+        for m in range(hi + 1):
             if len(bases[m]):
                 maps[m] = cochain_matrix(ctx, bases[m], bases[m + 1])
     else:
         step = -1
-        for m in range(lo + 1, hi + 1):
+        for m in range(1, hi + 1):
             if len(bases[m]):
                 maps[m] = boundary_matrix(ctx, bases[m], bases[m - 1])
-    return {m: len(bases[m]) for m in range(lo, hi + 1)}, maps, step, maps
+    return {m: len(bases[m]) for m in range(hi + 1)}, maps, step, maps
 
 
 def _poly_complex(kind: str):
@@ -185,11 +185,11 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     ambient maps of the d o d check."""
     ctx = PolyContext(pi, "bar")
     two = constant_two_cochain(pi)
-    lo, hi = weight_degree_range(ctx, w)
-    bases = {m: build_basis(ctx, m, w) for m in range(lo, hi + 2)}
-    shifted = {m: build_basis(ctx, m + 2, w - 2) for m in range(lo, hi + 2)}
+    hi = weight_degree_range(ctx, w)
+    bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
+    shifted = {m: build_basis(ctx, m + 2, w - 2) for m in range(hi + 2)}
     kernels: dict = {}
-    for m in range(lo, hi + 1):
+    for m in range(hi + 1):
         if not len(bases[m]):
             kernels[m] = []
             continue
@@ -197,7 +197,7 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
         kernels[m] = rank_kernel(wedge, want_basis=True).kernel
     maps: dict = {}
     full_d: dict = {}
-    for m in range(lo, hi + 1):
+    for m in range(hi + 1):
         if not kernels[m]:
             continue
         kmat = from_column_vectors(len(bases[m]), kernels[m])

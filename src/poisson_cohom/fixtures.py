@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import RatPoly, parse_poly
+from .linalg import SparseMatrix, rank_kernel
 from .poisson import GradedMultiVector, PoissonStructure, parse_structure, wedge2
 
 
@@ -149,34 +150,17 @@ def poisson_like_h0() -> GradedMultiVector:
 # Lie-Poisson structures from matrix Lie algebras
 # ----------------------------------------------------------------------
 
-def _solve_dense(columns: list, target: list) -> list:
-    """Solve sum_k c_k columns[k] = target exactly (unique solution)."""
-    rows = len(target)
-    ncols = len(columns)
-    aug = [[Fraction(columns[k][r]) for k in range(ncols)] + [Fraction(target[r])]
-           for r in range(rows)]
-    piv = 0
-    piv_cols = []
-    for c in range(ncols):
-        row = next((r for r in range(piv, rows) if aug[r][c]), None)
-        if row is None:
-            continue
-        aug[piv], aug[row] = aug[row], aug[piv]
-        pv = aug[piv][c]
-        aug[piv] = [v / pv for v in aug[piv]]
-        for r in range(rows):
-            if r != piv and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[piv])]
-        piv_cols.append(c)
-        piv += 1
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(piv_cols):
-        sol[c] = aug[r][ncols]
-    for r in range(piv, rows):
-        if aug[r][ncols]:
-            raise ValueError("bracket does not lie in the span of the basis")
-    return sol
+def _coordinates(columns: list, target: list) -> list:
+    """The unique c with sum_k c_k columns[k] = target: the one kernel
+    vector v of [columns | target] gives c_k = -v_k / v_last."""
+    k = len(columns)
+    entries = {(r, c): v for c, col in enumerate(columns + [target])
+               for r, v in enumerate(col) if v}
+    res = rank_kernel(SparseMatrix(len(target), k + 1, entries), want_basis=True)
+    if res.rank != k or not res.kernel[0].get(k):
+        raise ValueError("bracket does not lie in the span of the basis")
+    vec = res.kernel[0]
+    return [Fraction(-vec.get(c, 0), vec[k]) for c in range(k)]
 
 
 def lie_poisson_from_matrices(basis: list, name: str) -> PoissonStructure:
@@ -195,7 +179,7 @@ def lie_poisson_from_matrices(basis: list, name: str) -> PoissonStructure:
         for j in range(i + 1, dim):
             comm = commutator(basis[i], basis[j])
             target = [comm[r][c] for r in range(size) for c in range(size)]
-            coeffs = _solve_dense(flat, target)
+            coeffs = _coordinates(flat, target)
             terms = {}
             for k, ck in enumerate(coeffs):
                 if ck:

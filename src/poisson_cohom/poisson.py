@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .algebra import (MultiIndex, RatPoly, mi_add, mi_degree, mono_index,
                       parse_poly, format_poly)
+from .linalg import clear_denominators
 
 
 class PoissonStructure:
@@ -36,6 +37,11 @@ class PoissonStructure:
             if not poly.is_homogeneous() or poly.degree() != h:
                 raise ValueError("entry p[%d,%d] is not %d-homogeneous" % (i + 1, j + 1, h))
             self.p[(i, j)] = poly
+        # the terms (i, j, monomial of p_ij, int) over one denominator
+        terms = [(i, j, mono, c) for (i, j), poly in self.p.items()
+                 for mono, c in poly.terms.items()]
+        ints, self.denom = clear_denominators([t[3] for t in terms])
+        self._terms = [t[:3] + (c,) for t, c in zip(terms, ints)]
         if check:
             ok, cert = jacobi_check(self)
             if not ok:
@@ -54,16 +60,30 @@ class PoissonStructure:
     def is_trivial(self) -> bool:
         return not self.p
 
+    def mono_bracket(self, a: MultiIndex, b: MultiIndex) -> dict:
+        """{x^a, x^b} = sum_{i<j} (a_i b_j - a_j b_i) p_ij x^(a+b-e_i-e_j),
+        as monomial -> int over self.denom (zero values included)."""
+        out: dict = {}
+        for i, j, mono, c in self._terms:
+            k = a[i] * b[j] - a[j] * b[i]
+            if k:
+                e = [x + y + z for x, y, z in zip(a, b, mono)]
+                e[i] -= 1
+                e[j] -= 1
+                e = tuple(e)
+                out[e] = out.get(e, 0) + k * c
+        return out
+
     def bracket(self, f: RatPoly, g: RatPoly) -> RatPoly:
-        """Poisson bracket {f, g} = sum_{i<j} p_ij (di f dj g - dj f di g)."""
+        """Poisson bracket {f, g}: the bilinear extension of mono_bracket."""
         if f.n != self.n or g.n != self.n:
             raise ValueError("dimension mismatch")
-        out = RatPoly.zero(self.n)
-        for (i, j), pij in self.p.items():
-            term = f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)
-            if not term.is_zero():
-                out = out + pij * term
-        return out
+        out: dict = {}
+        for a, ca in f.terms.items():
+            for b, cb in g.terms.items():
+                for e, c in self.mono_bracket(a, b).items():
+                    out[e] = out.get(e, 0) + ca * cb * c
+        return RatPoly(self.n, {e: c / self.denom for e, c in out.items()})
 
     def as_multivector(self) -> "MultiVector":
         terms: dict = {}
@@ -120,23 +140,25 @@ def verify_linear_candidate(cs) -> bool:
 
 
 # ----------------------------------------------------------------------
-# MultiVector: coefficients absorbed per coordinate wedge
+# The shared term-dict core of both multivector types
 # ----------------------------------------------------------------------
 
-def _sort_axes(axes) -> tuple | None:
-    """Sort an axis tuple, returning (sorted_axes, sign) or None on repeats."""
-    axes = list(axes)
+def _sort_wedge(factors, key=None) -> tuple | None:
+    """Sort wedge factors (by key when given), returning (sorted tuple,
+    sign); None when a factor repeats, since the wedge then vanishes."""
+    lst = list(factors)
+    keys = lst[:] if key is None else [key(f) for f in lst]
     sign = 1
-    for i in range(1, len(axes)):
+    for i in range(1, len(lst)):
         j = i
-        while j > 0 and axes[j - 1] > axes[j]:
-            axes[j - 1], axes[j] = axes[j], axes[j - 1]
+        while j > 0 and keys[j - 1] > keys[j]:
+            keys[j - 1], keys[j] = keys[j], keys[j - 1]
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
             sign = -sign
             j -= 1
-    for i in range(1, len(axes)):
-        if axes[i - 1] == axes[i]:
-            return None
-    return tuple(axes), sign
+    if any(keys[i - 1] == keys[i] for i in range(1, len(keys))):
+        return None
+    return tuple(lst), sign
 
 
 def _exact(c):
@@ -147,10 +169,11 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-class MultiVector:
-    """Degree-m polynomial multivector: sum of c * w^A d_{i1}^...^d_{im}.
-    Integral coefficients are stored as ints, so brackets of integer
-    multivectors run without Fraction arithmetic."""
+class _WedgeSum:
+    """A degree-m multivector as a dict from canonical wedge keys to
+    nonzero coefficients.  Integral coefficients are stored as ints, so
+    brackets of integer multivectors run without Fraction arithmetic.
+    Subclasses define _canonical(key) -> (key, sign) or None."""
 
     __slots__ = ("n", "degree", "terms")
 
@@ -158,57 +181,72 @@ class MultiVector:
         self.n = n
         self.degree = degree
         self.terms: dict = {}
-        if terms:
-            for (a, axes), c in terms.items():
-                c = _exact(c)
-                if not c:
-                    continue
-                if len(axes) != degree:
-                    raise ValueError("axis tuple of wrong length")
-                if any(axes[i] >= axes[i + 1] for i in range(len(axes) - 1)):
-                    raise ValueError("axes must be strictly increasing")
-                self.terms[(tuple(a), tuple(axes))] = c
+        for key, c in (terms or {}).items():
+            self._add(key, c)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_term(self, a: MultiIndex, axes, c) -> None:
-        """Accumulate c * w^A d_axes, normalizing axis order (internal)."""
+    def _add(self, key, c) -> None:
+        """Accumulate c times the wedge key, normalizing its order."""
+        c = _exact(c)
         if not c:
             return
-        norm = _sort_axes(axes)
+        norm = self._canonical(key)
         if norm is None:
             return
-        axes_sorted, sign = norm
-        key = (tuple(a), axes_sorted)
+        key, sign = norm
         s = self.terms.get(key, 0) + sign * c
         if s:
             self.terms[key] = s
         else:
             self.terms.pop(key, None)
 
-    def __add__(self, other: "MultiVector") -> "MultiVector":
-        if self.n != other.n or self.degree != other.degree:
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self) or (self.n, self.degree) != (other.n, other.degree):
             raise ValueError("mismatched multivectors")
-        out = MultiVector(self.n, self.degree, dict(self.terms))
-        for (a, axes), c in other.terms.items():
-            out.add_term(a, axes, c)
+        out = type(self)(self.n, self.degree, self.terms)
+        for key, c in other.terms.items():
+            out._add(key, c)
         return out
 
-    def scale(self, c) -> "MultiVector":
+    def scale(self, c):
         c = _exact(c)
-        return MultiVector(self.n, self.degree,
-                           {k: c * v for k, v in self.terms.items()} if c else {})
+        return type(self)(self.n, self.degree,
+                          {k: c * v for k, v in self.terms.items()} if c else {})
 
-    def __sub__(self, other: "MultiVector") -> "MultiVector":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiVector) and self.n == other.n
+        return (type(other) is type(self) and self.n == other.n
                 and self.degree == other.degree and self.terms == other.terms)
 
     def __repr__(self):
-        return "MultiVector(n=%d, m=%d, %d terms)" % (self.n, self.degree, len(self.terms))
+        return "%s(n=%d, m=%d, %d terms)" % (type(self).__name__, self.n,
+                                             self.degree, len(self.terms))
+
+
+# ----------------------------------------------------------------------
+# MultiVector: coefficients absorbed per coordinate wedge
+# ----------------------------------------------------------------------
+
+class MultiVector(_WedgeSum):
+    """Degree-m polynomial multivector: sum of c * w^A d_{i1}^...^d_{im},
+    keyed by (A, ascending axes)."""
+
+    __slots__ = ()
+
+    def _canonical(self, key):
+        a, axes = key
+        if len(axes) != self.degree:
+            raise ValueError("axis tuple of wrong length")
+        norm = _sort_wedge(axes)
+        return None if norm is None else ((tuple(a), norm[0]), norm[1])
+
+    def add_term(self, a: MultiIndex, axes, c) -> None:
+        """Accumulate c * w^A d_axes, normalizing axis order."""
+        self._add((a, axes), c)
 
 
 def schouten(p: MultiVector, q: MultiVector) -> MultiVector:
@@ -283,75 +321,18 @@ def gen_sort_key(gen) -> tuple:
     return (deg, mono_index(len(a), deg)[a], i)
 
 
-def _canonical_factors(factors) -> tuple | None:
-    """Sort wedge factors, returning (tuple, sign); None when a factor repeats."""
-    lst = list(factors)
-    sign = 1
-    keys = [gen_sort_key(g) for g in lst]
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and keys[j - 1] > keys[j]:
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(lst)):
-        if lst[i - 1] == lst[i]:
-            return None
-    return tuple(lst), sign
+class GradedMultiVector(_WedgeSum):
+    """R-linear combination of wedges of generators (A, i) = w^A d_{i+1},
+    keyed by the factor tuple in gen_sort_key order."""
 
+    __slots__ = ()
 
-class GradedMultiVector:
-    """R-linear combination of wedges of generators (A, i) = w^A d_{i+1}."""
-
-    __slots__ = ("n", "degree", "terms")
-
-    def __init__(self, n: int, degree: int, terms: dict | None = None):
-        self.n = n
-        self.degree = degree
-        self.terms: dict = {}
-        if terms:
-            for factors, c in terms.items():
-                self.add_term(factors, c)
-
-    def add_term(self, factors, c) -> None:
-        c = Fraction(c)
-        if not c:
-            return
+    def _canonical(self, factors):
         if len(factors) != self.degree:
             raise ValueError("wrong number of wedge factors")
-        norm = _canonical_factors(factors)
-        if norm is None:
-            return
-        key, sign = norm
-        s = self.terms.get(key, Fraction(0)) + sign * c
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
+        return _sort_wedge(factors, gen_sort_key)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GradedMultiVector") -> "GradedMultiVector":
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("mismatched graded multivectors")
-        out = GradedMultiVector(self.n, self.degree, dict(self.terms))
-        for factors, c in other.terms.items():
-            out.add_term(factors, c)
-        return out
-
-    def scale(self, c) -> "GradedMultiVector":
-        c = Fraction(c)
-        return GradedMultiVector(self.n, self.degree,
-                                 {k: c * v for k, v in self.terms.items()} if c else {})
-
-    def __sub__(self, other: "GradedMultiVector") -> "GradedMultiVector":
-        return self + other.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GradedMultiVector) and self.n == other.n
-                and self.degree == other.degree and self.terms == other.terms)
+    add_term = _WedgeSum._add
 
     def poly_degree(self) -> int:
         """Total polynomial degree, assuming homogeneity across terms."""
@@ -368,11 +349,8 @@ class GradedMultiVector:
             lines.append("v %s : %s" % (c, slot))
         return "\n".join(lines) + "\n"
 
-    def __repr__(self):
-        return "GradedMultiVector(n=%d, m=%d, %d terms)" % (self.n, self.degree, len(self.terms))
 
-
-def _lie_bracket_gens(u, v, n: int) -> list:
+def _lie_bracket_gens(u, v) -> list:
     """Jacobi-Lie bracket [w^A d_i, w^B d_j] as a list of (gen, coeff)."""
     (a, i), (b, j) = u, v
     out = []
@@ -399,7 +377,7 @@ def r_schouten(p: GradedMultiVector, q: GradedMultiVector) -> GradedMultiVector:
             for i, u in enumerate(fu):
                 for j, v in enumerate(fv):
                     sign = -1 if (i + j) % 2 else 1  # (-1)^{(i+1)+(j+1)}
-                    for gen, bc in _lie_bracket_gens(u, v, p.n):
+                    for gen, bc in _lie_bracket_gens(u, v):
                         rest = (gen,) + fu[:i] + fu[i + 1:] + fv[:j] + fv[j + 1:]
                         out.add_term(rest, base * bc * sign)
     return out
@@ -479,7 +457,8 @@ def parse_structure(text: str, check: bool = True):
 
     Lines: 'n = <int>', 'h = <int>', then either Poisson entries
     'p i j = <polynomial>' (1-based, i < j) or R-wedge 2-vector lines
-    'v <vfield> ; <vfield>' for Poisson-like structures.  Returns a
+    'v <vfield> ; <vfield>' for Poisson-like structures.  A line's first
+    word must be exactly one of the keywords n, h, p, v.  Returns a
     PoissonStructure or a GradedMultiVector.
     """
     n = h = None
@@ -489,18 +468,22 @@ def parse_structure(text: str, check: bool = True):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("n"):
-            n = int(line.split("=", 1)[1])
+        key = line.split()[0].split("=", 1)[0]
+        body = line[len(key):].strip()
+        if key in ("n", "h"):
+            if not body.startswith("="):
+                raise StructureFileError("bad %s line: %r" % (key, raw))
+            if key == "n":
+                n = int(body[1:])
+            else:
+                h = int(body[1:])
             continue
-        if line.startswith("h"):
-            h = int(line.split("=", 1)[1])
-            continue
-        if line.startswith("p"):
+        if key == "p":
             if n is None:
                 raise StructureFileError("n must come before entries")
-            head, rhs = line.split("=", 1)
+            head, eq, rhs = line.partition("=")
             parts = head.split()
-            if len(parts) != 3:
+            if not eq or len(parts) != 3:
                 raise StructureFileError("bad entry line: %r" % raw)
             i, j = int(parts[1]) - 1, int(parts[2]) - 1
             if not (0 <= i < j < n):
@@ -509,10 +492,9 @@ def parse_structure(text: str, check: bool = True):
                 raise StructureFileError("duplicate entry p %d %d" % (i + 1, j + 1))
             p_entries[(i, j)] = parse_poly(rhs.strip(), n)
             continue
-        if line.startswith("v"):
+        if key == "v":
             if n is None:
                 raise StructureFileError("n must come before entries")
-            body = line[1:].strip()
             if ":" in body:
                 coeff_text, body = body.split(":", 1)
                 coeff = Fraction(coeff_text.strip())

@@ -253,3 +253,28 @@ def test_diagrams_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "m=2 dim=18" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["builtin:poisson_like_h2", "--weights", "1"],
+    ["--mode", "hamiltonian", "--n", "3", "--h", "1", "--weights", "1"],
+])
+def test_diagrams_refuses_what_it_cannot_tabulate(capsys, args):
+    """A Poisson-like structure has no polynomial signature table, and the
+    Hamiltonian caps need a structure's Casimirs: both exit 2 rather than
+    print the default polynomial table."""
+    assert main(["diagrams", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "weight" not in captured.out
+
+
+@pytest.mark.parametrize("line", ["note x", "hello", "px 1 2 = x3", "height = 5"])
+def test_structure_file_unknown_keyword_exits_2(tmp_path, capsys, line):
+    """Only the exact keywords n, h, p and v start a line: a line that
+    merely begins with one of those letters is refused, not misread."""
+    path = tmp_path / "bad.poisson"
+    path.write_text("n = 3\nh = 1\n%s\n" % line)
+    for argv in (["check", str(path)], ["betti", str(path), "--weights", "1"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: unrecognized line")

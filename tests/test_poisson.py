@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -142,6 +143,23 @@ def test_bracket_degree_shift():
             if not br.is_zero():
                 assert br.is_homogeneous()
                 assert br.degree() == a + b + s.h - 2
+
+
+def test_bracket_matches_partial_derivative_formula():
+    """The monomial bracket, extended bilinearly, agrees with
+    sum_{i<j} p_ij (d_i f d_j g - d_j f d_i g) computed in RatPoly
+    arithmetic; h2_case1 has structure denominator 2."""
+    rng = random.Random(21)
+    for s in (fx.sl2(), fx.symplectic_r2(), fx.h2_case1()):
+        for _ in range(10):
+            f = rand_poly(rng, s.n, 3, 4)
+            g = rand_poly(rng, s.n, 3, 4)
+            expect = RatPoly.zero(s.n)
+            for (i, j), pij in s.p.items():
+                expect = expect + pij * (f.partial(i) * g.partial(j)
+                                         - f.partial(j) * g.partial(i))
+            assert s.bracket(f, g) == expect, s.name
+    assert fx.h2_case1().denom == 2
 
 
 # ----------------------------------------------------------------------
@@ -304,3 +322,27 @@ def test_graded_serialize_round_trip():
         text = "n = %d\nh = %d\n%s" % (g.n, g.poly_degree(), g.serialize())
         assert parse_structure(text) == g
         assert g.serialize() == make().serialize()  # stable for caching
+
+
+# ----------------------------------------------------------------------
+# Lie-Poisson structures from matrix bases
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, digest", [
+    ("so4", "c74e9e945cee4ead5e375928b3181bbd71302b77f9cb26a7f87bd8f709bbaf48"),
+    ("so5", "2bf295c4ae35e4746973c5166a65e56094720addb7511f9c73df493d8b6c7cf0"),
+    ("sl3", "c302cc75ac4c981b4f85bf8982e377feb195da7f858bb1b54c93624b372202db"),
+])
+def test_matrix_lie_poisson_structures_are_stable(name, digest):
+    """sha256 of serialize(), recorded from the structure constants solved
+    by a dense Fraction Gauss-Jordan elimination; golden and cache keys
+    depend on these texts."""
+    text = fx.load_structure("builtin:" + name).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_matrix_basis_not_closed_under_commutator():
+    # [E12, E21] = diag(1, -1) is not in the span of E12 and E21
+    e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    with pytest.raises(ValueError, match="span"):
+        fx.lie_poisson_from_matrices([e12, e21], "not_closed")
