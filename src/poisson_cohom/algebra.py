@@ -257,12 +257,16 @@ def _tokenize(text: str) -> Iterator[tuple]:
 
 
 class _Parser:
-    """Recursive descent for sums of *-joined powered atoms."""
+    """Recursive descent for sums of *-joined powered atoms.  With fields
+    set, d1..dn are the variables n+1..2n of a ring in 2n variables, and a
+    d<i> factor may follow its coefficient without '*'."""
 
-    def __init__(self, text: str, n: int):
+    def __init__(self, text: str, n: int, fields: bool = False):
         self.toks = list(_tokenize(text))
         self.pos = 0
-        self.n = n
+        self.nx = n
+        self.fields = fields
+        self.n = 2 * n if fields else n
 
     def peek(self):
         return self.toks[self.pos]
@@ -294,8 +298,9 @@ class _Parser:
 
     def parse_term(self) -> RatPoly:
         p = self.parse_factor()
-        while self.peek() == ("op", "*"):
-            self.take()
+        while self.peek() == ("op", "*") or (self.fields and self.peek()[0] == "d"):
+            if self.peek()[0] == "op":
+                self.take()
             p = p * self.parse_factor()
         return p
 
@@ -316,10 +321,10 @@ class _Parser:
         kind, val = self.take()
         if kind == "num":
             return RatPoly.const(self.n, val)
-        if kind == "x":
-            if not (1 <= val <= self.n):
-                raise PolyParseError("variable x%d out of range for n=%d" % (val, self.n))
-            return RatPoly.var(self.n, val - 1)
+        if kind == "x" or (kind == "d" and self.fields):
+            if not (1 <= val <= self.nx):
+                raise PolyParseError("variable %s%d out of range for n=%d" % (kind, val, self.nx))
+            return RatPoly.var(self.n, val - 1 + (self.nx if kind == "d" else 0))
         if kind == "op" and val == "(":
             p = self.parse_sum()
             if self.take() != ("op", ")"):
@@ -330,6 +335,21 @@ class _Parser:
 
 def parse_poly(text: str, n: int) -> RatPoly:
     return _Parser(text, n).parse_poly()
+
+
+def parse_vector_field(text: str, n: int) -> list:
+    """A polynomial vector field such as 'x1*d3 + x3*d3', '(x1 - x2)*d3' or
+    '1 d1 - 1 d3', as [(RatPoly, axis)] by ascending 0-based axis; after
+    expansion every term must carry exactly one d<i> factor."""
+    parts: dict = {}
+    for a, c in _Parser(text, n, fields=True).parse_poly().terms.items():
+        axes = [i for i in range(n) for _ in range(a[n + i])]
+        if len(axes) != 1:
+            term = [format_poly(RatPoly.monomial(a[:n], c))] + ["d%d" % (i + 1) for i in axes]
+            raise PolyParseError("vector-field term %s needs exactly one d<i> factor"
+                                 % "*".join(term))
+        parts.setdefault(axes[0], {})[a[:n]] = c
+    return [(RatPoly(n, parts[i]), i) for i in sorted(parts)]
 
 
 def format_poly(p: RatPoly) -> str:

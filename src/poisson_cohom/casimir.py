@@ -1,37 +1,57 @@
-"""Casimir subspaces per degree, the normal-form projector, and bases of
-the Hamiltonian quotient together with their dual functionals."""
+"""Casimir subspaces per degree and the Hamiltonian quotient.
+
+casimir_space is the one owner of the quotient: its CasimirBasis holds
+the integer echelon basis, the quotient monomials and the integer rules
+of the normal form, which normal_form, quotient_basis and the
+Hamiltonian differential matrices all use."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .algebra import RatPoly, grevlex_key, mi_unit, mono_basis, mono_index
-from .linalg import SparseMatrix, clear_denominators, rank_kernel
+from .algebra import RatPoly, mi_unit, mono_basis, mono_index
+from .linalg import SparseMatrix, rank_kernel
 from .poisson import PoissonStructure
 
 
-@dataclass
 class CasimirBasis:
-    degree: int
-    basis: list  # RatPoly, echelonized: LMs strictly descending, mutually reduced
+    """The degree-j Casimir polynomials in reduced echelon form: primitive
+    integer coefficients, positive leading coefficients, leading monomials
+    (lms) strictly descending in grevlex, and no element holding another's
+    leading monomial.  primal lists the other monomials, which span the
+    quotient.  The normal form in integers: a coefficient c off the leading
+    monomials becomes c * big, and a coefficient c on a leading monomial lm
+    becomes c * f * t on each tail monomial, for rules[lm] = (f, [(monomial,
+    t)]); one pass suffices because the basis is reduced."""
 
-    @property
-    def lms(self) -> list:
-        return [f.leading_monomial() for f in self.basis]
+    def __init__(self, n: int, degree: int, rows: list):
+        self.degree = degree
+        self.basis = [RatPoly(n, r) for r in rows]
+        self.lms = [next(iter(r)) for r in rows]
+        lead = set(self.lms)
+        self.primal = [a for a in mono_basis(n, degree) if a not in lead]
+        self.big = lcm(1, *(r[lm] for r, lm in zip(rows, self.lms)))
+        self.rules = {lm: (self.big // r[lm], [(m, -c) for m, c in r.items() if m != lm])
+                      for r, lm in zip(rows, self.lms)}
 
     def __len__(self) -> int:
         return len(self.basis)
 
-
-def _primitive(p: RatPoly) -> RatPoly:
-    """Scale to integer coefficients with content 1 and positive leading term."""
-    if p.is_zero():
-        return p
-    ints, denom = clear_denominators(list(p.terms.values()))
-    scale = Fraction(denom, gcd(*ints))
-    return p.scale(-scale if p.leading_coeff() < 0 else scale)
+    def reduce(self, terms: dict) -> dict:
+        """big times the normal form of the polynomial monomial -> coeff."""
+        big, rules = self.big, self.rules
+        out: dict = {}
+        for mono, c in terms.items():
+            rule = rules.get(mono)
+            if rule is None:
+                out[mono] = out.get(mono, 0) + c * big
+            else:
+                f, tail = rule
+                for m2, t in tail:
+                    out[m2] = out.get(m2, 0) + c * f * t
+        return {m: c for m, c in out.items() if c}
 
 
 def casimir_space(pi: PoissonStructure, j: int) -> CasimirBasis:
@@ -41,7 +61,7 @@ def casimir_space(pi: PoissonStructure, j: int) -> CasimirBasis:
     monos = mono_basis(n, j)
     target_deg = j + pi.h - 1
     if target_deg < 0:
-        return CasimirBasis(j, [RatPoly.monomial(a) for a in monos])
+        return CasimirBasis(n, j, [{a: 1} for a in monos])
     tindex = mono_index(n, target_deg)
     entries: dict = {}
     for col, a in enumerate(monos):
@@ -50,62 +70,49 @@ def casimir_space(pi: PoissonStructure, j: int) -> CasimirBasis:
                 if c:
                     entries[(i * len(tindex) + tindex[b], col)] = c
     mat = SparseMatrix.from_ints(n * len(tindex), len(monos), entries, pi.denom)
-    result = rank_kernel(mat, want_basis=True)
-    polys = [RatPoly(n, {monos[k]: v for k, v in vec.items()})
-             for vec in result.kernel]
-    return CasimirBasis(j, _echelonize(polys, monos))
+    kernel = rank_kernel(mat, want_basis=True).kernel
+    return CasimirBasis(n, j, _echelonize(kernel, monos))
 
 
-def _echelonize(polys: list, monos: list) -> list:
-    """Reduced row echelon over the descending-grevlex coordinates, then
-    primitive-integer normalization; rows come back LM-descending."""
-    rows = [dict(p.terms) for p in polys if not p.is_zero()]
+def _echelonize(vectors: list, monos: list) -> list:
+    """Fraction-free reduced row echelon form of integer vectors (dicts
+    coordinate -> int) with pivots taken in ascending coordinate order,
+    that is descending grevlex: rows come back as dicts monomial -> int,
+    primitive with a positive leading coefficient, leading monomial first."""
+    rows = [dict(v) for v in vectors if v]
     done = []
-    for a in monos:  # descending grevlex: first hit is the LM
-        pick = None
-        for r in rows:
-            if a in r:
-                pick = r
-                break
+    for k in range(len(monos)):
+        pick = next((r for r in rows if r.get(k)), None)
         if pick is None:
             continue
         rows.remove(pick)
-        pv = pick[a]
-        pick = {k: v / pv for k, v in pick.items()}
-        reduce_against = rows + [d for d in done]
-        for other in reduce_against:
-            c = other.get(a)
+        for other in rows + done:
+            c = other.get(k)
             if c:
-                for k, v in pick.items():
-                    s = other.get(k, Fraction(0)) - c * v
+                for key in set(other) | set(pick):
+                    s = pick[k] * other.get(key, 0) - c * pick.get(key, 0)
                     if s:
-                        other[k] = s
+                        other[key] = s
                     else:
-                        other.pop(k, None)
+                        del other[key]
+                g = gcd(*other.values())
+                for key in other:
+                    other[key] //= g
         done.append(pick)
-    n = len(monos[0]) if monos else 0
-    out = [_primitive(RatPoly(n, r)) for r in done]
-    out.sort(key=lambda p: grevlex_key(p.leading_monomial()), reverse=True)
+    out = []
+    for r in done:
+        g = gcd(*r.values()) if r[min(r)] > 0 else -gcd(*r.values())
+        out.append({monos[key]: r[key] // g for key in sorted(r)})
     return out
 
 
 def normal_form(basis: CasimirBasis, g: RatPoly) -> RatPoly:
-    """Remainder of the homogeneous polynomial g modulo the Casimir basis:
-    r = g - sum_i (LM_i-coefficient of g / leading coeff of f_i) f_i,
-    re-passed until stable.  Idempotent; kernel = span of the basis."""
+    """Remainder of the homogeneous polynomial g modulo the Casimir basis,
+    in one pass of the basis's rules.  Idempotent; kernel = span of the
+    basis."""
     if not g.is_zero() and (not g.is_homogeneous() or g.degree() != basis.degree):
         raise ValueError("degree mismatch with the Casimir context")
-    r = g
-    while True:
-        delta = RatPoly.zero(g.n)
-        for f in basis.basis:
-            lm = f.leading_monomial()
-            c = r.coeff(lm)
-            if c:
-                delta = delta + f.scale(c / f.leading_coeff())
-        if delta.is_zero():
-            return r
-        r = r - delta
+    return RatPoly(g.n, {m: Fraction(c, basis.big) for m, c in basis.reduce(g.terms).items()})
 
 
 @dataclass
@@ -120,20 +127,16 @@ class QuotientBasis:
 
 def quotient_basis(pi: PoissonStructure, j: int, cas: CasimirBasis | None = None) -> QuotientBasis:
     """Primal monomials (non leading of any Casimir) and dual functionals
-    annihilating the Casimir space, pairing to the identity."""
+    annihilating the Casimir space, pairing to the identity: the dual of b
+    reads the b-coefficient of the normal form, so it is the transpose of
+    the rules."""
     if cas is None:
         cas = casimir_space(pi, j)
-    lms = set(cas.lms)
-    primal = [a for a in mono_basis(pi.n, j) if a not in lms]
-    dual = []
-    for b in primal:
-        func = {b: Fraction(1)}
-        for f in cas.basis:
-            c = f.coeff(b)
-            if c:
-                func[f.leading_monomial()] = -c / f.leading_coeff()
-        dual.append(func)
-    return QuotientBasis(j, primal, dual)
+    dual = {b: {b: Fraction(1)} for b in cas.primal}
+    for lm, (f, tail) in cas.rules.items():
+        for m, t in tail:
+            dual[m][lm] = Fraction(f * t, cas.big)
+    return QuotientBasis(j, cas.primal, list(dual.values()))
 
 
 def quotient_bracket(pi: PoissonStructure, f: RatPoly, g: RatPoly,

@@ -16,6 +16,9 @@ inversion counts computed with bisect.
 Coefficients are integers over a denominator: a context's image2 of a
 degree-j generator is over image2_denom(j), and each builder accumulates
 its matrix in integers scaled to one lcm of the denominators it meets.
+PolyContext builds the images of all degree-j generators at once, from
+the structure's integer monomial bracket and, in 'hamiltonian' mode, the
+integer normal-form rules of the degree-j CasimirBasis.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class PolyContext:
 
     mode 'bar' excludes constants (the quotient by the constants ideal),
     'full' includes the degree-0 slot, 'hamiltonian' works modulo the
-    Casimir polynomials with the normal-form bracket.
+    Casimir polynomials with the normal-form bracket; its generators are
+    the quotient monomials (primal) of each degree's CasimirBasis.
     """
 
     include_m0 = True
@@ -64,20 +68,17 @@ class PolyContext:
         self.start = 0 if mode == "full" else 1
         self._gens: dict = {}
         self._casimirs: dict = {}
-        self._nf_rules: dict = {}
-        self._pair_cache: dict = {}
-        self._rev_cache: dict = {}
+        self._cob: dict = {}
 
     def wt(self, j: int) -> int:
         return j - 2 + self.h
 
     def gens(self, j: int) -> list:
         if j not in self._gens:
-            monos = mono_basis(self.n, j)
             if self.mode == "hamiltonian":
-                lms = set(self.casimirs(j).lms)
-                monos = [a for a in monos if a not in lms]
-            self._gens[j] = monos
+                self._gens[j] = self.casimirs(j).primal
+            else:
+                self._gens[j] = mono_basis(self.n, j)
         return self._gens[j]
 
     def cap(self, j: int) -> int:
@@ -86,64 +87,7 @@ class PolyContext:
     def casimirs(self, j: int):
         if j not in self._casimirs:
             self._casimirs[j] = casimir_space(self.pi, j)
-            self._nf_rules[j] = _normal_form_rules(self._casimirs[j])
         return self._casimirs[j]
-
-    def _pair_table(self, a: int, b: int) -> tuple:
-        """The structure's mono_bracket of generator pairs of degrees (a, b),
-        expanded over the generator monomials of the target degree, as
-        (table, denom): keys are id pairs, values lists of (target id,
-        int), and the true coefficient is int / denom.  The denominator is
-        the lcm of the table's own coefficient denominators: normal forms
-        can carry one even when the structure constants are integers."""
-        key = (a, b)
-        if key in self._pair_cache:
-            return self._pair_cache[key]
-        target = a + b + self.h - 2
-        if target >= self.start:
-            tgt_index = {lab: pos for pos, lab in enumerate(self.gens(target))}
-        else:
-            tgt_index = {}
-        rules = None
-        denom = self.pi.denom
-        if self.mode == "hamiltonian" and target >= 1:
-            self.casimirs(target)
-            big, rules = self._nf_rules[target]
-            denom *= big
-        table: dict = {}
-        gens_a, gens_b = self.gens(a), self.gens(b)
-        for pa, la in enumerate(gens_a):
-            qs = range(pa + 1, len(gens_b)) if a == b else range(len(gens_b))
-            for pb in qs:
-                br = self.pi.mono_bracket(la, gens_b[pb])
-                if rules is not None:
-                    red: dict = {}
-                    for mono, c in br.items():
-                        rule = rules.get(mono)
-                        if rule is None:
-                            red[mono] = red.get(mono, 0) + c * big
-                        else:
-                            f, tail = rule
-                            for m2, t in tail:
-                                red[m2] = red.get(m2, 0) + c * f * t
-                    br = red
-                out = []
-                for mono, c in br.items():
-                    if not c:
-                        continue
-                    pos = tgt_index.get(mono)
-                    if pos is None:
-                        if self.mode == "hamiltonian":
-                            raise AssertionError("normal form left a non-basis monomial")
-                        continue  # constants quotiented away in 'bar' mode
-                    out.append(((target, pos), c))
-                if out:
-                    table[((a, pa), (b, pb))] = out
-        g = gcd(denom, *(c for out in table.values() for _, c in out))
-        if g > 1:
-            table = {ids: [(t, c // g) for t, c in out] for ids, out in table.items()}
-        self._pair_cache[key] = (table, denom // g)
-        return self._pair_cache[key]
 
     def _splits(self, g_degree: int) -> list:
         """Degree pairs (a, b), a <= b, with a + b = g_degree + 2 - h."""
@@ -158,19 +102,33 @@ class PolyContext:
         return out
 
     def _coboundaries(self, deg: int) -> tuple:
-        """(gid -> image2 list, denom) for the degree-deg dual generators,
-        over the lcm of the denominators of the pair tables landing there."""
-        if deg not in self._rev_cache:
-            tables = [self._pair_table(a, b) for a, b in self._splits(deg)]
-            denom = lcm(1, *(d for _, d in tables))
+        """(gid -> image2 list, denom) for the degree-deg dual generators:
+        the structure's mono_bracket of every generator pair landing in
+        degree deg (reduced to big times its normal form in 'hamiltonian'
+        mode), cleared by one gcd over the whole degree."""
+        if deg not in self._cob:
+            denom, reduce = self.pi.denom, None
+            if self.mode == "hamiltonian":
+                cas = self.casimirs(deg)
+                denom, reduce = denom * cas.big, cas.reduce
+            index = {lab: pos for pos, lab in enumerate(self.gens(deg))}
             rev: dict = {}
-            for table, d in tables:
-                f = denom // d
-                for (ida, idb), expansion in table.items():
-                    for tgt, c in expansion:
-                        rev.setdefault(tgt, []).append((ida, idb, -c * f))
-            self._rev_cache[deg] = ({g: sorted(lst) for g, lst in rev.items()}, denom)
-        return self._rev_cache[deg]
+            for a, b in self._splits(deg):
+                gens_a, gens_b = self.gens(a), self.gens(b)
+                for pa, la in enumerate(gens_a):
+                    for pb in range(pa + 1 if a == b else 0, len(gens_b)):
+                        br = self.pi.mono_bracket(la, gens_b[pb])
+                        for mono, c in (br if reduce is None else reduce(br)).items():
+                            if not c:
+                                continue
+                            pos = index.get(mono)
+                            if pos is None:
+                                raise AssertionError("bracket left the degree-%d generators" % deg)
+                            rev.setdefault((deg, pos), []).append(((a, pa), (b, pb), -c))
+            g = gcd(denom, *(t[2] for lst in rev.values() for t in lst))
+            self._cob[deg] = ({gid: sorted((ga, gb, c // g) for ga, gb, c in lst)
+                               for gid, lst in rev.items()}, denom // g)
+        return self._cob[deg]
 
     def image2(self, gid: GenId) -> list:
         """Coboundary of the dual generator: list of (ga, gb, coeff) with
@@ -182,25 +140,6 @@ class PolyContext:
     def image2_denom(self, deg: int) -> int:
         """Denominator of the image2 coefficients of degree-deg generators."""
         return self._coboundaries(deg)[1]
-
-
-def _normal_form_rules(cas) -> tuple:
-    """(big, rules) for the normal form modulo a Casimir basis in integers:
-    a coefficient c off the leading monomials becomes c * big, and a
-    coefficient c on a leading monomial lm becomes c * f * t on each tail
-    monomial, for rules[lm] = (f, [(monomial, t)]); the result is big times
-    the normal form.  One pass suffices because the basis is in reduced
-    echelon form (no element holds another's leading monomial)."""
-    polys = []
-    for f in cas.basis:
-        ints, _ = clear_denominators(list(f.terms.values()))
-        coeffs = dict(zip(f.terms, ints))
-        lm = f.leading_monomial()
-        polys.append((lm, coeffs.pop(lm), coeffs))
-    big = lcm(1, *(abs(lc) for _, lc, _ in polys))
-    rules = {lm: (big // lc, [(m, -c) for m, c in tail.items()])
-             for lm, lc, tail in polys}
-    return big, rules
 
 
 class PoissonLikeContext:
@@ -215,6 +154,7 @@ class PoissonLikeContext:
         self.h = h
         self.start = 0
         self._image2: dict = {}
+        self._monos: dict = {}  # degree -> mono_basis, read by label
         if pi_like.degree != 2:
             raise ValueError("Poisson-like structure must be a 2-vector")
         if not r_schouten(pi_like, pi_like).is_zero():
@@ -231,8 +171,9 @@ class PoissonLikeContext:
 
     def label(self, gid: GenId):
         j, pos = gid
-        monos = mono_basis(self.n, j)
-        return (monos[pos // self.n], pos % self.n)
+        if j not in self._monos:
+            self._monos[j] = mono_basis(self.n, j)
+        return (self._monos[j][pos // self.n], pos % self.n)
 
     def _gen_id(self, gen) -> GenId:
         a, i = gen

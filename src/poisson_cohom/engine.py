@@ -188,13 +188,10 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     hi = weight_degree_range(ctx, w)
     bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
     shifted = {m: build_basis(ctx, m + 2, w - 2) for m in range(hi + 2)}
-    kernels: dict = {}
-    for m in range(hi + 1):
-        if not len(bases[m]):
-            kernels[m] = []
-            continue
-        wedge = wedge_cochain_matrix(two, bases[m], shifted[m])
-        kernels[m] = rank_kernel(wedge, want_basis=True).kernel
+    wedges = {m: wedge_cochain_matrix(two, bases[m], shifted[m])
+              for m in range(hi + 2) if len(bases[m])}
+    kernels = {m: rank_kernel(wedges[m], want_basis=True).kernel if m in wedges else []
+               for m in range(hi + 1)}
     maps: dict = {}
     full_d: dict = {}
     for m in range(hi + 1):
@@ -204,10 +201,8 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
         full_d[m] = cochain_matrix(ctx, bases[m], bases[m + 1])
         maps[m] = matmul(full_d[m], kmat)
         # the differential must keep the subcomplex inside itself
-        if len(shifted[m + 1]):
-            wedge_next = wedge_cochain_matrix(two, bases[m + 1], shifted[m + 1])
-            if not compose_is_zero(wedge_next, maps[m]):
-                raise AssertionError("annihilator subcomplex not preserved at m=%d" % m)
+        if m + 1 in wedges and not compose_is_zero(wedges[m + 1], maps[m]):
+            raise AssertionError("annihilator subcomplex not preserved at m=%d" % m)
     return {m: len(k) for m, k in kernels.items()}, maps, 1, full_d
 
 

@@ -13,8 +13,8 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 
-from .algebra import (MultiIndex, RatPoly, mi_add, mi_degree, mono_index,
-                      parse_poly, format_poly)
+from .algebra import (MultiIndex, RatPoly, format_poly, mi_add, mi_degree,
+                      mono_index, parse_poly, parse_vector_field)
 from .linalg import clear_denominators
 
 
@@ -103,21 +103,14 @@ class PoissonStructure:
 
 
 def jacobi_check(pi: PoissonStructure):
-    """(True, None) if the cyclic-sum Jacobi condition holds identically,
-    else (False, ((i, j, k), residual))."""
+    """(True, None) if the cyclic sum {x_i, p_jk} + {x_j, p_ki} + {x_k, p_ij}
+    vanishes identically for every i < j < k, else (False, ((i, j, k),
+    residual))."""
     n = pi.n
     for i, j, k in itertools.combinations(range(n), 3):
         res = RatPoly.zero(n)
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            # sum_l p_{cl} d_l p_{ab}
-            pab = pi.entry(a, b)
-            if pab.is_zero():
-                continue
-            for lam in range(n):
-                pcl = pi.entry(c, lam)
-                if pcl.is_zero():
-                    continue
-                res = res + pcl * pab.partial(lam)
+            res = res + pi.bracket(RatPoly.var(n, c), pi.entry(a, b))
         if not res.is_zero():
             return False, ((i, j, k), res)
     return True, None
@@ -427,37 +420,13 @@ class StructureFileError(ValueError):
     pass
 
 
-def _parse_vf(text: str, n: int) -> list:
-    """A vector field as signed products, e.g. '1 d1 - 1 d3' or 'x1*d3'."""
-    out = []
-    # split on top-level '+'/'-' while keeping signs
-    tokens = text.replace("-", "+-").split("+")
-    for tok in tokens:
-        tok = tok.strip()
-        if not tok:
-            continue
-        sign = 1
-        if tok.startswith("-"):
-            sign = -1
-            tok = tok[1:].strip()
-        if "d" not in tok:
-            raise StructureFileError("vector-field term %r lacks a d<i> factor" % tok)
-        head, _, tail = tok.rpartition("d")
-        head = head.strip().rstrip("*").strip()
-        axis = int(tail)
-        if not (1 <= axis <= n):
-            raise StructureFileError("axis d%d out of range" % axis)
-        poly = parse_poly(head, n) if head else RatPoly.const(n, 1)
-        out.append((poly.scale(sign), axis - 1))
-    return out
-
-
 def parse_structure(text: str, check: bool = True):
     """Parse a structure-definition file.
 
     Lines: 'n = <int>', 'h = <int>', then either Poisson entries
     'p i j = <polynomial>' (1-based, i < j) or R-wedge 2-vector lines
-    'v <vfield> ; <vfield>' for Poisson-like structures.  A line's first
+    'v [<coeff> :] <vfield> ; <vfield>' for Poisson-like structures, each
+    vfield read by parse_vector_field.  A line's first
     word must be exactly one of the keywords n, h, p, v.  Returns a
     PoissonStructure or a GradedMultiVector.
     """
@@ -503,7 +472,8 @@ def parse_structure(text: str, check: bool = True):
             slots = body.split(";")
             if len(slots) != 2:
                 raise StructureFileError("v lines take exactly two ';'-separated fields")
-            term = wedge2(_parse_vf(slots[0], n), _parse_vf(slots[1], n), n).scale(coeff)
+            term = wedge2(parse_vector_field(slots[0], n),
+                          parse_vector_field(slots[1], n), n).scale(coeff)
             v_terms.append(term)
             continue
         raise StructureFileError("unrecognized line: %r" % raw)

@@ -1,14 +1,16 @@
+import hashlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, grevlex_key, mono_basis, parse_poly
-from poisson_cohom.casimir import (casimir_space, normal_form, quotient_basis,
-                                   quotient_bracket)
-from poisson_cohom.linalg import SparseMatrix, rank_kernel
+from poisson_cohom.casimir import (_echelonize, casimir_space, normal_form,
+                                   quotient_basis, quotient_bracket)
+from poisson_cohom.linalg import SparseMatrix, clear_denominators, rank_kernel
+from poisson_cohom.poisson import PoissonStructure
 
 
 def span_equal(polys_a, polys_b, n, degree):
@@ -179,3 +181,76 @@ def test_quotient_bracket_jacobi_random():
                + quotient_bracket(s, g, quotient_bracket(s, k, f))
                + quotient_bracket(s, k, quotient_bracket(s, f, g)))
         assert cyc.is_zero()
+
+
+def test_casimir_bases_are_stable():
+    """sha256 of the Casimir bases (terms and leading monomials) of every
+    builtin Poisson structure at degrees 0..4, recorded from the Fraction
+    Gauss-Jordan echelon that the integer echelon replaced."""
+    h = hashlib.sha256()
+    for name in fx.builtin_names():
+        pi = fx.load_structure("builtin:" + name)
+        if not isinstance(pi, PoissonStructure):
+            continue
+        for j in range(5):
+            cb = casimir_space(pi, j)
+            h.update(repr((name, j, [sorted(f.terms.items()) for f in cb.basis],
+                           list(cb.lms))).encode())
+    assert h.hexdigest() == "e3e85e3ee8f946c528d58422097552ccd5af9c22560fdadc9054bbcb7171bf7f"
+
+
+def fraction_echelon(vectors: list, monos: list) -> list:
+    """Oracle: reduced row echelon over Fractions with pivots in ascending
+    coordinate order, then each row scaled to primitive integers with a
+    positive leading coefficient; rows as dicts monomial -> int."""
+    rows = [{k: Fraction(v) for k, v in vec.items()} for vec in vectors]
+    done = []
+    for k in range(len(monos)):
+        pick = next((r for r in rows if r.get(k)), None)
+        if pick is None:
+            continue
+        rows.remove(pick)
+        pick = {c: v / pick[k] for c, v in pick.items()}
+        for other in rows + done:
+            c = other.get(k)
+            if c:
+                for key, v in pick.items():
+                    s = other.get(key, Fraction(0)) - c * v
+                    if s:
+                        other[key] = s
+                    else:
+                        other.pop(key, None)
+        done.append(pick)
+    out = []
+    for r in done:
+        ints, _ = clear_denominators(list(r.values()))
+        g = gcd(*ints) if r[min(r)] > 0 else -gcd(*ints)
+        out.append({monos[c]: v // g for c, v in zip(r, ints)})
+    return out
+
+
+def test_integer_echelon_matches_fraction_oracle():
+    """Random integer vector sets, rank-deficient ones (integer combinations
+    of earlier vectors) and negative pivots included."""
+    rng = random.Random(31)
+    monos = mono_basis(3, 3)
+    for _ in range(200):
+        vectors = []
+        for _ in range(rng.randint(1, 6)):
+            if vectors and rng.random() < 0.3:
+                vec: dict = {}
+                for base in rng.sample(vectors, k=min(2, len(vectors))):
+                    f = rng.choice((-3, -1, 2))
+                    for c, v in base.items():
+                        vec[c] = vec.get(c, 0) + f * v
+                vec = {c: v for c, v in vec.items() if v}
+            else:
+                cols = rng.sample(range(len(monos)), k=rng.randint(1, 5))
+                vec = {c: rng.choice((-7, -2, -1, 1, 3, 4, 6)) for c in cols}
+            if vec:
+                vectors.append(vec)
+        got = _echelonize(vectors, monos)
+        assert got == fraction_echelon(vectors, monos)
+        assert [next(iter(r)) for r in got] == sorted((next(iter(r)) for r in got),
+                                                      key=grevlex_key, reverse=True)
+        assert all(r[next(iter(r))] > 0 for r in got)

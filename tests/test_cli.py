@@ -278,3 +278,13 @@ def test_structure_file_unknown_keyword_exits_2(tmp_path, capsys, line):
     for argv in (["check", str(path)], ["betti", str(path), "--weights", "1"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: unrecognized line")
+
+
+@pytest.mark.parametrize("field", ["x1*dx3", "x1*x2", "d1*d2"])
+def test_v_line_field_without_one_d_factor_exits_2(tmp_path, capsys, field):
+    """Every term of a vector field needs exactly one d<i> factor, and
+    'dx3' is no symbol of the grammar."""
+    path = tmp_path / "bad.poisson"
+    path.write_text("n = 3\nh = 1\nv %s ; d1\n" % field)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

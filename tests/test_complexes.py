@@ -1,3 +1,4 @@
+import weakref
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
@@ -5,8 +6,8 @@ from math import lcm
 import pytest
 
 from poisson_cohom import fixtures as fx
-from poisson_cohom.algebra import mono_index
-from poisson_cohom.casimir import quotient_basis
+from poisson_cohom.algebra import RatPoly, mono_index
+from poisson_cohom.casimir import normal_form, quotient_basis
 from poisson_cohom.cli import _golden_paths, parse_golden
 from poisson_cohom.complexes import (PolyContext, PoissonLikeContext, Basis,
                                      basis_dimension_check, build_basis,
@@ -14,7 +15,8 @@ from poisson_cohom.complexes import (PolyContext, PoissonLikeContext, Basis,
                                      wedge_cochain_matrix, weight_degree_range,
                                      with_constants_split)
 from poisson_cohom.engine import build_report, homology_vs_cohomology_check
-from poisson_cohom.linalg import SparseMatrix, compose_is_zero, matmul, rank_kernel
+from poisson_cohom.linalg import (SparseMatrix, clear_denominators, compose_is_zero,
+                                  matmul, rank_kernel)
 
 
 # ----------------------------------------------------------------------
@@ -22,19 +24,32 @@ from poisson_cohom.linalg import SparseMatrix, compose_is_zero, matmul, rank_ker
 # coboundary, by pairwise bracket insertion on the chain side
 # ----------------------------------------------------------------------
 
+_BRACKETS = weakref.WeakKeyDictionary()  # context -> {(g1, g2): bracket1 value}
+
+
 def bracket1(ctx, g1, g2) -> tuple:
     """[u_{g1}, u_{g2}] expanded over generators (chain direction), as
-    (list of (gid, int), denom)."""
+    (list of (gid, int), denom): the public Poisson bracket of the two
+    generator monomials, in normal form in 'hamiltonian' mode, cached per
+    pair."""
     if g1 == g2:
         return [], 1
-    swap = g1 > g2
-    if swap:
-        g1, g2 = g2, g1
-    table, denom = ctx._pair_table(g1[0], g2[0])
-    out = table.get((g1, g2), [])
-    if swap:
-        out = [(g, -c) for g, c in out]
-    return out, denom
+    if g1 > g2:
+        out, denom = bracket1(ctx, g2, g1)
+        return [(g, -c) for g, c in out], denom
+    table = _BRACKETS.setdefault(ctx, {})
+    if (g1, g2) not in table:
+        deg = g1[0] + g2[0] + ctx.h - 2
+        br = ctx.pi.bracket(RatPoly.monomial(ctx.gens(g1[0])[g1[1]]),
+                            RatPoly.monomial(ctx.gens(g2[0])[g2[1]]))
+        if deg < ctx.start:  # constants quotiented away in 'bar' mode
+            br = RatPoly.zero(ctx.n)
+        elif ctx.mode == "hamiltonian":
+            br = normal_form(ctx.casimirs(deg), br)
+        index = {lab: pos for pos, lab in enumerate(ctx.gens(deg))} if br.terms else {}
+        ints, denom = clear_denominators(list(br.terms.values()))
+        table[(g1, g2)] = ([((deg, index[a]), c) for a, c in zip(br.terms, ints)], denom)
+    return table[(g1, g2)]
 
 
 def _insert_front(rest: tuple, gc):
@@ -49,7 +64,7 @@ def _insert_front(rest: tuple, gc):
 def oracle_boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
     """Exact matrix of the boundary operator from src (degree m) to tgt (m-1):
     sum over slot pairs of (-1)^{i+j} [u_i, u_j] wedged in front, accumulated
-    in integers over the lcm of the pair-table denominators met so far."""
+    in integers over the lcm of the bracket denominators met so far."""
     entries: dict = {}
     denom = 1
     for col, tup in enumerate(src.elements):

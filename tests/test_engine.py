@@ -1,5 +1,7 @@
 import copy
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +141,33 @@ def test_cache_rebuilds_cut_or_foreign_file(tmp_path):
         with open(path) as fh:
             assert ComplexReport.parse(fh.read()).rows == fresh.rows
     assert os.listdir(cache) == [name]
+
+
+_WRITER = """
+import sys
+from poisson_cohom import engine, fixtures
+for _ in range(int(sys.argv[2])):
+    engine.run(fixtures.sl2(), "poly-bar", [2], cache_dir=sys.argv[1],
+               matrix_sink=lambda m, d: None)
+"""
+
+
+def test_concurrent_cache_writers(tmp_path):
+    """Two processes write the same cache key again and again (a matrix
+    sink makes every run build and write); the file left behind is one
+    whole report equal to a fresh one, and no temporary file remains."""
+    cache = str(tmp_path / "cache")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(engine.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, cache, "25"], env=env)
+             for _ in range(2)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    (name,) = os.listdir(cache)
+    assert name == cache_key(fx.sl2(), "poly-bar", 2, "cochain") + ".report"
+    with open(os.path.join(cache, name)) as fh:
+        got = ComplexReport.parse(fh.read())
+    fresh = build_report(fx.sl2(), "poly-bar", 2)
+    assert (got.mode, got.weight, got.direction, got.rows) == \
+        (fresh.mode, fresh.weight, fresh.direction, fresh.rows)
 
 
 def test_code_version_keys_the_cache(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 from fractions import Fraction
 
@@ -314,6 +315,26 @@ def test_v_line_parsing():
     assert g == fx.poisson_like_h1()
     with pytest.raises(StructureFileError):
         parse_structure("n = 3\nh = 1\nv d1 ; d2 ; d3\n")
+
+
+@pytest.mark.parametrize("grouped, expanded", [
+    ("(x1 + x2)*d3 ; d1", "x1*d3 + x2*d3 ; d1"),
+    ("(x1 - x2)*d3 ; d1", "x1*d3 - x2*d3 ; 1 d1"),
+])
+def test_v_line_fields_use_the_polynomial_grammar(grouped, expanded):
+    """A field is a polynomial expression in x1..xn and d1..dn, so a
+    parenthesised coefficient equals its expansion."""
+    head = "n = 3\nh = 1\nv "
+    got = parse_structure(head + grouped + "\n", check=False)
+    assert got == parse_structure(head + expanded + "\n", check=False)
+    assert len(got.terms) == 2
+
+
+def test_v_line_structure_file_is_stable():
+    path = os.path.join(os.path.dirname(fx.__file__), "structures", "poisson_like_h1.poisson")
+    assert fx.load_structure(path).serialize() == (
+        "v 1 : 1*d1 ; x1*d3\nv 1 : 1*d1 ; x3*d3\n"
+        "v -1 : 1*d3 ; x1*d3\nv -1 : 1*d3 ; x3*d3\n")
 
 
 def test_graded_serialize_round_trip():
