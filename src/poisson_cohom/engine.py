@@ -13,7 +13,8 @@ from .complexes import (PolyContext, PoissonLikeContext, basis_dimension_check,
                         boundary_matrix, build_basis, cochain_matrix,
                         constant_two_cochain, wedge_cochain_matrix,
                         weight_degree_range)
-from .linalg import compose_is_zero, from_column_vectors, matmul, rank_kernel
+from .linalg import (compose_is_zero, from_column_vectors, in_span_coordinates,
+                     matmul, rank_kernel)
 from .multivector import poly_module_basis, poly_module_matrix
 from .poisson import GradedMultiVector, PoissonStructure, schouten
 
@@ -124,15 +125,13 @@ def _trim_rows(rows: list) -> list:
     return [r for r in rows if lo <= r.m <= hi]
 
 
-def _complex_rows(dims: dict, maps: dict, step: int, ambient: dict,
-                  matrix_sink=None) -> list:
+def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     """Report rows of a complex with space dimensions dims[m] and
     differentials maps[m] out of degree m into degree m + step (+1 for a
-    cochain complex, -1 for a chain complex).  ambient[m + step] is the
-    map that must annihilate maps[m] exactly; it is maps itself unless
-    the complex is a subcomplex whose maps land in the ambient spaces."""
+    cochain complex, -1 for a chain complex); maps[m + step] must
+    annihilate maps[m] exactly."""
     for m, d in maps.items():
-        nxt = ambient.get(m + step)
+        nxt = maps.get(m + step)
         if nxt is not None and not compose_is_zero(nxt, d):
             raise AssertionError("d o d != 0 at degree %d" % m)
     if matrix_sink is not None:
@@ -166,7 +165,7 @@ def _context_complex(ctx, w: int, direction: str) -> tuple:
         for m in range(1, hi + 1):
             if len(bases[m]):
                 maps[m] = boundary_matrix(ctx, bases[m], bases[m - 1])
-    return {m: len(bases[m]) for m in range(hi + 1)}, maps, step, maps
+    return {m: len(bases[m]) for m in range(hi + 1)}, maps, step
 
 
 def _poly_complex(kind: str):
@@ -179,31 +178,22 @@ def _poisson_like_complex(pi_like: GradedMultiVector, w: int, direction: str) ->
 
 
 def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
-    """The subcomplex K^m = ker(two-cochain ^ -) of the poly-bar complex:
-    its maps are the full differentials restricted to kernel bases, so
-    they land in the full spaces, and the full differentials are the
-    ambient maps of the d o d check."""
+    """The subcomplex K^m = ker(two-cochain ^ -) of the poly-bar complex in
+    the coordinates of the wedge maps' kernel bases: maps[m] is d K_m
+    written in the basis K_{m+1}, and reading those coordinates off
+    checks exactly that d keeps the subcomplex inside itself."""
     ctx = PolyContext(pi, "bar")
     two = constant_two_cochain(pi)
     hi = weight_degree_range(ctx, w)
     bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
-    shifted = {m: build_basis(ctx, m + 2, w - 2) for m in range(hi + 2)}
-    wedges = {m: wedge_cochain_matrix(two, bases[m], shifted[m])
-              for m in range(hi + 2) if len(bases[m])}
-    kernels = {m: rank_kernel(wedges[m], want_basis=True).kernel if m in wedges else []
-               for m in range(hi + 1)}
-    maps: dict = {}
-    full_d: dict = {}
-    for m in range(hi + 1):
-        if not kernels[m]:
-            continue
-        kmat = from_column_vectors(len(bases[m]), kernels[m])
-        full_d[m] = cochain_matrix(ctx, bases[m], bases[m + 1])
-        maps[m] = matmul(full_d[m], kmat)
-        # the differential must keep the subcomplex inside itself
-        if m + 1 in wedges and not compose_is_zero(wedges[m + 1], maps[m]):
-            raise AssertionError("annihilator subcomplex not preserved at m=%d" % m)
-    return {m: len(k) for m, k in kernels.items()}, maps, 1, full_d
+    kmats: dict = {}
+    for m, basis in bases.items():
+        wedge = wedge_cochain_matrix(two, basis, build_basis(ctx, m + 2, w - 2))
+        kmats[m] = from_column_vectors(len(basis), rank_kernel(wedge, want_basis=True).kernel)
+    maps = {m: in_span_coordinates(kmats[m + 1], matmul(
+                cochain_matrix(ctx, bases[m], bases[m + 1]), kmats[m]))
+            for m in range(hi + 1) if kmats[m].n_cols}
+    return {m: kmats[m].n_cols for m in range(hi + 1)}, maps, 1
 
 
 def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
@@ -214,7 +204,7 @@ def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     bases = {m: poly_module_basis(pi.n, pi.h, m, w) for m in range(0, pi.n + 2)}
     maps = {m: poly_module_matrix(pi_mv, bases[m], bases[m + 1])
             for m in range(0, pi.n + 1) if len(bases[m])}
-    return {m: len(bases[m]) for m in range(0, pi.n + 1)}, maps, 1, maps
+    return {m: len(bases[m]) for m in range(0, pi.n + 1)}, maps, 1
 
 
 # mode -> (complex builder, structure type it needs, has a chain direction)
@@ -246,10 +236,10 @@ def build_report(structure, mode: str, w: int, direction: str = "cochain",
                          % (direction, ", ".join(DIRECTIONS)))
     if direction == "chain" and not has_chain:
         raise ValueError("%s mode has no chain direction" % mode)
-    dims, maps, step, ambient = builder(structure, w, direction)
+    dims, maps, step = builder(structure, w, direction)
     rep = ComplexReport(mode=mode, weight=w, direction=direction,
                         structure=getattr(structure, "name", "") or "",
-                        rows=_complex_rows(dims, maps, step, ambient, matrix_sink))
+                        rows=_complex_rows(dims, maps, step, matrix_sink))
     rep.seconds = time.monotonic() - start
     return rep
 

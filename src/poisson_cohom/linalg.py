@@ -15,6 +15,7 @@ tie-breaking, which keeps results identical across runs.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -72,16 +73,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector (dict col -> number), exactly."""
-        out: dict = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
-            if x:
-                out[r] = out.get(r, 0) + v * x
-        d = self.denom
-        return {r: (s if d == 1 else Fraction(s) / d) for r, s in out.items() if s}
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, SparseMatrix) and self.n_rows == other.n_rows
@@ -243,3 +234,30 @@ def from_column_vectors(n_rows: int, vectors: list) -> SparseMatrix:
         for r, v in vec.items():
             entries[(r, j)] = v
     return SparseMatrix(n_rows, len(vectors), entries)
+
+
+def in_span_coordinates(k: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
+    """The exact Y with k @ Y == v, read off in one pass over v at each
+    column's private row of smallest entry (a row where no other column
+    of k is nonzero; a rank_kernel basis vector has one at its surviving
+    row), then checked exactly.  AssertionError when a column of k has no
+    private row or a column of v lies outside the span of k."""
+    per_row = Counter(r for r, _ in k.entries)
+    private: dict = {}  # column -> (|entry|, row, entry), its smallest private entry
+    for (r, c), p in k.entries.items():
+        if per_row[r] == 1:
+            private[c] = min(private.get(c, (abs(p), r, p)), (abs(p), r, p))
+    if len(private) != k.n_cols:
+        raise AssertionError("%d of %d spanning columns have no private row"
+                             % (k.n_cols - len(private), k.n_cols))
+    pivots = {r: (c, p) for c, (_, r, p) in private.items()}
+    scale = lcm(1, *(p for _, p in pivots.values()))
+    entries: dict = {}
+    for (r, c), x in v.entries.items():
+        hit = pivots.get(r)
+        if hit is not None:
+            entries[(hit[0], c)] = x * k.denom * (scale // hit[1])
+    y = SparseMatrix.from_ints(k.n_cols, v.n_cols, entries, v.denom * scale)
+    if matmul(k, y) != v:
+        raise AssertionError("a column lies outside the span")
+    return y

@@ -427,8 +427,8 @@ def parse_structure(text: str, check: bool = True):
     'p i j = <polynomial>' (1-based, i < j) or R-wedge 2-vector lines
     'v [<coeff> :] <vfield> ; <vfield>' for Poisson-like structures, each
     vfield read by parse_vector_field.  A line's first
-    word must be exactly one of the keywords n, h, p, v.  Returns a
-    PoissonStructure or a GradedMultiVector.
+    word must be exactly one of the keywords n, h, p, v, and n and h are
+    given once each.  Returns a PoissonStructure or a GradedMultiVector.
     """
     n = h = None
     p_entries: dict = {}
@@ -442,10 +442,12 @@ def parse_structure(text: str, check: bool = True):
         if key in ("n", "h"):
             if not body.startswith("="):
                 raise StructureFileError("bad %s line: %r" % (key, raw))
-            if key == "n":
+            if key == "n" and n is None:
                 n = int(body[1:])
-            else:
+            elif key == "h" and h is None:
                 h = int(body[1:])
+            else:
+                raise StructureFileError("repeated %s line: %r" % (key, raw))
             continue
         if key == "p":
             if n is None:

@@ -102,13 +102,27 @@ def test_dump_matrices(tmp_path, capsys):
 ])
 def test_dump_matrices_every_ranked_map(tmp_path, capsys, monkeypatch, args,
                                         prefix, degrees):
-    """Chain boundaries and the annihilator's restricted maps are dumped
+    """Chain boundaries and the annihilator's subcomplex maps are dumped
     like cochain differentials, one file per source degree."""
     monkeypatch.delenv(CACHE_ENV, raising=False)
     assert main(["betti", *args, "--dump-matrices", str(tmp_path)]) == 0
     assert sorted(os.listdir(tmp_path)) == ["%s_d%d.mtx" % (prefix, m) for m in degrees]
     if "chain" in args:  # the boundary from degree 2 (18) to degree 1 (6)
         assert open(tmp_path / "poly-bar_w1_d2.mtx").readline() == "6 18\n"
+
+
+def test_annihilator_dumps_map_between_kernel_bases(tmp_path, capsys, monkeypatch):
+    """Each pi-annihilator dump is the differential K_m -> K_{m+1} in the
+    kernel bases: its header is dim K_{m+1} dim K_m, the golden dims."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(["betti", "builtin:symplectic_r2", "--mode", "pi-annihilator",
+                 "--weights", "2", "--dump-matrices", str(tmp_path)]) == 0
+    golden = os.path.join(os.path.dirname(fx.__file__), "goldens", "sympl_ann_w2.golden")
+    dims = {row[0]: row[1] for row in parse_golden(open(golden).read())["rows"]}
+    for m, dim in dims.items():
+        head = open(tmp_path / ("pi-annihilator_w2_d%d.mtx" % m)).readline()
+        assert head == "%d %d\n" % (dims.get(m + 1, 0), dim), m
+    assert open(tmp_path / "pi-annihilator_w2_d3.mtx").readline() == "219 83\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -288,3 +302,16 @@ def test_v_line_field_without_one_d_factor_exits_2(tmp_path, capsys, field):
     path.write_text("n = 3\nh = 1\nv %s ; d1\n" % field)
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["n = 3\nh = 1\nh = 1\n",
+                                  "n = 3\nh = 1\np 1 2 = x3\nn = 4\n",
+                                  "n = 3\nn = 3\nh = 1\n"])
+def test_structure_file_repeated_size_line_exits_2(tmp_path, capsys, text):
+    """A second n or h line is refused, as a repeated p i j line is,
+    instead of the last one silently winning."""
+    path = tmp_path / "bad.poisson"
+    path.write_text(text)
+    for argv in (["check", str(path)], ["betti", str(path), "--weights", "1"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: repeated ")

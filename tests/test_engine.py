@@ -1,5 +1,6 @@
 import copy
 import os
+import random
 import subprocess
 import sys
 
@@ -7,9 +8,11 @@ import pytest
 
 from poisson_cohom import engine
 from poisson_cohom import fixtures as fx
+from poisson_cohom.algebra import RatPoly, mi_unit
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
 from poisson_cohom.linalg import SparseMatrix
+from poisson_cohom.poisson import PoissonStructure
 
 
 def test_run_sl2_weight_range():
@@ -226,13 +229,76 @@ def test_matrix_sink_bypasses_warm_cache(tmp_path):
 def test_complex_rows_directions_and_ambient_check():
     one = SparseMatrix(1, 1, {(0, 0): 1})
     # cochain 0 -> 1: betti = ker - rank of the incoming map from m - 1
-    assert _complex_rows({0: 1, 1: 1}, {0: one}, 1, {0: one}) == [
+    assert _complex_rows({0: 1, 1: 1}, {0: one}, 1) == [
         ReportRow(0, 1, 0, 1, 0), ReportRow(1, 1, 1, 0, 0)]
     # chain 1 -> 0: the incoming map comes from m + 1
-    assert _complex_rows({0: 1, 1: 1}, {1: one}, -1, {1: one}) == [
+    assert _complex_rows({0: 1, 1: 1}, {1: one}, -1) == [
         ReportRow(0, 1, 1, 0, 0), ReportRow(1, 1, 0, 1, 0)]
     with pytest.raises(AssertionError):
-        _complex_rows({0: 1, 1: 1, 2: 1}, {0: one, 1: one}, 1, {0: one, 1: one})
-    # a map into an ambient space is checked against the ambient differential
-    with pytest.raises(AssertionError):
-        _complex_rows({0: 1}, {0: one}, 1, {1: one})
+        _complex_rows({0: 1, 1: 1, 2: 1}, {0: one, 1: one}, 1)
+
+
+def _unimodular(n: int, seed: int) -> tuple:
+    """An integer matrix of determinant -1 and its inverse: x_1 -> -x_1
+    followed by random shears row_i += c row_j."""
+    rng = random.Random(seed)
+    a = [[(-1 if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return a, inv
+
+
+def _in_coordinates(pi: PoissonStructure, a: list, inv: list) -> PoissonStructure:
+    """pi in the coordinates y = a x: {y_i, y_j} = sum_kl a_ik a_jl p_kl(x)
+    with x = inv y substituted."""
+    n = pi.n
+    forms = [RatPoly(n, {mi_unit(n, l): inv[k][l] for l in range(n)}) for k in range(n)]
+
+    def substitute(p):
+        out = RatPoly.zero(n)
+        for mono, c in p.terms.items():
+            term = RatPoly.const(n, c)
+            for k, e in enumerate(mono):
+                for _ in range(e):
+                    term = term * forms[k]
+            out = out + term
+        return out
+
+    p = {(k, l): substitute(pi.entry(k, l)) for k in range(n) for l in range(n)}
+    entries = {(i, j): sum((p[k, l].scale(a[i][k] * a[j][l])
+                            for k in range(n) for l in range(n)), RatPoly.zero(n))
+               for i in range(n) for j in range(i + 1, n)}
+    return PoissonStructure(n, pi.h, entries)
+
+
+@pytest.mark.parametrize("name, mode, weights, seed", [
+    ("symplectic_r2", "pi-annihilator", range(0, 3), 3),
+    # p_12 = 3, p_23 = -2: some kernel vectors have only non-unit private
+    # entries, so the annihilator maps are read off with a denominator
+    ("constant_r3", "pi-annihilator", range(-2, 0), 7),
+    ("sl2", "poly-bar", range(0, 3), 1),
+    ("sl2", "hamiltonian", range(0, 3), 2),
+    ("heisenberg", "poly-bar", range(0, 3), 1),
+    ("heisenberg", "hamiltonian", range(0, 3), 2),
+])
+def test_rows_invariant_under_unimodular_change(name, mode, weights, seed):
+    """A linear change of coordinates in GL(n, Z) is an isomorphism of
+    every complex, weight by weight, so every report row is unchanged."""
+    pi = fx.load_structure("builtin:" + name)
+    a, inv = _unimodular(pi.n, seed)
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)] for row in a] == \
+        [[int(i == j) for j in range(pi.n)] for i in range(pi.n)]
+    changed = _in_coordinates(pi, a, inv)
+    assert changed.p != pi.p
+    denoms = []
+    for w in weights:
+        rep = build_report(changed, mode, w, matrix_sink=lambda m, d: denoms.append(d.denom))
+        assert rep.rows == build_report(pi, mode, w).rows, w
+        assert not rep.is_empty()
+    if name == "constant_r3":
+        assert max(denoms) > 1

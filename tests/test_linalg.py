@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson_cohom.linalg import (SparseMatrix, compose_is_zero,
-                                  from_column_vectors, matmul, rank_kernel)
+                                  from_column_vectors, in_span_coordinates,
+                                  matmul, rank_kernel)
 
 
 def dense_rank(entries, n_rows, n_cols):
@@ -51,7 +52,8 @@ def test_rank_against_dense_oracle_200_random():
         assert res.kernel_dim == m.n_cols - expect
         assert len(res.kernel) == res.kernel_dim
         for vec in res.kernel:
-            assert not m.apply(vec), "kernel vector not annihilated"
+            assert compose_is_zero(m, from_column_vectors(m.n_cols, [vec])), \
+                "kernel vector not annihilated"
 
 
 def test_rank_transpose_invariant():
@@ -98,7 +100,7 @@ def test_rational_entries():
                             (1, 1): Fraction(2, 7)})
     res = rank_kernel(m, want_basis=True)
     assert res.rank == 2 and res.kernel_dim == 1
-    assert not m.apply(res.kernel[0])
+    assert compose_is_zero(m, from_column_vectors(m.n_cols, [res.kernel[0]]))
 
 
 # ----------------------------------------------------------------------
@@ -194,3 +196,25 @@ def test_property_equality_compares_values(cells, scale):
         if bumped[key] == 0:
             del bumped[key]
         assert SparseMatrix.from_ints(n_rows, n_cols, bumped, scaled.denom) != m
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(matrix_cells(), st.data())
+def test_property_in_span_coordinates(cells, data):
+    """A kernel basis K of rank_kernel has a private row per vector, so
+    the coordinates Y of K @ Y come back exactly, whatever the
+    denominators; a column outside the span is refused."""
+    n_rows, n_cols, entries = cells
+    m = SparseMatrix(n_rows, n_cols, entries)
+    k = from_column_vectors(n_cols, rank_kernel(m, want_basis=True).kernel)
+    p = data.draw(st.integers(1, 5))
+    y = SparseMatrix(k.n_cols, p, data.draw(rational_cells(k.n_cols, p)) if k.n_cols else {})
+    got = in_span_coordinates(k, matmul(k, y))
+    assert (got.n_rows, got.n_cols) == (k.n_cols, p)
+    assert got == y
+    # a nonzero row of m is orthogonal to the kernel, so outside its span
+    if m.entries:
+        r0 = min(m.entries)[0]
+        row = {c: v for (r, c), v in m.entries.items() if r == r0}
+        with pytest.raises(AssertionError):
+            in_span_coordinates(k, from_column_vectors(n_cols, [row]))
