@@ -237,7 +237,10 @@ def _tokenize(text: str) -> Iterator[tuple]:
                     k += 1
                 if k == j + 1:
                     raise PolyParseError("bad rational literal near %r" % text[i:j + 1])
-                yield ("num", Fraction(num, int(text[j + 1:k])))
+                den = int(text[j + 1:k])
+                if not den:
+                    raise PolyParseError("zero denominator in %r" % text[i:k])
+                yield ("num", Fraction(num, den))
                 i = k
             else:
                 yield ("num", Fraction(num))

@@ -122,8 +122,6 @@ def cmd_betti(args) -> int:
     for w in weights:
         sink = None
         if sink_dir:
-            os.makedirs(sink_dir, exist_ok=True)
-
             def sink(m, mat, w=w):
                 path = os.path.join(sink_dir, "%s_w%d_d%d.mtx" % (args.mode, w, m))
                 with open(path, "w", encoding="utf-8") as fh:
@@ -133,9 +131,11 @@ def cmd_betti(args) -> int:
                         fh.write("%d %d %d/%d\n" % (r, c, v.numerator, v.denominator))
 
         try:
+            if sink_dir:
+                os.makedirs(sink_dir, exist_ok=True)
             rep = run(obj, args.mode, [w], direction=args.direction,
                       cache_dir=_cache_dir(args), matrix_sink=sink)[0]
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(str(exc))
         bad = cross_check(rep)
         if bad:
@@ -283,7 +283,7 @@ def cmd_goldens(args) -> int:
     try:
         _, failed, _ = run_goldens(args.corpus, slow=args.slow,
                                    cache_dir=_cache_dir(args))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc))
     return 1 if failed else 0
 

@@ -146,14 +146,18 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     return _trim_rows(rows)
 
 
+def _checked_basis(ctx, m: int, w: int):
+    """build_basis, its size checked against the signature count."""
+    basis = build_basis(ctx, m, w)
+    basis_dimension_check(ctx, m, w, basis)
+    return basis
+
+
 def _context_complex(ctx, w: int, direction: str) -> tuple:
     """A PolyContext or PoissonLikeContext complex: coboundaries m -> m+1,
     or boundaries m -> m-1 in the chain direction."""
     hi = weight_degree_range(ctx, w)
-    bases: dict = {}
-    for m in range(hi + 2):
-        bases[m] = build_basis(ctx, m, w)
-        basis_dimension_check(ctx, m, w, bases[m])
+    bases = {m: _checked_basis(ctx, m, w) for m in range(hi + 2)}
     maps: dict = {}
     if direction == "cochain":
         step = 1
@@ -185,10 +189,10 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     ctx = PolyContext(pi, "bar")
     two = constant_two_cochain(pi)
     hi = weight_degree_range(ctx, w)
-    bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
+    bases = {m: _checked_basis(ctx, m, w) for m in range(hi + 2)}
     kmats: dict = {}
     for m, basis in bases.items():
-        wedge = wedge_cochain_matrix(two, basis, build_basis(ctx, m + 2, w - 2))
+        wedge = wedge_cochain_matrix(two, basis, _checked_basis(ctx, m + 2, w - 2))
         kmats[m] = from_column_vectors(len(basis), rank_kernel(wedge, want_basis=True).kernel)
     maps = {m: in_span_coordinates(kmats[m + 1], matmul(
                 cochain_matrix(ctx, bases[m], bases[m + 1]), kmats[m]))
@@ -256,13 +260,14 @@ def cache_key(structure, mode: str, w: int, direction: str) -> str:
 
 def _read_cached(path: str, mode: str, w: int, direction: str):
     """The report cached at path, or None when the file is cut short,
-    corrupt or holds a report of another mode, weight or direction."""
+    corrupt, fails cross_check or holds a report of another mode, weight
+    or direction."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rep = ComplexReport.parse(fh.read())
     except ValueError:
         return None
-    if (rep.mode, rep.weight, rep.direction) != (mode, w, direction):
+    if (rep.mode, rep.weight, rep.direction) != (mode, w, direction) or cross_check(rep):
         return None
     return rep
 
@@ -273,7 +278,8 @@ def run(structure, mode: str, weights, direction: str = "cochain",
     Weights outside the admissible range produce empty reports.  With a
     matrix_sink every report is built (so every matrix reaches the sink)
     and the cache is written but not read.  A cache file that does not
-    parse as the requested report is rebuilt and overwritten."""
+    parse as the requested report, or whose rows fail cross_check, is
+    rebuilt and overwritten."""
     reports = []
     for w in weights:
         rep = None

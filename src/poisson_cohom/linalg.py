@@ -93,40 +93,34 @@ class RankResult:
     kernel: list | None = None  # list of dict col -> int, primitive
 
 
-def _gcd_reduce(row: dict) -> None:
-    g = gcd(*row.values())
+def _gcd_reduce(row: dict, tail: dict | None = None) -> None:
+    """Divide row, and tail when given, by the one gcd of all their values."""
+    g = gcd(*row.values()) if tail is None else gcd(*row.values(), *tail.values())
     if g > 1:
-        for k in row:
-            row[k] //= g
+        for p in (row,) if tail is None else (row, tail):
+            for k in p:
+                p[k] //= g
 
 
 def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     """Exact rank over Q and kernel dimension, optionally a kernel basis.
 
-    Works on the transpose: each integer column becomes an elimination row,
-    gcd-reduced.  With want_basis row j carries an identity-tail entry
-    m.denom at n_rows + j, so row operations keep the invariant "left part
-    = (tail) . transpose(m)" and the surviving tails span the kernel.
-    Kernel vectors come out as primitive integer dicts.
+    Works on the transpose: rows[j] starts as the integer column j, and
+    each rank step picks a pivot row, applies row <- pval * row - v * prow
+    to every other row nonzero in the pivot column and retires the pivot
+    row.  With want_basis a tail tails[j], starting as {j: m.denom}, takes
+    the same operations and gcd reductions, so rows[j] = sum_k tails[j][k]
+    * (column k of m) throughout; the rows left active have reduced to
+    zero, so their tails span the kernel.  Kernel vectors come out as
+    primitive integer dicts, sorted.
     """
-    ncols = m.n_cols
-    left_width = m.n_rows
     rows = m.columns()
+    tails = [{j: m.denom} for j in range(m.n_cols)] if want_basis else None
+    col_rows: dict = {}  # column -> the rows nonzero in it
     for j, row in enumerate(rows):
-        if want_basis:
-            row[left_width + j] = m.denom
-        _gcd_reduce(row)
-
-    # column index over left columns only
-    col_rows: dict = {}
-    left_count = []
-    for ridx, row in enumerate(rows):
-        cnt = 0
+        _gcd_reduce(row, tails[j] if want_basis else None)
         for c in row:
-            if c < left_width:
-                col_rows.setdefault(c, set()).add(ridx)
-                cnt += 1
-        left_count.append(cnt)
+            col_rows.setdefault(c, set()).add(j)
 
     heap = [(len(rs), c) for c, rs in col_rows.items()]
     heapq.heapify(heap)
@@ -141,8 +135,8 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
         if cnt != len(rs):
             heapq.heappush(heap, (len(rs), c))
             continue
-        # pivot row in this column: fewest left entries, smallest value, lowest id
-        pr = min(rs, key=lambda r: (left_count[r], abs(rows[r][c]), r))
+        # pivot row in this column: fewest entries, smallest value, lowest id
+        pr = min(rs, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
         prow = rows[pr]
         pval = prow[c]
         for r in sorted(rs):
@@ -154,28 +148,33 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
             # row <- pval * row - v * prow, tracking the column index
             if pval != 1:
                 row = rows[r] = {k: x * pval for k, x in row.items()}
-            cnt = left_count[r] - 1
             for k, y in prow.items():
                 if k == c:
                     continue
                 a = row.get(k, 0) - v * y
                 if a:
-                    if k < left_width and k not in row:
-                        cnt += 1
+                    if k not in row:
                         rs2 = col_rows.setdefault(k, set())
                         rs2.add(r)
                         heapq.heappush(heap, (len(rs2), k))
                     row[k] = a
                 elif k in row:
                     del row[k]
-                    if k < left_width:
-                        cnt -= 1
-                        col_rows[k].discard(r)
-            left_count[r] = cnt
-            _gcd_reduce(row)
+                    col_rows[k].discard(r)
+            if tails is None:
+                _gcd_reduce(row)
+                continue
+            tail = tails[r] = {k: x * pval for k, x in tails[r].items()}
+            for k, y in tails[pr].items():
+                a = tail.get(k, 0) - v * y
+                if a:
+                    tail[k] = a
+                else:
+                    tail.pop(k, None)
+            _gcd_reduce(row, tail)
         # retire the pivot row
-        for k in list(prow):
-            if k < left_width and k != c:
+        for k in prow:
+            if k != c:
                 col_rows[k].discard(pr)
         col_rows.pop(c, None)
         active[pr] = False
@@ -183,22 +182,15 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
 
     kernel = None
     if want_basis:
-        kernel = []
-        for ridx, row in enumerate(rows):
-            if not active[ridx]:
-                continue
-            vec = {c - left_width: v for c, v in row.items() if c >= left_width}
-            if vec:
-                kernel.append(vec)
-        kernel.sort(key=lambda v: sorted(v.items()))
-        if len(kernel) != ncols - rank:
-            raise AssertionError("kernel has %d vectors, expected n_cols - rank = %d"
-                                 % (len(kernel), ncols - rank))
-    return RankResult(rank=rank, kernel_dim=ncols - rank, kernel=kernel)
+        # an active tail holds its own index j: only retired rows entered it
+        kernel = sorted((tails[j] for j in range(m.n_cols) if active[j]),
+                        key=lambda v: sorted(v.items()))
+    return RankResult(rank=rank, kernel_dim=m.n_cols - rank, kernel=kernel)
 
 
-def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
-    """True iff a @ b is exactly the zero matrix (checked on the integers)."""
+def _product_columns(a: SparseMatrix, b: SparseMatrix):
+    """The integer columns of a @ b one at a time, as dicts row -> int
+    that may hold zeros."""
     if a.n_cols != b.n_rows:
         raise ValueError("inner dimensions do not match")
     a_cols = a.columns()
@@ -207,24 +199,20 @@ def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
         for k, v in col.items():
             for r, w in a_cols[k].items():
                 acc[r] = acc.get(r, 0) + w * v
-        if any(acc.values()):
-            return False
-    return True
+        yield acc
+
+
+def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
+    """True iff a @ b is exactly the zero matrix (checked on the integers,
+    one column at a time, stopping at the first nonzero one)."""
+    return not any(any(col.values()) for col in _product_columns(a, b))
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Exact product; its denominator is a.denom * b.denom."""
-    if a.n_cols != b.n_rows:
-        raise ValueError("inner dimensions do not match")
-    a_cols = a.columns()
-    entries: dict = {}
-    for (r, c), v in b.entries.items():
-        for rr, w in a_cols[r].items():
-            key = (rr, c)
-            entries[key] = entries.get(key, 0) + w * v
-    return SparseMatrix.from_ints(a.n_rows, b.n_cols,
-                                  {k: v for k, v in entries.items() if v},
-                                  a.denom * b.denom)
+    entries = {(r, c): x for c, col in enumerate(_product_columns(a, b))
+               for r, x in col.items() if x}
+    return SparseMatrix.from_ints(a.n_rows, b.n_cols, entries, a.denom * b.denom)
 
 
 def from_column_vectors(n_rows: int, vectors: list) -> SparseMatrix:

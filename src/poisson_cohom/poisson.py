@@ -425,8 +425,9 @@ def parse_structure(text: str, check: bool = True):
 
     Lines: 'n = <int>', 'h = <int>', then either Poisson entries
     'p i j = <polynomial>' (1-based, i < j) or R-wedge 2-vector lines
-    'v [<coeff> :] <vfield> ; <vfield>' for Poisson-like structures, each
-    vfield read by parse_vector_field.  A line's first
+    'v [<coeff> :] <vfield> ; <vfield>' for Poisson-like structures, the
+    coeff a constant in parse_poly's grammar (such as 3, -1/2 or 2*(1/4))
+    and each vfield read by parse_vector_field.  A line's first
     word must be exactly one of the keywords n, h, p, v, and n and h are
     given once each.  Returns a PoissonStructure or a GradedMultiVector.
     """
@@ -468,7 +469,11 @@ def parse_structure(text: str, check: bool = True):
                 raise StructureFileError("n must come before entries")
             if ":" in body:
                 coeff_text, body = body.split(":", 1)
-                coeff = Fraction(coeff_text.strip())
+                cpoly = parse_poly(coeff_text, n)
+                if cpoly.degree() > 0:
+                    raise StructureFileError("v coefficient must be a constant, got %r"
+                                             % coeff_text.strip())
+                coeff = cpoly.coeff(tuple([0] * n))
             else:
                 coeff = Fraction(1)
             slots = body.split(";")

@@ -315,3 +315,48 @@ def test_structure_file_repeated_size_line_exits_2(tmp_path, capsys, text):
     for argv in (["check", str(path)], ["betti", str(path), "--weights", "1"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: repeated ")
+
+
+@pytest.mark.parametrize("line", ["p 1 2 = 1/0*x3", "p 1 2 = x3^2/0",
+                                  "v 1/0 : d1 ; d2", "v 1.5 : d1 ; d2",
+                                  "v 1e3 : d1 ; d2", "v x1 : d1 ; d2",
+                                  "v : d1 ; d2"])
+def test_structure_file_bad_number_exits_2(tmp_path, capsys, line):
+    """Every number of a structure file, the v coefficient included, is
+    read by the one polynomial grammar: a zero denominator, a decimal or
+    exponent literal, or a v coefficient that is no constant is refused
+    with a message."""
+    path = tmp_path / "bad.poisson"
+    path.write_text("n = 3\nh = 1\n%s\n" % line)
+    for argv in (["check", str(path)], ["betti", str(path), "--weights", "1"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("how", ["cache-dir", "env", "dump-matrices", "goldens-cache-dir",
+                                 "goldens-missing", "goldens-file"])
+def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, how):
+    """A directory the program cannot create (here: one below a regular
+    file), and a golden corpus that is no directory, are bad input, not
+    a crash."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    bad = str(blocker / "sub")
+    betti = ["betti", "builtin:sl2", "--weights", "2"]
+    argv = {"cache-dir": betti + ["--cache-dir", bad],
+            "env": betti,
+            "dump-matrices": betti + ["--dump-matrices", bad],
+            "goldens-cache-dir": ["goldens", str(tmp_path), "--cache-dir", bad],
+            "goldens-missing": ["goldens", str(tmp_path / "missing")],
+            "goldens-file": ["goldens", str(blocker)]}[how]
+    if how == "env":
+        monkeypatch.setenv(CACHE_ENV, bad)
+    else:
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+    if how == "goldens-cache-dir":
+        (tmp_path / "sl2_bar_w2.golden").write_text(
+            "structure = builtin:sl2\nmode = poly-bar\nweight = 2\n"
+            "rows = m dim ker rank betti\n1 10 0 10 0\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

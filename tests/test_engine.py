@@ -9,6 +9,7 @@ import pytest
 from poisson_cohom import engine
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, mi_unit
+from poisson_cohom.complexes import PolyContext, weight_degree_range
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
 from poisson_cohom.linalg import SparseMatrix
@@ -90,6 +91,24 @@ def test_annihilator_runs_on_degenerate_structure():
     assert not rep.is_empty()
 
 
+def test_annihilator_checks_every_basis(monkeypatch):
+    """pi-annihilator checks its weight-w bases and its weight-(w - 2)
+    wedge targets against the signature count, as the other context
+    modes check theirs."""
+    seen = []
+    real = engine.basis_dimension_check
+
+    def spy(ctx, m, w, basis):
+        seen.append((m, w))
+        real(ctx, m, w, basis)
+
+    monkeypatch.setattr(engine, "basis_dimension_check", spy)
+    build_report(fx.symplectic_r2(), "pi-annihilator", 2)
+    hi = weight_degree_range(PolyContext(fx.symplectic_r2(), "bar"), 2)
+    assert sorted(seen) == sorted([(m, 2) for m in range(hi + 2)]
+                                  + [(m + 2, 0) for m in range(hi + 2)])
+
+
 def test_run_widened_weight_range():
     reports = run(fx.sl2(), "poly-bar", range(-3, 2))
     assert [r.weight for r in reports] == [-3, -2, -1, 0, 1]
@@ -123,8 +142,10 @@ def test_parse_rejects_partial_reports():
 
 def test_cache_rebuilds_cut_or_foreign_file(tmp_path):
     """A cache file cut at any line boundary, in the middle of a row, to
-    empty, or holding a report of another weight is a miss: run returns
-    the fresh rows and leaves a whole report in the file."""
+    empty, holding a report of another weight, or whole but failing
+    cross_check (ker and rank swapped in one row, which keeps the dims
+    and the euler line) is a miss: run returns the fresh rows and leaves
+    a whole report in the file."""
     cache = str(tmp_path / "cache")
     fresh = run(fx.sl2(), "poly-bar", [2], cache_dir=cache)[0]
     (name,) = os.listdir(cache)
@@ -136,6 +157,12 @@ def test_cache_rebuilds_cut_or_foreign_file(tmp_path):
     cuts = ["".join(lines[:k]) for k in range(len(lines) + 1)]
     cuts.append("".join(lines[:-3]) + row[:len(row) // 2])
     cuts.append(build_report(fx.sl2(), "poly-bar", 1).serialize())
+    m, dim, ker, rank, betti = row.split()
+    assert ker != rank
+    swapped = "".join(lines[:-3] + [" ".join([m, dim, rank, ker, betti]) + "\n"]
+                      + lines[-2:])
+    assert cross_check(ComplexReport.parse(swapped))
+    cuts.append(swapped)
     for text in cuts:
         with open(path, "w") as fh:
             fh.write(text)

@@ -345,6 +345,19 @@ def test_graded_serialize_round_trip():
         assert g.serialize() == make().serialize()  # stable for caching
 
 
+def test_graded_serialize_rational_coefficient_round_trip():
+    """A v coefficient is read by the polynomial grammar, so serialize's
+    rational coefficients such as -1/2 parse back equal, and any constant
+    expression of that grammar means the same number."""
+    g = fx.poisson_like_h1().scale(Fraction(-1, 2))
+    text = "n = 3\nh = 1\n" + g.serialize()
+    assert "v -1/2 : " in text
+    assert parse_structure(text) == g
+    head = "n = 3\nh = 1\nv %s : d1 ; x1*d3\n"
+    assert (parse_structure(head % "2*(1/4)", check=False)
+            == parse_structure(head % "1/2", check=False))
+
+
 # ----------------------------------------------------------------------
 # Lie-Poisson structures from matrix bases
 # ----------------------------------------------------------------------
