@@ -214,6 +214,11 @@ class PolyParseError(ValueError):
     pass
 
 
+# p^e is expanded by e multiplications; no homogeneous structure of this
+# program comes near this degree, and a larger e could run for hours
+MAX_EXPONENT = 32
+
+
 def _tokenize(text: str) -> Iterator[tuple]:
     i, m = 0, len(text)
     while i < m:
@@ -314,6 +319,9 @@ class _Parser:
             kind, val = self.take()
             if kind != "num" or val.denominator != 1 or val < 0:
                 raise PolyParseError("exponent must be a non-negative integer")
+            if val > MAX_EXPONENT:
+                raise PolyParseError("exponent %d exceeds the cap of %d"
+                                     % (val, MAX_EXPONENT))
             out = RatPoly.const(self.n, 1)
             for _ in range(int(val)):
                 out = out * p

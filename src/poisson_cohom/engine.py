@@ -13,8 +13,8 @@ from .complexes import (PolyContext, PoissonLikeContext, basis_dimension_check,
                         boundary_matrix, build_basis, cochain_matrix,
                         constant_two_cochain, wedge_cochain_matrix,
                         weight_degree_range)
-from .linalg import (compose_is_zero, from_column_vectors, in_span_coordinates,
-                     matmul, rank_kernel)
+from .linalg import (SparseMatrix, compose_is_zero, from_column_vectors,
+                     in_span_coordinates, matmul, rank_kernel)
 from .multivector import poly_module_basis, poly_module_matrix
 from .poisson import GradedMultiVector, PoissonStructure, schouten
 
@@ -129,7 +129,16 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     """Report rows of a complex with space dimensions dims[m] and
     differentials maps[m] out of degree m into degree m + step (+1 for a
     cochain complex, -1 for a chain complex); maps[m + step] must
-    annihilate maps[m] exactly."""
+    annihilate maps[m] exactly.
+
+    The maps are ranked in complex order, ascending m for a cochain
+    complex and descending m for a chain complex.  The pivots R of
+    maps[m - step] are coordinates of degree m, and the unit vectors
+    outside R span a complement of that map's image.  maps[m] vanishes
+    on the image, so its columns outside R carry its whole rank, and it
+    is ranked with the columns in R cleared (the twist of Chen & Kerber).
+    The vanishing is d o d = 0, so every map passes the exact check
+    before any map is ranked.  The matrix_sink receives the full maps."""
     for m, d in maps.items():
         nxt = maps.get(m + step)
         if nxt is not None and not compose_is_zero(nxt, d):
@@ -137,7 +146,15 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     if matrix_sink is not None:
         for m, d in maps.items():
             matrix_sink(m, d)
-    ranks = {m: rank_kernel(d).rank for m, d in maps.items()}
+    ranks: dict = {}
+    pivots: dict = {}
+    for m in sorted(maps, reverse=step < 0):
+        d, cleared = maps[m], pivots.get(m - step, ())
+        if cleared:
+            d = SparseMatrix.from_ints(d.n_rows, d.n_cols, {
+                k: v for k, v in d.entries.items() if k[1] not in cleared}, d.denom)
+        res = rank_kernel(d)
+        ranks[m], pivots[m] = res.rank, set(res.pivots)
     rows = []
     for m, dim in sorted(dims.items()):
         rank = ranks.get(m, 0)

@@ -9,14 +9,19 @@ rank, no kernel and no zero test.
 Rank/kernel run fraction-free: rows are kept gcd-reduced through
 elimination, so no integer blow-up occurs on the larger cochain matrices.
 Pivots are chosen by a Markowitz-style fill estimate with deterministic
-tie-breaking, which keeps results identical across runs.
+tie-breaking, which keeps results identical across runs.  Each rank step
+also records its pivot: a row index of the matrix, that is a coordinate
+of the target space.  The rows retired at those pivots span the image
+and are triangular on them, so the coordinates outside the pivots span a
+complement of the image; the report pipeline uses this to rank the next
+differential of a complex on fewer columns (clearing).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -91,6 +96,8 @@ class RankResult:
     rank: int
     kernel_dim: int
     kernel: list | None = None  # list of dict col -> int, primitive
+    # the pivot row index of m at each rank step, in step order
+    pivots: list = field(default_factory=list, repr=False, compare=False)
 
 
 def _gcd_reduce(row: dict, tail: dict | None = None) -> None:
@@ -113,6 +120,12 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     * (column k of m) throughout; the rows left active have reduced to
     zero, so their tails span the kernel.  Kernel vectors come out as
     primitive integer dicts, sorted.
+
+    pivots lists the pivot column c of each rank step, a row index of m.
+    A row retired later is zero at every earlier pivot, so the retired
+    rows span the column space of m and are triangular on the pivots:
+    the rows of m at the pivots alone have rank `rank`, and the unit
+    vectors outside the pivots span a complement of the column space.
     """
     rows = m.columns()
     tails = [{j: m.denom} for j in range(m.n_cols)] if want_basis else None
@@ -125,7 +138,7 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     heap = [(len(rs), c) for c, rs in col_rows.items()]
     heapq.heapify(heap)
     active = [True] * len(rows)
-    rank = 0
+    pivots = []
 
     while heap:
         cnt, c = heapq.heappop(heap)
@@ -178,14 +191,15 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
                 col_rows[k].discard(pr)
         col_rows.pop(c, None)
         active[pr] = False
-        rank += 1
+        pivots.append(c)
 
     kernel = None
     if want_basis:
         # an active tail holds its own index j: only retired rows entered it
         kernel = sorted((tails[j] for j in range(m.n_cols) if active[j]),
                         key=lambda v: sorted(v.items()))
-    return RankResult(rank=rank, kernel_dim=m.n_cols - rank, kernel=kernel)
+    return RankResult(rank=len(pivots), kernel_dim=m.n_cols - len(pivots),
+                      kernel=kernel, pivots=pivots)
 
 
 def _product_columns(a: SparseMatrix, b: SparseMatrix):

@@ -109,6 +109,13 @@ def test_parser_rejects_implicit_multiplication():
         parse_poly("x9", 3)
 
 
+def test_parser_caps_the_exponent():
+    assert parse_poly("(2*x1)^32", 3) == RatPoly.monomial((32, 0, 0), 2 ** 32)
+    for text in ("x1^33", "(x1 + x2)^100000", "x3^99999999999"):
+        with pytest.raises(PolyParseError, match="exceeds the cap of 32"):
+            parse_poly(text, 3)
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         RatPoly.var(2, 0) * RatPoly.var(3, 0)

@@ -334,6 +334,23 @@ def test_structure_file_bad_number_exits_2(tmp_path, capsys, line):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["p 1 2 = x3^99999999999", "p 1 2 = (x1 + x2)^100000",
+                                  "v 2^33 : d1 ; d2"])
+def test_structure_file_huge_exponent_exits_2(tmp_path, line):
+    """p^e is expanded by e multiplications, so an exponent above the
+    parser's cap is refused with a message before any of them runs.  The
+    CLI runs in a subprocess, so an expansion that does start fails the
+    test at its timeout instead of blocking the suite."""
+    path = tmp_path / "bad.poisson"
+    path.write_text("n = 3\nh = 1\n%s\n" % line)
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "poisson_cohom.cli", "check", str(path)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "exceeds the cap of 32" in proc.stderr
+
+
 @pytest.mark.parametrize("how", ["cache-dir", "env", "dump-matrices", "goldens-cache-dir",
                                  "goldens-missing", "goldens-file"])
 def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, how):

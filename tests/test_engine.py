@@ -3,8 +3,10 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_cohom import engine
 from poisson_cohom import fixtures as fx
@@ -12,7 +14,7 @@ from poisson_cohom.algebra import RatPoly, mi_unit
 from poisson_cohom.complexes import PolyContext, weight_degree_range
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
-from poisson_cohom.linalg import SparseMatrix
+from poisson_cohom.linalg import SparseMatrix, rank_kernel
 from poisson_cohom.poisson import PoissonStructure
 
 
@@ -263,6 +265,66 @@ def test_complex_rows_directions_and_ambient_check():
         ReportRow(0, 1, 1, 0, 0), ReportRow(1, 1, 0, 1, 0)]
     with pytest.raises(AssertionError):
         _complex_rows({0: 1, 1: 1, 2: 1}, {0: one, 1: one}, 1)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def exact_cochain_maps(draw):
+    """dims and maps[m]: C_m -> C_{m+1} of a random exact cochain complex.
+    d_0 is random; each later d_{m+1} is a random rational combination of
+    a kernel basis of d_m's transpose, so it kills im d_m by construction.
+    Entries carry denominators 1-6."""
+    dims = draw(st.lists(st.integers(1, 7), min_size=2, max_size=6))
+    maps: dict = {}
+    for m in range(len(dims) - 1):
+        if m == 0:
+            basis = [{c: 1} for c in range(dims[0])]
+        else:
+            basis = rank_kernel(maps[m - 1].transpose(), want_basis=True).kernel
+        coeffs = draw(st.lists(st.lists(st.one_of(st.just(0), RATIONALS),
+                                        min_size=len(basis), max_size=len(basis)),
+                               min_size=dims[m + 1], max_size=dims[m + 1]))
+        entries: dict = {}
+        for r, row in enumerate(coeffs):
+            for a, vec in zip(row, basis):
+                for c, y in vec.items():
+                    entries[(r, c)] = entries.get((r, c), 0) + a * y
+        maps[m] = SparseMatrix(dims[m + 1], dims[m], entries)
+    return dims, maps
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(exact_cochain_maps())
+def test_cleared_ranks_equal_plain_ranks(complex_):
+    """The ranks _complex_rows takes with clearing equal the plain ranks
+    of every full map, for the cochain complex and for its transpose, the
+    chain complex maps[m + 1] = d_m^T: C_{m+1} -> C_m."""
+    dims, cochain = complex_
+    chain = {m + 1: d.transpose() for m, d in cochain.items()}
+    for maps, step in ((cochain, 1), (chain, -1)):
+        rows = _complex_rows(dict(enumerate(dims)), maps, step)
+        assert {r.m: r.rank for r in rows if r.m in maps} == \
+            {m: rank_kernel(d).rank for m, d in maps.items()}
+
+
+@pytest.mark.parametrize("name, mode, w, direction", [
+    ("sl2", "hamiltonian", 3, "cochain"),
+    ("solvable22", "poly-with-constants", 4, "chain"),
+    ("symplectic_r2", "pi-annihilator", 2, "cochain"),
+    ("so4", "poly-module", 4, "cochain"),
+    ("poisson_like_h2", "poisson-like", -2, "cochain"),
+])
+def test_clearing_matches_plain_ranks_on_real_complexes(name, mode, w, direction):
+    """Every rank of a report equals the plain rank of the full map the
+    matrix sink received for its degree."""
+    seen: dict = {}
+    rep = build_report(fx.load_structure("builtin:" + name), mode, w, direction,
+                       matrix_sink=seen.__setitem__)
+    assert seen and any(r.rank for r in rep.rows)
+    assert {r.m: r.rank for r in rep.rows} == \
+        {r.m: rank_kernel(seen[r.m]).rank if r.m in seen else 0 for r in rep.rows}
 
 
 def _unimodular(n: int, seed: int) -> tuple:

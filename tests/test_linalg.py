@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -71,6 +72,23 @@ def test_rank_kernel_output_pinned():
                                   want_basis=True)).encode())
     assert h.hexdigest() == \
         "e9eed67a3c7c81f45236a9b8bb3b35ddc958461b1f688f652d67b5d596ffbd9f"
+
+
+def test_rank_kernel_pivots_contract():
+    """One pivot per rank step, each a distinct row index of m; the rows
+    of m at the pivots alone keep the whole rank (the triangularity that
+    clearing relies on); repr and == ignore the field."""
+    rng = random.Random(20261019)
+    for _ in range(120):
+        m = random_matrix(rng, max_size=14, density=rng.choice((0.1, 0.3, 0.6)))
+        res = rank_kernel(m)
+        assert len(res.pivots) == res.rank == len(set(res.pivots))
+        assert all(0 <= r < m.n_rows for r in res.pivots)
+        kept = {k: v for k, v in m.entries.items() if k[0] in set(res.pivots)}
+        assert dense_rank(kept, m.n_rows, m.n_cols) == res.rank
+    res = rank_kernel(SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 1}), want_basis=True)
+    bare = dataclasses.replace(res, pivots=[])
+    assert res.pivots and res == bare and repr(res) == repr(bare)
 
 
 def test_rank_transpose_invariant():
