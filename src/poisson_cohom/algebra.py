@@ -217,6 +217,10 @@ class PolyParseError(ValueError):
 # p^e is expanded by e multiplications; no homogeneous structure of this
 # program comes near this degree, and a larger e could run for hours
 MAX_EXPONENT = 32
+# a product of a- and b-term polynomials is expanded in a*b term products;
+# (x1 + ... + x9)^5 needs 4455, and without a cap a short line such as
+# (x1 + ... + x9)^32 expands to about 7.7e7 terms
+MAX_PRODUCT_TERMS = 10_000
 
 
 def _tokenize(text: str) -> Iterator[tuple]:
@@ -264,6 +268,15 @@ def _tokenize(text: str) -> Iterator[tuple]:
     yield ("end", None)
 
 
+def _product(a: RatPoly, b: RatPoly) -> RatPoly:
+    """a * b, refused before expansion when it takes more than
+    MAX_PRODUCT_TERMS term products."""
+    if len(a.terms) * len(b.terms) > MAX_PRODUCT_TERMS:
+        raise PolyParseError("product of %d by %d terms exceeds the cap of %d term products"
+                             % (len(a.terms), len(b.terms), MAX_PRODUCT_TERMS))
+    return a * b
+
+
 class _Parser:
     """Recursive descent for sums of *-joined powered atoms.  With fields
     set, d1..dn are the variables n+1..2n of a ring in 2n variables, and a
@@ -309,7 +322,7 @@ class _Parser:
         while self.peek() == ("op", "*") or (self.fields and self.peek()[0] == "d"):
             if self.peek()[0] == "op":
                 self.take()
-            p = p * self.parse_factor()
+            p = _product(p, self.parse_factor())
         return p
 
     def parse_factor(self) -> RatPoly:
@@ -324,7 +337,7 @@ class _Parser:
                                      % (val, MAX_EXPONENT))
             out = RatPoly.const(self.n, 1)
             for _ in range(int(val)):
-                out = out * p
+                out = _product(out, p)
             return out
         return p
 

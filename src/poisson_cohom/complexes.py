@@ -10,8 +10,11 @@ boundary is the dual of the coboundary under the wedge-basis pairing,
 so boundary_matrix is its transpose.
 
 Generator ids are (degree, position) pairs; cochain basis elements are
-ascending tuples of generator ids, so wedge reordering signs reduce to
-inversion counts computed with bisect.
+ascending tuples of generator ids.  Each matrix builder gives every
+generator it meets one bit of an integer, in gid order, so a basis
+element is a bitmask: wedging a pair onto the rest of a word is an AND
+(collision) and an OR (the target word), and the reordering sign is a
+popcount parity.
 
 Coefficients are integers over a denominator: a context's image2 of a
 degree-j generator is over image2_denom(j), and each builder accumulates
@@ -23,7 +26,6 @@ integer normal-form rules of the degree-j CasimirBasis.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations, product
 from math import comb, gcd, lcm
 
@@ -37,11 +39,18 @@ GenId = tuple  # (degree, position within the degree block)
 
 
 class Basis:
-    __slots__ = ("elements", "index")
+    __slots__ = ("elements", "_index")
 
     def __init__(self, elements: list):
         self.elements = elements
-        self.index = {t: i for i, t in enumerate(elements)}
+        self._index = None
+
+    @property
+    def index(self) -> dict:
+        """Position of each element, built on first use."""
+        if self._index is None:
+            self._index = {t: i for i, t in enumerate(self.elements)}
+        return self._index
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -218,45 +227,74 @@ def build_basis(ctx, m: int, w: int) -> Basis:
     return Basis(elements)
 
 
-def _insert_pair(rest: tuple, ga, gb):
-    """Wedge ga^gb (ga < gb) onto a sorted tuple from the left;
-    (new_tuple, sign) or None.  A 2-form commutes with every factor, so
-    this is also the sign of putting ga^gb in any slot of rest."""
-    ia = bisect_left(rest, ga)
-    if ia < len(rest) and rest[ia] == ga:
-        return None
-    ib = bisect_left(rest, gb, ia)
-    if ib < len(rest) and rest[ib] == gb:
-        return None
-    newt = rest[:ia] + (ga,) + rest[ia:ib] + (gb,) + rest[ib:]
-    return newt, (-1 if (ia + ib) % 2 else 1)
+def _bits(*gid_lists) -> dict:
+    """One bit per generator met, in gid order, so a basis word (an
+    ascending tuple of gids) is the OR of its bits and the count of its
+    factors before a generator is a popcount."""
+    met = sorted(set().union(*gid_lists))
+    return {g: 1 << i for i, g in enumerate(met)}
+
+
+def _pairs(bit: dict, terms, scale: int) -> tuple:
+    """A 2-cochain's terms (ga, gb, c), ga < gb, as (a|b, (a-1) ^ (b-1),
+    scale*c): wedging ga^gb onto a word with mask rest moves ga past
+    popcount(rest & (a-1)) factors and gb past popcount(rest & (b-1)),
+    and when rest misses a the two sum to the parity of
+    popcount(rest & ((a-1) ^ (b-1)))."""
+    out = []
+    for ga, gb, c in terms:
+        a, b = bit[ga], bit[gb]
+        out.append((a | b, (a - 1) ^ (b - 1), scale * c))
+    return tuple(out)
+
+
+def _wedge_place(src: Basis, tgt: Basis, bit: dict, pieces, denom: int) -> SparseMatrix:
+    """Matrix whose column col is the sum, over the (rest, pairs) that
+    pieces(tup) gives for src word tup, of every pair wedged onto the
+    word with mask rest; a pair that meets rest contributes nothing, one
+    that lands outside tgt is an error.  Entries are integers over denom,
+    keyed column by column in the order their rows are first met."""
+    index = {sum(map(bit.__getitem__, tup)): row for row, tup in enumerate(tgt.elements)}
+    entries: dict = {}
+    for col, tup in enumerate(src.elements):
+        acc: dict = {}  # target mask -> value
+        for rest, pairs in pieces(tup):
+            for ab, between, c in pairs:
+                if rest & ab:
+                    continue
+                key = rest | ab
+                if (rest & between).bit_count() & 1:
+                    c = -c
+                acc[key] = acc.get(key, 0) + c
+        for key, v in acc.items():
+            row = index.get(key)
+            if row is None:
+                raise AssertionError("differential left the weight-graded basis")
+            if v:
+                entries[row, col] = v
+    return SparseMatrix.from_ints(len(tgt), len(src), entries, denom)
 
 
 def cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
     """Exact matrix of the coboundary from src (degree m) to tgt (m+1),
     accumulated in integers over the lcm of the image2 denominators of the
-    generator degrees in src."""
-    denoms = {j: ctx.image2_denom(j) for j in {g[0] for tup in src.elements for g in tup}}
+    generator degrees in src: the slot-k generator of a word is replaced
+    by its image2, with sign (-1)^k."""
+    gens = set().union(*src.elements)
+    denoms = {j: ctx.image2_denom(j) for j in {g[0] for g in gens}}
     denom = lcm(1, *denoms.values())
-    scale = {j: denom // d for j, d in denoms.items()}
-    index = tgt.index
-    entries: dict = {}
-    for col, tup in enumerate(src.elements):
-        for slot, gid in enumerate(tup):
-            f = -scale[gid[0]] if slot % 2 else scale[gid[0]]
-            rest = tup[:slot] + tup[slot + 1:]
-            for ga, gb, c in ctx.image2(gid):
-                placed = _insert_pair(rest, ga, gb)
-                if placed is None:
-                    continue
-                newt, sign = placed
-                row = index.get(newt)
-                if row is None:
-                    raise AssertionError("differential left the weight-graded basis")
-                key = (row, col)
-                entries[key] = entries.get(key, 0) + sign * f * c
-    return SparseMatrix.from_ints(len(tgt), len(src),
-                                  {k: v for k, v in entries.items() if v}, denom)
+    images = {g: ctx.image2(g) for g in gens}
+    bit = _bits(gens, *tgt.elements, *(t[:2] for img in images.values() for t in img))
+    signed = {}
+    for g, img in images.items():
+        scale = denom // denoms[g[0]]
+        signed[g] = (_pairs(bit, img, scale), _pairs(bit, img, -scale))
+
+    def pieces(tup):
+        mask = sum(map(bit.__getitem__, tup))
+        return [(mask ^ bit[g], signed[g][slot & 1]) for slot, g in enumerate(tup)]
+
+    return _wedge_place(src, tgt, bit, pieces, denom)
 
 
 def boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
@@ -319,17 +357,7 @@ def wedge_cochain_matrix(two_cochain: tuple, src: Basis, tgt: Basis) -> SparseMa
     """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain given as
     (terms, denom) by constant_two_cochain."""
     terms, denom = two_cochain
-    entries: dict = {}
-    for col, tup in enumerate(src.elements):
-        for ga, gb, c in terms:
-            placed = _insert_pair(tup, ga, gb)
-            if placed is None:
-                continue
-            newt, sign = placed
-            row = tgt.index.get(newt)
-            if row is None:
-                raise AssertionError("wedge left the weight-graded basis")
-            key = (row, col)
-            entries[key] = entries.get(key, 0) + sign * c
-    return SparseMatrix.from_ints(len(tgt), len(src),
-                                  {k: v for k, v in entries.items() if v}, denom)
+    bit = _bits(*src.elements, *tgt.elements, *(t[:2] for t in terms))
+    pairs = _pairs(bit, terms, 1)
+    return _wedge_place(src, tgt, bit, lambda tup: ((sum(map(bit.__getitem__, tup)), pairs),),
+                        denom)

@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from poisson_cohom.algebra import (PolyParseError, RatPoly, format_poly,
-                                   grevlex_key, mono_basis, parse_poly)
+from poisson_cohom.algebra import (MAX_PRODUCT_TERMS, PolyParseError, RatPoly,
+                                   format_poly, grevlex_key, mono_basis, parse_poly)
 
 
 def test_mono_basis_degree_one_is_unit_vectors():
@@ -114,6 +114,17 @@ def test_parser_caps_the_exponent():
     for text in ("x1^33", "(x1 + x2)^100000", "x3^99999999999"):
         with pytest.raises(PolyParseError, match="exceeds the cap of 32"):
             parse_poly(text, 3)
+
+
+def test_parser_caps_the_product_size():
+    """A product is refused before it is expanded when it takes more than
+    MAX_PRODUCT_TERMS term products, with ^ or written out."""
+    linear = "(" + " + ".join("x%d" % i for i in range(1, 10)) + ")"
+    assert len(parse_poly(linear + "^4", 9).terms) == 495
+    assert len(parse_poly(linear + "^5", 9).terms) == 1287
+    for text in (linear + "^32", "*".join([linear] * 32), linear + "^6"):
+        with pytest.raises(PolyParseError, match="exceeds the cap of %d" % MAX_PRODUCT_TERMS):
+            parse_poly(text, 9)
 
 
 def test_dimension_mismatch():

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from poisson_cohom.cli import CACHE_ENV, main, parse_golden, render_table, run_goldens
+from poisson_cohom.cli import (CACHE_ENV, _golden_paths, main, parse_golden, render_table,
+                               run_goldens)
 from poisson_cohom.engine import ComplexReport, build_report
 from poisson_cohom import fixtures as fx
 
@@ -334,21 +335,54 @@ def test_structure_file_bad_number_exits_2(tmp_path, capsys, line):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _check_in_subprocess(tmp_path, text: str, timeout: float):
+    """`check` of a structure file with this text, run in a subprocess so
+    that an expansion that does start fails the test at its timeout
+    instead of blocking the suite."""
+    path = tmp_path / "bad.poisson"
+    path.write_text(text)
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "poisson_cohom.cli", "check", str(path)],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 @pytest.mark.parametrize("line", ["p 1 2 = x3^99999999999", "p 1 2 = (x1 + x2)^100000",
                                   "v 2^33 : d1 ; d2"])
 def test_structure_file_huge_exponent_exits_2(tmp_path, line):
     """p^e is expanded by e multiplications, so an exponent above the
-    parser's cap is refused with a message before any of them runs.  The
-    CLI runs in a subprocess, so an expansion that does start fails the
-    test at its timeout instead of blocking the suite."""
-    path = tmp_path / "bad.poisson"
-    path.write_text("n = 3\nh = 1\n%s\n" % line)
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "poisson_cohom.cli", "check", str(path)],
-                          capture_output=True, text=True, timeout=30, env=env)
+    parser's cap is refused with a message before any of them runs."""
+    proc = _check_in_subprocess(tmp_path, "n = 3\nh = 1\n%s\n" % line, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "exceeds the cap of 32" in proc.stderr
+
+
+_NINE = "(" + " + ".join("x%d" % i for i in range(1, 10)) + ")"
+
+
+@pytest.mark.parametrize("line", ["p 1 2 = %s^32" % _NINE, "p 1 2 = %s" % "*".join([_NINE] * 32)],
+                         ids=["power", "written-out"])
+def test_structure_file_huge_product_exits_2(tmp_path, line):
+    """A product past the parser's cap of term products is refused before
+    it is expanded, whether written with ^ or out in full; without the
+    cap either line expands to about 7.7e7 terms."""
+    proc = _check_in_subprocess(tmp_path, "n = 9\nh = 1\n%s\n" % line, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "term products" in proc.stderr
+
+
+def test_every_builtin_and_golden_structure_parses():
+    """The product cap refuses none of the shipped structures: every
+    builtin (built from polynomial text), every structure a golden names
+    and every bundled structure file loads."""
+    specs = ["builtin:" + name for name in fx.builtin_names()]
+    for path in _golden_paths(None):
+        with open(path) as fh:
+            specs.append(parse_golden(fh.read())["structure"])
+    folder = os.path.join(os.path.dirname(fx.__file__), "structures")
+    specs += [os.path.join(folder, f) for f in sorted(os.listdir(folder))]
+    for spec in specs:
+        assert fx.load_structure(spec).n > 0, spec
 
 
 @pytest.mark.parametrize("how", ["cache-dir", "env", "dump-matrices", "goldens-cache-dir",
