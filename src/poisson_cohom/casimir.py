@@ -63,13 +63,10 @@ def casimir_space(pi: PoissonStructure, j: int) -> CasimirBasis:
     if target_deg < 0:
         return CasimirBasis(n, j, [{a: 1} for a in monos])
     tindex = mono_index(n, target_deg)
-    entries: dict = {}
-    for col, a in enumerate(monos):
-        for i in range(n):
-            for b, c in pi.mono_bracket(mi_unit(n, i), a).items():
-                if c:
-                    entries[(i * len(tindex) + tindex[b], col)] = c
-    mat = SparseMatrix.from_ints(n * len(tindex), len(monos), entries, pi.denom)
+    cols = [{i * len(tindex) + tindex[b]: c for i in range(n)
+             for b, c in pi.mono_bracket(mi_unit(n, i), a).items() if c}
+            for a in monos]
+    mat = SparseMatrix.from_columns(n * len(tindex), cols, pi.denom)
     kernel = rank_kernel(mat, want_basis=True).kernel
     return CasimirBasis(n, j, _echelonize(kernel, monos))
 

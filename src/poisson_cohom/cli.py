@@ -126,8 +126,8 @@ def cmd_betti(args) -> int:
                 path = os.path.join(sink_dir, "%s_w%d_d%d.mtx" % (args.mode, w, m))
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write("%d %d\n" % (mat.n_rows, mat.n_cols))
-                    for (r, c) in sorted(mat.entries):
-                        v = Fraction(mat.entries[(r, c)], mat.denom)
+                    for (r, c), x in sorted(mat.entries.items()):
+                        v = Fraction(x, mat.denom)
                         fh.write("%d %d %d/%d\n" % (r, c, v.numerator, v.denominator))
 
         try:

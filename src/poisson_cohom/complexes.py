@@ -211,9 +211,7 @@ class PoissonLikeContext:
 
 def build_basis(ctx, m: int, w: int) -> Basis:
     """Deterministic basis of the degree-m, weight-w cochain space."""
-    if m == 0:
-        if w == 0 and ctx.include_m0:
-            return Basis([()])
+    if m == 0 and not ctx.include_m0:
         return Basis([])
     elements = []
     for sig in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start):
@@ -253,10 +251,10 @@ def _wedge_place(src: Basis, tgt: Basis, bit: dict, pieces, denom: int) -> Spars
     pieces(tup) gives for src word tup, of every pair wedged onto the
     word with mask rest; a pair that meets rest contributes nothing, one
     that lands outside tgt is an error.  Entries are integers over denom,
-    keyed column by column in the order their rows are first met."""
+    each column keyed in the order its rows are first met."""
     index = {sum(map(bit.__getitem__, tup)): row for row, tup in enumerate(tgt.elements)}
-    entries: dict = {}
-    for col, tup in enumerate(src.elements):
+    cols = []
+    for tup in src.elements:
         acc: dict = {}  # target mask -> value
         for rest, pairs in pieces(tup):
             for ab, between, c in pairs:
@@ -266,13 +264,15 @@ def _wedge_place(src: Basis, tgt: Basis, bit: dict, pieces, denom: int) -> Spars
                 if (rest & between).bit_count() & 1:
                     c = -c
                 acc[key] = acc.get(key, 0) + c
+        col: dict = {}
         for key, v in acc.items():
             row = index.get(key)
             if row is None:
                 raise AssertionError("differential left the weight-graded basis")
             if v:
-                entries[row, col] = v
-    return SparseMatrix.from_ints(len(tgt), len(src), entries, denom)
+                col[row] = v
+        cols.append(col)
+    return SparseMatrix.from_columns(len(tgt), cols, denom)
 
 
 def cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
@@ -314,8 +314,8 @@ def basis_dimension_check(ctx, m: int, w: int, basis: Basis) -> None:
     dimension sum from the diagrams module."""
     expect = sum(sig_dim(s, ctx.cap)
                  for s in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start))
-    if m == 0:
-        expect = 1 if (w == 0 and ctx.include_m0) else 0
+    if m == 0 and not ctx.include_m0:
+        expect = 0
     if expect != len(basis):
         raise AssertionError("basis size %d != signature total %d at (m=%d, w=%d)"
                              % (len(basis), expect, m, w))

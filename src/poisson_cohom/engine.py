@@ -13,8 +13,8 @@ from .complexes import (PolyContext, PoissonLikeContext, basis_dimension_check,
                         boundary_matrix, build_basis, cochain_matrix,
                         constant_two_cochain, wedge_cochain_matrix,
                         weight_degree_range)
-from .linalg import (SparseMatrix, compose_is_zero, from_column_vectors,
-                     in_span_coordinates, matmul, rank_kernel)
+from .linalg import (SparseMatrix, compose_is_zero, in_span_coordinates,
+                     matmul, rank_kernel)
 from .multivector import poly_module_basis, poly_module_matrix
 from .poisson import GradedMultiVector, PoissonStructure, schouten
 
@@ -151,8 +151,8 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     for m in sorted(maps, reverse=step < 0):
         d, cleared = maps[m], pivots.get(m - step, ())
         if cleared:
-            d = SparseMatrix.from_ints(d.n_rows, d.n_cols, {
-                k: v for k, v in d.entries.items() if k[1] not in cleared}, d.denom)
+            d = SparseMatrix.from_columns(d.n_rows, [
+                {} if c in cleared else col for c, col in enumerate(d.cols)], d.denom)
         res = rank_kernel(d)
         ranks[m], pivots[m] = res.rank, set(res.pivots)
     rows = []
@@ -210,7 +210,8 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     kmats: dict = {}
     for m, basis in bases.items():
         wedge = wedge_cochain_matrix(two, basis, _checked_basis(ctx, m + 2, w - 2))
-        kmats[m] = from_column_vectors(len(basis), rank_kernel(wedge, want_basis=True).kernel)
+        kmats[m] = SparseMatrix.from_columns(
+            len(basis), rank_kernel(wedge, want_basis=True).kernel)
     maps = {m: in_span_coordinates(kmats[m + 1], matmul(
                 cochain_matrix(ctx, bases[m], bases[m + 1]), kmats[m]))
             for m in range(hi + 1) if kmats[m].n_cols}

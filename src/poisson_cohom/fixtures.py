@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import RatPoly, parse_poly
-from .linalg import SparseMatrix, rank_kernel
+from .linalg import SparseMatrix, clear_denominators, rank_kernel
 from .poisson import GradedMultiVector, PoissonStructure, parse_structure, wedge2
 
 
@@ -153,10 +153,11 @@ def poisson_like_h0() -> GradedMultiVector:
 def _coordinates(columns: list, target: list) -> list:
     """The unique c with sum_k c_k columns[k] = target: the one kernel
     vector v of [columns | target] gives c_k = -v_k / v_last."""
-    k = len(columns)
-    entries = {(r, c): v for c, col in enumerate(columns + [target])
-               for r, v in enumerate(col) if v}
-    res = rank_kernel(SparseMatrix(len(target), k + 1, entries), want_basis=True)
+    k, size = len(columns), len(target)
+    ints, _ = clear_denominators([v for col in columns + [target] for v in col])
+    cols = [{r: v for r, v in enumerate(ints[c * size:(c + 1) * size]) if v}
+            for c in range(k + 1)]
+    res = rank_kernel(SparseMatrix.from_columns(size, cols), want_basis=True)
     if res.rank != k or not res.kernel[0].get(k):
         raise ValueError("bracket does not lie in the span of the basis")
     vec = res.kernel[0]

@@ -1,10 +1,13 @@
 """Exact sparse rational matrices with rank and kernel computation.
 
-A matrix is stored as integer entries over one positive denominator: the
-value at (r, c) is entries[(r, c)] / denom.  Builders accumulate integers
-scaled to that denominator, and the d o d check and elimination work on
-the integers directly, since scaling by a positive constant changes no
-rank, no kernel and no zero test.
+A matrix is stored as its columns, integers over one positive
+denominator: cols[c] is a dict row -> nonzero int, and the value at
+(r, c) is cols[c][r] / denom.  Builders write one column at a time and
+hand the list over to SparseMatrix.from_columns; the d o d check, the
+products and elimination read the columns directly, since scaling by a
+positive constant changes no rank, no kernel and no zero test.  Column
+dicts may be shared between matrices (a kernel basis and the maps built
+on it, a map and its cleared view), so nothing mutates them in place.
 
 Rank/kernel run fraction-free: rows are kept gcd-reduced through
 elimination, so no integer blow-up occurs on the larger cochain matrices.
@@ -35,60 +38,63 @@ def clear_denominators(values: list) -> tuple:
 
 class SparseMatrix:
     """Immutable-by-convention sparse matrix of integers over one positive
-    denominator; two matrices are equal when their values are."""
+    denominator, stored as its columns: cols[c] maps row -> nonzero int.
+    Two matrices are equal when their values are."""
 
-    __slots__ = ("n_rows", "n_cols", "entries", "denom")
+    __slots__ = ("n_rows", "cols", "denom")
 
-    def __init__(self, n_rows: int, n_cols: int, entries: dict | None = None):
-        """Entries may be rationals; they are cleared with one lcm."""
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        keys, vals = [], []
-        for (r, c), v in (entries or {}).items():
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError("index out of range")
-            if v:
-                keys.append((r, c))
-                vals.append(v)
-        ints, self.denom = clear_denominators(vals)
-        self.entries: dict = dict(zip(keys, ints))
+    def __init__(self, n_rows: int, n_cols: int, cells: dict | None = None):
+        """Cells (r, c) -> value may be rationals; they are cleared with one lcm."""
+        cells = cells or {}
+        if not all(0 <= r < n_rows and 0 <= c < n_cols for r, c in cells):
+            raise ValueError("index out of range")
+        nonzero = {k: v for k, v in cells.items() if v}
+        ints, self.denom = clear_denominators(list(nonzero.values()))
+        self.n_rows, self.cols = n_rows, [{} for _ in range(n_cols)]
+        for (r, c), v in zip(nonzero, ints):
+            self.cols[c][r] = v
 
     @classmethod
-    def from_ints(cls, n_rows: int, n_cols: int, entries: dict,
-                  denom: int = 1) -> "SparseMatrix":
-        """Fast constructor for builders that hold nonzero in-range integer
-        entries already; the dict is taken over, not copied."""
+    def from_columns(cls, n_rows: int, cols: list, denom: int = 1) -> "SparseMatrix":
+        """Fast constructor for builders that hold their columns as dicts
+        row -> nonzero in-range int already; the list is taken over, not
+        copied, so a column dict may be shared with other matrices."""
         if denom < 1:
             raise ValueError("denominator must be positive")
         m = cls.__new__(cls)
-        m.n_rows, m.n_cols, m.entries, m.denom = n_rows, n_cols, entries, denom
+        m.n_rows, m.cols, m.denom = n_rows, cols, denom
         return m
 
+    @property
+    def n_cols(self) -> int:
+        return len(self.cols)
+
+    @property
+    def entries(self) -> dict:
+        """The integer entries as a fresh (r, c) -> int dict, built column
+        by column: a read-only view, since writing to it changes nothing."""
+        return {(r, c): v for c, col in enumerate(self.cols) for r, v in col.items()}
+
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.cols))
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_ints(
-            self.n_cols, self.n_rows,
-            {(c, r): v for (r, c), v in self.entries.items()}, self.denom)
-
-    def columns(self) -> list[dict]:
-        """Integer columns (values times denom) as dicts row -> int."""
-        cols: list[dict] = [dict() for _ in range(self.n_cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
+        out: list = [{} for _ in range(self.n_rows)]
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                out[r][c] = v
+        return SparseMatrix.from_columns(self.n_cols, out, self.denom)
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, SparseMatrix) and self.n_rows == other.n_rows
                 and self.n_cols == other.n_cols):
             return False
         if self.denom == other.denom:
-            return self.entries == other.entries
-        if self.entries.keys() != other.entries.keys():
-            return False
-        d1, d2, theirs = self.denom, other.denom, other.entries
-        return all(v * d2 == theirs[k] * d1 for k, v in self.entries.items())
+            return self.cols == other.cols
+        d1, d2 = self.denom, other.denom
+        return all(mine.keys() == theirs.keys()
+                   and all(v * d2 == theirs[r] * d1 for r, v in mine.items())
+                   for mine, theirs in zip(self.cols, other.cols))
 
 
 @dataclass
@@ -127,7 +133,7 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     the rows of m at the pivots alone have rank `rank`, and the unit
     vectors outside the pivots span a complement of the column space.
     """
-    rows = m.columns()
+    rows = [dict(col) for col in m.cols]  # copies: the columns may be shared
     tails = [{j: m.denom} for j in range(m.n_cols)] if want_basis else None
     col_rows: dict = {}  # column -> the rows nonzero in it
     for j, row in enumerate(rows):
@@ -207,8 +213,8 @@ def _product_columns(a: SparseMatrix, b: SparseMatrix):
     that may hold zeros."""
     if a.n_cols != b.n_rows:
         raise ValueError("inner dimensions do not match")
-    a_cols = a.columns()
-    for col in b.columns():
+    a_cols = a.cols
+    for col in b.cols:
         acc: dict = {}
         for k, v in col.items():
             for r, w in a_cols[k].items():
@@ -224,18 +230,8 @@ def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Exact product; its denominator is a.denom * b.denom."""
-    entries = {(r, c): x for c, col in enumerate(_product_columns(a, b))
-               for r, x in col.items() if x}
-    return SparseMatrix.from_ints(a.n_rows, b.n_cols, entries, a.denom * b.denom)
-
-
-def from_column_vectors(n_rows: int, vectors: list) -> SparseMatrix:
-    """Stack sparse column vectors (dicts row -> value) into a matrix."""
-    entries = {}
-    for j, vec in enumerate(vectors):
-        for r, v in vec.items():
-            entries[(r, j)] = v
-    return SparseMatrix(n_rows, len(vectors), entries)
+    cols = [{r: x for r, x in col.items() if x} for col in _product_columns(a, b)]
+    return SparseMatrix.from_columns(a.n_rows, cols, a.denom * b.denom)
 
 
 def in_span_coordinates(k: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
@@ -244,22 +240,21 @@ def in_span_coordinates(k: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
     of k is nonzero; a rank_kernel basis vector has one at its surviving
     row), then checked exactly.  AssertionError when a column of k has no
     private row or a column of v lies outside the span of k."""
-    per_row = Counter(r for r, _ in k.entries)
+    per_row = Counter(r for col in k.cols for r in col)
     private: dict = {}  # column -> (|entry|, row, entry), its smallest private entry
-    for (r, c), p in k.entries.items():
-        if per_row[r] == 1:
-            private[c] = min(private.get(c, (abs(p), r, p)), (abs(p), r, p))
+    for c, col in enumerate(k.cols):
+        for r, p in col.items():
+            if per_row[r] == 1:
+                private[c] = min(private.get(c, (abs(p), r, p)), (abs(p), r, p))
     if len(private) != k.n_cols:
         raise AssertionError("%d of %d spanning columns have no private row"
                              % (k.n_cols - len(private), k.n_cols))
-    pivots = {r: (c, p) for c, (_, r, p) in private.items()}
-    scale = lcm(1, *(p for _, p in pivots.values()))
-    entries: dict = {}
-    for (r, c), x in v.entries.items():
-        hit = pivots.get(r)
-        if hit is not None:
-            entries[(hit[0], c)] = x * k.denom * (scale // hit[1])
-    y = SparseMatrix.from_ints(k.n_cols, v.n_cols, entries, v.denom * scale)
+    scale = lcm(1, *(p for _, _, p in private.values()))
+    # private row -> (column of k, the factor that carries v's entry to y's)
+    put = {r: (c, k.denom * (scale // p)) for c, (_, r, p) in private.items()}
+    cols = [{put[r][0]: x * put[r][1] for r, x in col.items() if r in put}
+            for col in v.cols]
+    y = SparseMatrix.from_columns(k.n_cols, cols, v.denom * scale)
     if matmul(k, y) != v:
         raise AssertionError("a column lies outside the span")
     return y

@@ -29,17 +29,15 @@ def poly_module_matrix(pi_mv: MultiVector, src: Basis, tgt: Basis) -> SparseMatr
     the assembly run in integers over that one denominator."""
     ints, denom = clear_denominators(list(pi_mv.terms.values()))
     pi_int = MultiVector(pi_mv.n, pi_mv.degree, dict(zip(pi_mv.terms, ints)))
-    entries: dict = {}
+    cols = []
     n = pi_mv.n
-    for col, (a, axes) in enumerate(src.elements):
-        u = MultiVector(n, len(axes), {(a, axes): 1})
-        image = schouten(pi_int, u)
-        for (b, jaxes), c in image.terms.items():
-            row = tgt.index.get((b, jaxes))
-            if row is None:
-                raise AssertionError("module differential left the weight basis")
-            entries[(row, col)] = c
-    return SparseMatrix.from_ints(len(tgt), len(src), entries, denom)
+    for a, axes in src.elements:
+        image = schouten(pi_int, MultiVector(n, len(axes), {(a, axes): 1})).terms
+        rows = [tgt.index.get(key) for key in image]
+        if None in rows:
+            raise AssertionError("module differential left the weight basis")
+        cols.append(dict(zip(rows, image.values())))
+    return SparseMatrix.from_columns(len(tgt), cols, denom)
 
 
 def commuting_square_holds(pi_like: GradedMultiVector, gen) -> bool:

@@ -64,11 +64,16 @@ def _insert_front(rest: tuple, gc):
     return newt, (-1 if pos % 2 else 1)
 
 
+def _nonzero(cols: list) -> list:
+    """The oracles' accumulated columns with their cancelled entries dropped."""
+    return [{r: v for r, v in col.items() if v} for col in cols]
+
+
 def oracle_boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
     """Exact matrix of the boundary operator from src (degree m) to tgt (m-1):
     sum over slot pairs of (-1)^{i+j} [u_i, u_j] wedged in front, accumulated
     in integers over the lcm of the bracket denominators met so far."""
-    entries: dict = {}
+    cols: list = [{} for _ in src.elements]
     denom = 1
     for col, tup in enumerate(src.elements):
         mlen = len(tup)
@@ -79,7 +84,7 @@ def oracle_boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
                     continue
                 if denom % d:
                     grow = lcm(denom, d) // denom
-                    entries = {key: v * grow for key, v in entries.items()}
+                    cols = [{r: v * grow for r, v in part.items()} for part in cols]
                     denom *= grow
                 f = denom // d
                 if (k + l) % 2:  # (-1)^{(k+1)+(l+1)}
@@ -93,10 +98,8 @@ def oracle_boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
                     row = tgt.index.get(newt)
                     if row is None:
                         raise AssertionError("boundary left the weight-graded basis")
-                    key = (row, col)
-                    entries[key] = entries.get(key, 0) + sign * f * c
-    return SparseMatrix.from_ints(len(tgt), len(src),
-                                  {k: v for k, v in entries.items() if v}, denom)
+                    cols[col][row] = cols[col].get(row, 0) + sign * f * c
+    return SparseMatrix.from_columns(len(tgt), _nonzero(cols), denom)
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +129,7 @@ def oracle_cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
     denom = lcm(1, *denoms.values())
     scale = {j: denom // d for j, d in denoms.items()}
     index = tgt.index
-    entries: dict = {}
+    cols: list = [{} for _ in src.elements]
     for col, tup in enumerate(src.elements):
         for slot, gid in enumerate(tup):
             f = -scale[gid[0]] if slot % 2 else scale[gid[0]]
@@ -139,17 +142,15 @@ def oracle_cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
                 row = index.get(newt)
                 if row is None:
                     raise AssertionError("differential left the weight-graded basis")
-                key = (row, col)
-                entries[key] = entries.get(key, 0) + sign * f * c
-    return SparseMatrix.from_ints(len(tgt), len(src),
-                                  {k: v for k, v in entries.items() if v}, denom)
+                cols[col][row] = cols[col].get(row, 0) + sign * f * c
+    return SparseMatrix.from_columns(len(tgt), _nonzero(cols), denom)
 
 
 def oracle_wedge_cochain_matrix(two_cochain: tuple, src: Basis, tgt: Basis) -> SparseMatrix:
     """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain given as
     (terms, denom) by constant_two_cochain."""
     terms, denom = two_cochain
-    entries: dict = {}
+    cols: list = [{} for _ in src.elements]
     for col, tup in enumerate(src.elements):
         for ga, gb, c in terms:
             placed = _insert_pair(tup, ga, gb)
@@ -159,10 +160,8 @@ def oracle_wedge_cochain_matrix(two_cochain: tuple, src: Basis, tgt: Basis) -> S
             row = tgt.index.get(newt)
             if row is None:
                 raise AssertionError("wedge left the weight-graded basis")
-            key = (row, col)
-            entries[key] = entries.get(key, 0) + sign * c
-    return SparseMatrix.from_ints(len(tgt), len(src),
-                                  {k: v for k, v in entries.items() if v}, denom)
+            cols[col][row] = cols[col].get(row, 0) + sign * c
+    return SparseMatrix.from_columns(len(tgt), _nonzero(cols), denom)
 
 
 def _same_matrix(a: SparseMatrix, b: SparseMatrix) -> bool:

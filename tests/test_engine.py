@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from poisson_cohom import engine
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, mi_unit
+from poisson_cohom.cli import _golden_paths, parse_golden
 from poisson_cohom.complexes import PolyContext, weight_degree_range
+from poisson_cohom.diagrams import euler_combinatorial, euler_polymodule
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
 from poisson_cohom.linalg import SparseMatrix, rank_kernel
@@ -391,3 +393,24 @@ def test_rows_invariant_under_unimodular_change(name, mode, weights, seed):
         assert not rep.is_empty()
     if name == "constant_r3":
         assert max(denoms) > 1
+
+
+def test_report_euler_matches_combinatorial_count():
+    """Metamorphic Euler check: the alternating sum of a report's dims
+    equals the count from the signatures alone, euler_combinatorial for
+    every fast poly-bar golden and euler_polymodule for every poly-module
+    golden, plus poly-bar at w = 0, whose m = 0 scalar slot the goldens
+    do not reach."""
+    formulas = {"poly-bar": euler_combinatorial, "poly-module": euler_polymodule}
+    tasks = [("builtin:sl2", "poly-bar", 0), ("builtin:h2_case1", "poly-bar", 0)]
+    for path in _golden_paths(None):
+        with open(path) as fh:
+            spec = parse_golden(fh.read())
+        if spec["mode"] in formulas and not spec["slow"]:
+            tasks.append((spec["structure"], spec["mode"], spec["weight"]))
+    assert len(tasks) == 57
+    for structure, mode, w in tasks:
+        pi = fx.load_structure(structure)
+        rep = build_report(pi, mode, w)
+        assert rep.euler == formulas[mode](pi.n, pi.h, w), (structure, mode, w)
+    assert build_report(fx.sl2(), "poly-bar", 0).row_at(0).dim == 1

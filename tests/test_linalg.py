@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson_cohom.linalg import (SparseMatrix, compose_is_zero,
-                                  from_column_vectors, in_span_coordinates,
-                                  matmul, rank_kernel)
+                                  in_span_coordinates, matmul, rank_kernel)
 
 
 def dense_rank(entries, n_rows, n_cols):
@@ -54,7 +53,7 @@ def test_rank_against_dense_oracle_200_random():
         assert res.kernel_dim == m.n_cols - expect
         assert len(res.kernel) == res.kernel_dim
         for vec in res.kernel:
-            assert compose_is_zero(m, from_column_vectors(m.n_cols, [vec])), \
+            assert compose_is_zero(m, SparseMatrix.from_columns(m.n_cols, [vec])), \
                 "kernel vector not annihilated"
 
 
@@ -114,7 +113,7 @@ def test_compose_is_zero():
         res = rank_kernel(m, want_basis=True)
         if not res.kernel:
             continue
-        kmat = from_column_vectors(m.n_cols, res.kernel)
+        kmat = SparseMatrix.from_columns(m.n_cols, res.kernel)
         assert compose_is_zero(m, kmat)
 
 
@@ -135,7 +134,7 @@ def test_rational_entries():
                             (1, 1): Fraction(2, 7)})
     res = rank_kernel(m, want_basis=True)
     assert res.rank == 2 and res.kernel_dim == 1
-    assert compose_is_zero(m, from_column_vectors(m.n_cols, [res.kernel[0]]))
+    assert compose_is_zero(m, SparseMatrix.from_columns(m.n_cols, [res.kernel[0]]))
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +205,8 @@ def test_property_products_match_fraction_reference(data):
     # a genuinely zero product: a times its own kernel basis
     kernel = rank_kernel(a, want_basis=True).kernel
     if kernel:
-        assert compose_is_zero(a, from_column_vectors(k, kernel))
-        assert matmul(a, from_column_vectors(k, kernel)).nnz() == 0
+        assert compose_is_zero(a, SparseMatrix.from_columns(k, kernel))
+        assert matmul(a, SparseMatrix.from_columns(k, kernel)).nnz() == 0
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -215,9 +214,8 @@ def test_property_products_match_fraction_reference(data):
 def test_property_equality_compares_values(cells, scale):
     n_rows, n_cols, entries = cells
     m = SparseMatrix(n_rows, n_cols, entries)
-    scaled = SparseMatrix.from_ints(n_rows, n_cols,
-                                    {k: v * scale for k, v in m.entries.items()},
-                                    m.denom * scale)
+    scaled = SparseMatrix.from_columns(n_rows, [{r: v * scale for r, v in col.items()}
+                                                for col in m.cols], m.denom * scale)
     assert scaled.denom != m.denom
     assert scaled == m and m == scaled
     assert m.transpose() == scaled.transpose()
@@ -225,12 +223,12 @@ def test_property_equality_compares_values(cells, scale):
     assert (rank_kernel(scaled, want_basis=True).kernel
             == rank_kernel(m, want_basis=True).kernel)
     if m.entries:
-        key = min(m.entries)
-        bumped = dict(scaled.entries)
-        bumped[key] += 1
-        if bumped[key] == 0:
-            del bumped[key]
-        assert SparseMatrix.from_ints(n_rows, n_cols, bumped, scaled.denom) != m
+        r, c = min(m.entries)
+        bumped = [dict(col) for col in scaled.cols]
+        bumped[c][r] += 1
+        if bumped[c][r] == 0:
+            del bumped[c][r]
+        assert SparseMatrix.from_columns(n_rows, bumped, scaled.denom) != m
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -241,7 +239,7 @@ def test_property_in_span_coordinates(cells, data):
     denominators; a column outside the span is refused."""
     n_rows, n_cols, entries = cells
     m = SparseMatrix(n_rows, n_cols, entries)
-    k = from_column_vectors(n_cols, rank_kernel(m, want_basis=True).kernel)
+    k = SparseMatrix.from_columns(n_cols, rank_kernel(m, want_basis=True).kernel)
     p = data.draw(st.integers(1, 5))
     y = SparseMatrix(k.n_cols, p, data.draw(rational_cells(k.n_cols, p)) if k.n_cols else {})
     got = in_span_coordinates(k, matmul(k, y))
@@ -252,4 +250,61 @@ def test_property_in_span_coordinates(cells, data):
         r0 = min(m.entries)[0]
         row = {c: v for (r, c), v in m.entries.items() if r == r0}
         with pytest.raises(AssertionError):
-            in_span_coordinates(k, from_column_vectors(n_cols, [row]))
+            in_span_coordinates(k, SparseMatrix.from_columns(n_cols, [row]))
+
+
+# ----------------------------------------------------------------------
+# the column layout: cols[c] maps row -> nonzero int over one denom
+# ----------------------------------------------------------------------
+
+def snapshot(m):
+    """The columns of m as plain data, key order included."""
+    return [list(col.items()) for col in m.cols]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(matrix_cells())
+def test_property_column_layout_round_trips(cells):
+    """Cells go into columns and come back through the entries view; the
+    transpose of the transpose is the matrix, column for column."""
+    n_rows, n_cols, entries = cells
+    m = SparseMatrix(n_rows, n_cols, entries)
+    assert m.n_cols == len(m.cols) == n_cols and m.nnz() == len(m.entries)
+    assert all(v and 0 <= r < n_rows for col in m.cols for r, v in col.items())
+    assert all(m.cols[c][r] == v for (r, c), v in m.entries.items())
+    again = SparseMatrix(n_rows, n_cols, values(m))
+    assert (again.denom, again.entries) == (m.denom, m.entries)
+    t = m.transpose()
+    assert (t.n_rows, t.n_cols, t.denom) == (n_cols, n_rows, m.denom)
+    assert t.entries == {(c, r): v for (r, c), v in m.entries.items()}
+    assert t.transpose() == m and t.transpose().cols == m.cols
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_property_operations_leave_operand_columns_unchanged(data):
+    """A map, its cleared view and a kernel basis built on rank_kernel's
+    vectors share column dicts, so rank_kernel, compose_is_zero, matmul,
+    transpose and in_span_coordinates must not write to their operands."""
+    n, k, p = (data.draw(st.integers(1, 7)) for _ in range(3))
+    a = SparseMatrix(n, k, data.draw(rational_cells(n, k)))
+    b = SparseMatrix(k, p, data.draw(rational_cells(k, p)))
+    drop = data.draw(st.sets(st.integers(0, k - 1)))
+    cleared = SparseMatrix.from_columns(
+        n, [{} if c in drop else col for c, col in enumerate(a.cols)], a.denom)
+    before = snapshot(a), snapshot(b)
+    res = rank_kernel(a, want_basis=True)
+    kmat = SparseMatrix.from_columns(k, res.kernel)
+    kernel_before = snapshot(kmat)
+    rank_kernel(cleared, want_basis=True)
+    rank_kernel(b)
+    compose_is_zero(a, b)
+    compose_is_zero(a, kmat)
+    matmul(a, b)
+    a.transpose()
+    if kmat.n_cols:
+        in_span_coordinates(kmat, matmul(kmat, SparseMatrix(kmat.n_cols, 1, {(0, 0): 1})))
+    rank_kernel(kmat, want_basis=True)
+    assert (snapshot(a), snapshot(b)) == before
+    assert snapshot(kmat) == kernel_before
+    assert all(cleared.cols[c] is a.cols[c] for c in range(k) if c not in drop)

@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 
 from poisson_cohom import engine
+from poisson_cohom import fixtures as fx
+from poisson_cohom.complexes import PolyContext, build_basis, cochain_matrix
+from poisson_cohom.linalg import compose_is_zero, rank_kernel
 
 PKG = os.path.dirname(engine.__file__)
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -46,3 +50,32 @@ def test_benchmark_tracer_layers_exist():
             missing += ["%s.%s.%s" % (modname, clsname, meth) for meth in meths
                         if cls is None or meth not in cls.__dict__]
     assert not missing, missing
+
+
+def test_benchmark_tracer_reads_matrix_attributes():
+    """The tracer's counts read a matrix through `entries` (iterated for
+    its (r, c) keys), `nnz()`, `n_rows` and `n_cols`; its counting code,
+    run here on real differentials, must agree with the columns, so a
+    layout change cannot silently break matrix.nnz, matrix.max_dim,
+    rank_kernel.input_nnz or compose_is_zero.madds."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    ctx = PolyContext(fx.sl2(), "bar")
+    b1, b2, b3 = (build_basis(ctx, m, 2) for m in (1, 2, 3))
+    d1, d2 = cochain_matrix(ctx, b1, b2), cochain_matrix(ctx, b2, b3)
+    for d in (d1, d2):
+        keys = list(d.entries)
+        assert len(keys) == d.nnz() == sum(map(len, d.cols)) > 0
+        assert all(0 <= r < d.n_rows and 0 <= c < d.n_cols for r, c in keys)
+    assert compose_is_zero(d2, d1)
+    # each entry (k, c) of d1 meets the whole column k of d2
+    assert tracer._computed_madds(d2, d1) == sum(len(d2.cols[k]) for col in d1.cols
+                                                 for k in col)
+    t = tracer.Tracer("test")
+    for d in (d1, d2):
+        t._count("complexes.cochain_matrix", (), d)
+        t._count("linalg.rank_kernel", (d,), rank_kernel(d))
+    assert t.counts["matrix.nnz"] == t.counts["linalg.rank_kernel.input_nnz"] \
+        == d1.nnz() + d2.nnz()
+    assert t.max_dim == max(len(b1), len(b2), len(b3))
