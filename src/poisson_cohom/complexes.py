@@ -9,10 +9,10 @@ cochain_matrix is the one assembly routine of a context: the chain
 boundary is the dual of the coboundary under the wedge-basis pairing,
 so boundary_matrix is its transpose.
 
-Generator ids are (degree, position) pairs; cochain basis elements are
-ascending tuples of generator ids.  Each matrix builder gives every
-generator it meets one bit of an integer, in gid order, so a basis
-element is a bitmask: wedging a pair onto the rest of a word is an AND
+Generator ids are (degree, position) pairs; a cochain basis is the list
+of its words, ascending tuples of generator ids.  Each matrix builder
+gives every generator it meets one bit of an integer, in gid order, so
+a basis word is a bitmask: wedging a pair onto the rest of a word is an AND
 (collision) and an OR (the target word), and the reordering sign is a
 popcount parity.
 
@@ -36,24 +36,6 @@ from .linalg import SparseMatrix, clear_denominators
 from .poisson import GradedMultiVector, PoissonStructure, r_schouten
 
 GenId = tuple  # (degree, position within the degree block)
-
-
-class Basis:
-    __slots__ = ("elements", "_index")
-
-    def __init__(self, elements: list):
-        self.elements = elements
-        self._index = None
-
-    @property
-    def index(self) -> dict:
-        """Position of each element, built on first use."""
-        if self._index is None:
-            self._index = {t: i for i, t in enumerate(self.elements)}
-        return self._index
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 class PolyContext:
@@ -209,20 +191,19 @@ class PoissonLikeContext:
 # basis and matrix builders
 # ----------------------------------------------------------------------
 
-def build_basis(ctx, m: int, w: int) -> Basis:
-    """Deterministic basis of the degree-m, weight-w cochain space."""
-    if m == 0 and not ctx.include_m0:
-        return Basis([])
-    elements = []
-    for sig in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start):
-        pools = []
-        for j, k in sig:
-            ids = [(j, p) for p in range(ctx.cap(j))]
-            pools.append(list(combinations(ids, k)))
-        for combo in product(*pools):
-            tup = tuple(g for block in combo for g in block)
-            elements.append(tup)
-    return Basis(elements)
+def build_basis(ctx, m: int, w: int) -> list:
+    """Deterministic basis of the degree-m, weight-w cochain space: the
+    list of its words, ascending tuples of gids, its size checked
+    against the signature count."""
+    basis = []
+    if m or ctx.include_m0:
+        for sig in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start):
+            pools = [list(combinations([(j, p) for p in range(ctx.cap(j))], k))
+                     for j, k in sig]
+            for combo in product(*pools):
+                basis.append(tuple(g for block in combo for g in block))
+    basis_dimension_check(ctx, m, w, basis)
+    return basis
 
 
 def _bits(*gid_lists) -> dict:
@@ -246,15 +227,15 @@ def _pairs(bit: dict, terms, scale: int) -> tuple:
     return tuple(out)
 
 
-def _wedge_place(src: Basis, tgt: Basis, bit: dict, pieces, denom: int) -> SparseMatrix:
+def _wedge_place(src: list, tgt: list, bit: dict, pieces, denom: int) -> SparseMatrix:
     """Matrix whose column col is the sum, over the (rest, pairs) that
     pieces(tup) gives for src word tup, of every pair wedged onto the
     word with mask rest; a pair that meets rest contributes nothing, one
     that lands outside tgt is an error.  Entries are integers over denom,
     each column keyed in the order its rows are first met."""
-    index = {sum(map(bit.__getitem__, tup)): row for row, tup in enumerate(tgt.elements)}
+    index = {sum(map(bit.__getitem__, tup)): row for row, tup in enumerate(tgt)}
     cols = []
-    for tup in src.elements:
+    for tup in src:
         acc: dict = {}  # target mask -> value
         for rest, pairs in pieces(tup):
             for ab, between, c in pairs:
@@ -275,16 +256,16 @@ def _wedge_place(src: Basis, tgt: Basis, bit: dict, pieces, denom: int) -> Spars
     return SparseMatrix.from_columns(len(tgt), cols, denom)
 
 
-def cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
+def cochain_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
     """Exact matrix of the coboundary from src (degree m) to tgt (m+1),
     accumulated in integers over the lcm of the image2 denominators of the
     generator degrees in src: the slot-k generator of a word is replaced
     by its image2, with sign (-1)^k."""
-    gens = set().union(*src.elements)
+    gens = set().union(*src)
     denoms = {j: ctx.image2_denom(j) for j in {g[0] for g in gens}}
     denom = lcm(1, *denoms.values())
     images = {g: ctx.image2(g) for g in gens}
-    bit = _bits(gens, *tgt.elements, *(t[:2] for img in images.values() for t in img))
+    bit = _bits(gens, *tgt, *(t[:2] for img in images.values() for t in img))
     signed = {}
     for g, img in images.items():
         scale = denom // denoms[g[0]]
@@ -297,7 +278,7 @@ def cochain_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
     return _wedge_place(src, tgt, bit, pieces, denom)
 
 
-def boundary_matrix(ctx, src: Basis, tgt: Basis) -> SparseMatrix:
+def boundary_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
     """Exact matrix of the boundary operator from src (degree m) to tgt
     (m-1): the transpose of the coboundary from tgt to src, since the
     boundary is the dual of the coboundary under the wedge-basis pairing."""
@@ -309,7 +290,7 @@ def weight_degree_range(ctx, w: int) -> int:
     return degree_range(w, ctx.wt, ctx.cap, ctx.start)
 
 
-def basis_dimension_check(ctx, m: int, w: int, basis: Basis) -> None:
+def basis_dimension_check(ctx, m: int, w: int, basis: list) -> None:
     """Structural cross-check: enumerated dimension equals the signature
     dimension sum from the diagrams module."""
     expect = sum(sig_dim(s, ctx.cap)
@@ -330,15 +311,9 @@ def with_constants_split(pi: PoissonStructure, m: int, w: int) -> tuple:
     without the degree-0 slot and the part carrying it (h > 0 only)."""
     if pi.h == 0:
         raise ValueError("the split requires h > 0")
-    full = PolyContext(pi, "full")
-    delta = (0, 0)
-    with_delta = without = 0
-    for tup in build_basis(full, m, w).elements:
-        if delta in tup:
-            with_delta += 1
-        else:
-            without += 1
-    return without, with_delta
+    basis = build_basis(PolyContext(pi, "full"), m, w)
+    with_delta = sum((0, 0) in tup for tup in basis)
+    return len(basis) - with_delta, with_delta
 
 
 def constant_two_cochain(pi: PoissonStructure) -> tuple:
@@ -346,18 +321,14 @@ def constant_two_cochain(pi: PoissonStructure) -> tuple:
     (h = 0) structure, as ([(gid_i, gid_j, int)], denom)."""
     if pi.h != 0:
         raise ValueError("annihilator subcomplex needs a 0-homogeneous structure")
-    zero = tuple([0] * pi.n)
-    pairs = [(i, j, poly.coeff(zero)) for (i, j), poly in sorted(pi.p.items())]
-    pairs = [t for t in pairs if t[2]]
-    ints, denom = clear_denominators([c for _, _, c in pairs])
-    return [((1, i), (1, j), c) for (i, j, _), c in zip(pairs, ints)], denom
+    return [((1, i), (1, j), c) for i, j, _, c in sorted(pi.terms)], pi.denom
 
 
-def wedge_cochain_matrix(two_cochain: tuple, src: Basis, tgt: Basis) -> SparseMatrix:
+def wedge_cochain_matrix(two_cochain: tuple, src: list, tgt: list) -> SparseMatrix:
     """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain given as
     (terms, denom) by constant_two_cochain."""
     terms, denom = two_cochain
-    bit = _bits(*src.elements, *tgt.elements, *(t[:2] for t in terms))
+    bit = _bits(*src, *tgt, *(t[:2] for t in terms))
     pairs = _pairs(bit, terms, 1)
     return _wedge_place(src, tgt, bit, lambda tup: ((sum(map(bit.__getitem__, tup)), pairs),),
                         denom)

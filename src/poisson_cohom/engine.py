@@ -9,10 +9,9 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (PolyContext, PoissonLikeContext, basis_dimension_check,
-                        boundary_matrix, build_basis, cochain_matrix,
-                        constant_two_cochain, wedge_cochain_matrix,
-                        weight_degree_range)
+from .complexes import (PolyContext, PoissonLikeContext, boundary_matrix,
+                        build_basis, cochain_matrix, constant_two_cochain,
+                        wedge_cochain_matrix, weight_degree_range)
 from .linalg import (SparseMatrix, compose_is_zero, in_span_coordinates,
                      matmul, rank_kernel)
 from .multivector import poly_module_basis, poly_module_matrix
@@ -163,28 +162,21 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     return _trim_rows(rows)
 
 
-def _checked_basis(ctx, m: int, w: int):
-    """build_basis, its size checked against the signature count."""
-    basis = build_basis(ctx, m, w)
-    basis_dimension_check(ctx, m, w, basis)
-    return basis
-
-
 def _context_complex(ctx, w: int, direction: str) -> tuple:
     """A PolyContext or PoissonLikeContext complex: coboundaries m -> m+1,
     or boundaries m -> m-1 in the chain direction."""
     hi = weight_degree_range(ctx, w)
-    bases = {m: _checked_basis(ctx, m, w) for m in range(hi + 2)}
+    bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
     maps: dict = {}
     if direction == "cochain":
         step = 1
         for m in range(hi + 1):
-            if len(bases[m]):
+            if bases[m]:
                 maps[m] = cochain_matrix(ctx, bases[m], bases[m + 1])
     else:
         step = -1
         for m in range(1, hi + 1):
-            if len(bases[m]):
+            if bases[m]:
                 maps[m] = boundary_matrix(ctx, bases[m], bases[m - 1])
     return {m: len(bases[m]) for m in range(hi + 1)}, maps, step
 
@@ -206,10 +198,10 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     ctx = PolyContext(pi, "bar")
     two = constant_two_cochain(pi)
     hi = weight_degree_range(ctx, w)
-    bases = {m: _checked_basis(ctx, m, w) for m in range(hi + 2)}
+    bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
     kmats: dict = {}
     for m, basis in bases.items():
-        wedge = wedge_cochain_matrix(two, basis, _checked_basis(ctx, m + 2, w - 2))
+        wedge = wedge_cochain_matrix(two, basis, build_basis(ctx, m + 2, w - 2))
         kmats[m] = SparseMatrix.from_columns(
             len(basis), rank_kernel(wedge, want_basis=True).kernel)
     maps = {m: in_span_coordinates(kmats[m + 1], matmul(
@@ -224,8 +216,8 @@ def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     if not schouten(pi_mv, pi_mv).is_zero():
         raise ValueError("structure is not Poisson")
     bases = {m: poly_module_basis(pi.n, pi.h, m, w) for m in range(0, pi.n + 2)}
-    maps = {m: poly_module_matrix(pi_mv, bases[m], bases[m + 1])
-            for m in range(0, pi.n + 1) if len(bases[m])}
+    maps = {m: poly_module_matrix(pi, bases[m], bases[m + 1])
+            for m in range(0, pi.n + 1) if bases[m]}
     return {m: len(bases[m]) for m in range(0, pi.n + 1)}, maps, 1
 
 
@@ -240,6 +232,11 @@ _MODES = {
 }
 MODES = tuple(_MODES)
 DIRECTIONS = ("cochain", "chain")
+
+
+def _structure_name(structure) -> str:
+    """The name a report carries: the structure's own, or empty."""
+    return getattr(structure, "name", "") or ""
 
 
 def build_report(structure, mode: str, w: int, direction: str = "cochain",
@@ -260,7 +257,7 @@ def build_report(structure, mode: str, w: int, direction: str = "cochain",
         raise ValueError("%s mode has no chain direction" % mode)
     dims, maps, step = builder(structure, w, direction)
     rep = ComplexReport(mode=mode, weight=w, direction=direction,
-                        structure=getattr(structure, "name", "") or "",
+                        structure=_structure_name(structure),
                         rows=_complex_rows(dims, maps, step, matrix_sink))
     rep.seconds = time.monotonic() - start
     return rep
@@ -297,7 +294,8 @@ def run(structure, mode: str, weights, direction: str = "cochain",
     matrix_sink every report is built (so every matrix reaches the sink)
     and the cache is written but not read.  A cache file that does not
     parse as the requested report, or whose rows fail cross_check, is
-    rebuilt and overwritten."""
+    rebuilt and overwritten.  A cache hit carries the requested
+    structure's name, which the key does not hash."""
     reports = []
     for w in weights:
         rep = None
@@ -307,6 +305,8 @@ def run(structure, mode: str, weights, direction: str = "cochain",
             path = os.path.join(cache_dir, cache_key(structure, mode, w, direction) + ".report")
             if matrix_sink is None and os.path.exists(path):
                 rep = _read_cached(path, mode, w, direction)
+            if rep is not None:
+                rep.structure = _structure_name(structure)
         if rep is None:
             rep = build_report(structure, mode, w, direction=direction,
                                matrix_sink=matrix_sink)

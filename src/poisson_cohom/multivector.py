@@ -8,36 +8,36 @@ from itertools import combinations
 from math import comb
 
 from .algebra import mono_basis
-from .complexes import Basis, PolyContext, build_basis, cochain_matrix
-from .linalg import SparseMatrix, clear_denominators, rank_kernel
+from .complexes import PolyContext, build_basis, cochain_matrix
+from .linalg import SparseMatrix, rank_kernel
 from .poisson import (GradedMultiVector, MultiVector, PoissonStructure,
                       phi_flatten, r_schouten, schouten)
 
 
-def poly_module_basis(n: int, h: int, m: int, w: int) -> Basis:
-    """Basis of (w + (h-1)m)-polynomials tensor the m-th constant wedge."""
+def poly_module_basis(n: int, h: int, m: int, w: int) -> list:
+    """Basis of (w + (h-1)m)-polynomials tensor the m-th constant wedge,
+    as the list of its (monomial, axes) words."""
     p = w + (h - 1) * m
     if p < 0 or not (0 <= m <= n):
-        return Basis([])
-    return Basis([(a, axes) for a in mono_basis(n, p)
-                  for axes in combinations(range(n), m)])
+        return []
+    return [(a, axes) for a in mono_basis(n, p) for axes in combinations(range(n), m)]
 
 
-def poly_module_matrix(pi_mv: MultiVector, src: Basis, tgt: Basis) -> SparseMatrix:
-    """Matrix of u -> [pi, u] between module bases.  pi_mv is scaled once by
-    the lcm of its coefficient denominators, so the Schouten brackets and
+def poly_module_matrix(pi: PoissonStructure, src: list, tgt: list) -> SparseMatrix:
+    """Matrix of u -> [pi, u] between module bases.  The 2-vector is the
+    structure's integer terms over pi.denom, so the Schouten brackets and
     the assembly run in integers over that one denominator."""
-    ints, denom = clear_denominators(list(pi_mv.terms.values()))
-    pi_int = MultiVector(pi_mv.n, pi_mv.degree, dict(zip(pi_mv.terms, ints)))
+    n = pi.n
+    pi_int = MultiVector(n, 2, {(mono, (i, j)): c for i, j, mono, c in pi.terms})
+    index = {key: row for row, key in enumerate(tgt)}
     cols = []
-    n = pi_mv.n
-    for a, axes in src.elements:
+    for a, axes in src:
         image = schouten(pi_int, MultiVector(n, len(axes), {(a, axes): 1})).terms
-        rows = [tgt.index.get(key) for key in image]
+        rows = [index.get(key) for key in image]
         if None in rows:
             raise AssertionError("module differential left the weight basis")
         cols.append(dict(zip(rows, image.values())))
-    return SparseMatrix.from_columns(len(tgt), cols, denom)
+    return SparseMatrix.from_columns(len(tgt), cols, pi.denom)
 
 
 def commuting_square_holds(pi_like: GradedMultiVector, gen) -> bool:
@@ -105,7 +105,7 @@ def top_betti_probe(pi: PoissonStructure, mode: str, ell: int) -> dict:
     report["top_dim_ok"] = report["top_dim"] == 1
     empty_above = True
     for m in range(m0 + 1, m0 + ell + 3):
-        if len(build_basis(ctx, m, w0)):
+        if build_basis(ctx, m, w0):
             empty_above = False
             break
     report["empty_above"] = empty_above

@@ -41,7 +41,7 @@ class PoissonStructure:
         terms = [(i, j, mono, c) for (i, j), poly in self.p.items()
                  for mono, c in poly.terms.items()]
         ints, self.denom = clear_denominators([t[3] for t in terms])
-        self._terms = [t[:3] + (c,) for t, c in zip(terms, ints)]
+        self.terms = [t[:3] + (c,) for t, c in zip(terms, ints)]
         if check:
             ok, cert = jacobi_check(self)
             if not ok:
@@ -64,7 +64,7 @@ class PoissonStructure:
         """{x^a, x^b} = sum_{i<j} (a_i b_j - a_j b_i) p_ij x^(a+b-e_i-e_j),
         as monomial -> int over self.denom (zero values included)."""
         out: dict = {}
-        for i, j, mono, c in self._terms:
+        for i, j, mono, c in self.terms:
             k = a[i] * b[j] - a[j] * b[i]
             if k:
                 e = [x + y + z for x, y, z in zip(a, b, mono)]
@@ -430,6 +430,8 @@ def parse_structure(text: str, check: bool = True):
     and each vfield read by parse_vector_field.  A line's first
     word must be exactly one of the keywords n, h, p, v, and n and h are
     given once each.  Returns a PoissonStructure or a GradedMultiVector.
+    Entries must be h-homogeneous; check=False skips only the Jacobi
+    identity (p files) or the R-Schouten self-bracket (v files).
     """
     n = h = None
     p_entries: dict = {}
@@ -492,11 +494,10 @@ def parse_structure(text: str, check: bool = True):
         acc = GradedMultiVector(n, 2)
         for t in v_terms:
             acc = acc + t
-        if check:
-            if acc.poly_degree() != h:
-                raise StructureFileError("2-vector is not %d-homogeneous" % h)
-            if not r_schouten(acc, acc).is_zero():
-                raise StructureFileError("R-Schouten self-bracket does not vanish")
+        if acc.poly_degree() != h:
+            raise StructureFileError("2-vector is not %d-homogeneous" % h)
+        if check and not r_schouten(acc, acc).is_zero():
+            raise StructureFileError("R-Schouten self-bracket does not vanish")
         return acc
     return PoissonStructure(n, h, p_entries, check=check)
 

@@ -305,6 +305,20 @@ def test_v_line_field_without_one_d_factor_exits_2(tmp_path, capsys, field):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["check"],
+                                  ["betti", "--mode", "poisson-like", "--no-check",
+                                   "--weights", "1"]])
+def test_v_file_of_wrong_degree_exits_2(tmp_path, capsys, argv):
+    """A v file is held to its h line as a p file is: d1 ^ d2 has
+    polynomial degree 0, not 1.  --no-check (and check, which loads
+    without the checks to report on them) skips only the R-Schouten
+    identity, never the degree."""
+    path = tmp_path / "bad.poisson"
+    path.write_text("n = 3\nh = 1\nv 1 d1 ; d2\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert "not 1-homogeneous" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["n = 3\nh = 1\nh = 1\n",
                                   "n = 3\nh = 1\np 1 2 = x3\nn = 4\n",
                                   "n = 3\nn = 3\nh = 1\n"])

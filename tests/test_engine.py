@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson_cohom import engine
+from poisson_cohom import complexes, engine
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, mi_unit
 from poisson_cohom.cli import _golden_paths, parse_golden
@@ -100,13 +100,13 @@ def test_annihilator_checks_every_basis(monkeypatch):
     wedge targets against the signature count, as the other context
     modes check theirs."""
     seen = []
-    real = engine.basis_dimension_check
+    real = complexes.basis_dimension_check
 
     def spy(ctx, m, w, basis):
         seen.append((m, w))
         real(ctx, m, w, basis)
 
-    monkeypatch.setattr(engine, "basis_dimension_check", spy)
+    monkeypatch.setattr(complexes, "basis_dimension_check", spy)
     build_report(fx.symplectic_r2(), "pi-annihilator", 2)
     hi = weight_degree_range(PolyContext(fx.symplectic_r2(), "bar"), 2)
     assert sorted(seen) == sorted([(m, 2) for m in range(hi + 2)]
@@ -132,6 +132,27 @@ def test_cache_round_trip(tmp_path):
     with open(path) as fh:
         payload = fh.read()
     assert second[0].serialize() == payload
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_cache_hit_reports_requested_structure_name(tmp_path, order):
+    """The built-in sl2 and its structure file have the same terms, so they
+    share one cache key; whichever comes second is a cache hit, and its
+    report must still name the structure that was asked for."""
+    path = os.path.join(os.path.dirname(fx.__file__), "structures", "sl2.poisson")
+    pair = [fx.sl2(), fx.load_structure(path)]
+    assert pair[0].name != pair[1].name
+    assert pair[0].serialize() == pair[1].serialize()
+    cache = str(tmp_path / "cache")
+
+    def text(rep):
+        return [line for line in rep.serialize().splitlines()
+                if not line.startswith("seconds")]
+
+    for i in order:
+        rep = run(pair[i], "poly-bar", [1], cache_dir=cache)[0]
+        assert text(rep) == text(build_report(pair[i], "poly-bar", 1)), i
+    assert len(os.listdir(cache)) == 1
 
 
 def test_parse_rejects_partial_reports():
@@ -367,17 +388,31 @@ def _in_coordinates(pi: PoissonStructure, a: list, inv: list) -> PoissonStructur
     return PoissonStructure(n, pi.h, entries)
 
 
-@pytest.mark.parametrize("name, mode, weights, seed", [
-    ("symplectic_r2", "pi-annihilator", range(0, 3), 3),
+_UNIMODULAR_ROWS = [
+    ("symplectic_r2", "pi-annihilator", "cochain", range(0, 3), 3),
     # p_12 = 3, p_23 = -2: some kernel vectors have only non-unit private
     # entries, so the annihilator maps are read off with a denominator
-    ("constant_r3", "pi-annihilator", range(-2, 0), 7),
-    ("sl2", "poly-bar", range(0, 3), 1),
-    ("sl2", "hamiltonian", range(0, 3), 2),
-    ("heisenberg", "poly-bar", range(0, 3), 1),
-    ("heisenberg", "hamiltonian", range(0, 3), 2),
-])
-def test_rows_invariant_under_unimodular_change(name, mode, weights, seed):
+    ("constant_r3", "pi-annihilator", "cochain", range(-2, 0), 7),
+    ("sl2", "poly-bar", "cochain", range(0, 3), 1),
+    ("sl2", "hamiltonian", "cochain", range(0, 3), 2),
+    ("heisenberg", "poly-bar", "cochain", range(0, 3), 1),
+    ("heisenberg", "hamiltonian", "cochain", range(0, 3), 2),
+    ("sl2", "poly-with-constants", "cochain", range(0, 3), 4),
+    ("solvable22", "poly-with-constants", "cochain", range(0, 3), 5),
+    ("sl2", "poly-module", "cochain", range(0, 4), 6),
+    ("heisenberg", "poly-module", "cochain", range(0, 4), 6),
+    ("pibar", "poly-module", "cochain", range(-2, 2), 8),
+    ("sl2", "poly-bar", "chain", range(0, 3), 1),
+    ("solvable22", "poly-with-constants", "chain", range(0, 3), 5),
+]
+
+
+# ids name the direction only when it is not the cochain default
+@pytest.mark.parametrize("name, mode, direction, weights, seed", _UNIMODULAR_ROWS, ids=[
+    "%s-%s%s-weights%d-%d" % (name, mode, "" if direction == "cochain" else "-" + direction,
+                              i, seed)
+    for i, (name, mode, direction, _, seed) in enumerate(_UNIMODULAR_ROWS)])
+def test_rows_invariant_under_unimodular_change(name, mode, direction, weights, seed):
     """A linear change of coordinates in GL(n, Z) is an isomorphism of
     every complex, weight by weight, so every report row is unchanged."""
     pi = fx.load_structure("builtin:" + name)
@@ -388,8 +423,9 @@ def test_rows_invariant_under_unimodular_change(name, mode, weights, seed):
     assert changed.p != pi.p
     denoms = []
     for w in weights:
-        rep = build_report(changed, mode, w, matrix_sink=lambda m, d: denoms.append(d.denom))
-        assert rep.rows == build_report(pi, mode, w).rows, w
+        rep = build_report(changed, mode, w, direction,
+                           matrix_sink=lambda m, d: denoms.append(d.denom))
+        assert rep.rows == build_report(pi, mode, w, direction).rows, w
         assert not rep.is_empty()
     if name == "constant_r3":
         assert max(denoms) > 1

@@ -304,9 +304,18 @@ def test_graded_lift_round_trip():
 
 
 def test_structure_file_round_trip():
-    s = fx.sl2()
-    again = parse_structure(s.serialize())
-    assert again.p == s.p and again.n == s.n and again.h == s.h
+    """parse_structure(serialize(s)) is s for every built-in Poisson
+    structure, its integer terms and denominator included."""
+    count = 0
+    for name in fx.builtin_names():
+        s = fx.load_structure("builtin:" + name)
+        if not isinstance(s, PoissonStructure):
+            continue
+        again = parse_structure(s.serialize())
+        assert (again.n, again.h, again.p) == (s.n, s.h, s.p), name
+        assert (sorted(again.terms), again.denom) == (sorted(s.terms), s.denom), name
+        count += 1
+    assert count == 15
 
 
 def test_v_line_parsing():

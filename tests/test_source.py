@@ -79,3 +79,42 @@ def test_benchmark_tracer_reads_matrix_attributes():
     assert t.counts["matrix.nnz"] == t.counts["linalg.rank_kernel.input_nnz"] \
         == d1.nnz() + d2.nnz()
     assert t.max_dim == max(len(b1), len(b2), len(b3))
+
+
+def _named(tree) -> set:
+    """Every name a syntax tree uses: names, attributes and string
+    constants (the tracer names its layers as strings).  Imports do not
+    count, so an unused import keeps nothing alive."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    """No dead helpers: every top-level function and class of the package
+    is named somewhere besides its own definition, in the package, in
+    tests/ or in perfbench/."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    defined = []  # (file, definition node)
+    uses = []  # (definition node or None, names it uses)
+    for name in sorted(f for f in os.listdir(PKG) if f.endswith(".py")):
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node))
+            uses.append((node, _named(node)))
+    for sub in ("tests", "perfbench"):
+        for name in sorted(f for f in os.listdir(os.path.join(root, sub)) if f.endswith(".py")):
+            with open(os.path.join(root, sub, name), encoding="utf-8") as fh:
+                uses.append((None, _named(ast.parse(fh.read(), name))))
+    dead = ["%s:%s" % (name, node.name) for name, node in defined
+            if not any(node.name in names for owner, names in uses if owner is not node)]
+    assert len(defined) > 100
+    assert not dead, dead
