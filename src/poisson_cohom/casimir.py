@@ -122,13 +122,12 @@ class QuotientBasis:
         return len(self.primal)
 
 
-def quotient_basis(pi: PoissonStructure, j: int, cas: CasimirBasis | None = None) -> QuotientBasis:
+def quotient_basis(pi: PoissonStructure, j: int) -> QuotientBasis:
     """Primal monomials (non leading of any Casimir) and dual functionals
     annihilating the Casimir space, pairing to the identity: the dual of b
     reads the b-coefficient of the normal form, so it is the transpose of
     the rules."""
-    if cas is None:
-        cas = casimir_space(pi, j)
+    cas = casimir_space(pi, j)
     dual = {b: {b: Fraction(1)} for b in cas.primal}
     for lm, (f, tail) in cas.rules.items():
         for m, t in tail:
@@ -136,12 +135,9 @@ def quotient_basis(pi: PoissonStructure, j: int, cas: CasimirBasis | None = None
     return QuotientBasis(j, cas.primal, list(dual.values()))
 
 
-def quotient_bracket(pi: PoissonStructure, f: RatPoly, g: RatPoly,
-                     cas: CasimirBasis | None = None) -> RatPoly:
+def quotient_bracket(pi: PoissonStructure, f: RatPoly, g: RatPoly) -> RatPoly:
     """Bracket of the Hamiltonian quotient: the normal form of {f, g}."""
     br = pi.bracket(f, g)
     if br.is_zero():
         return br
-    if cas is None:
-        cas = casimir_space(pi, br.degree())
-    return normal_form(cas, br)
+    return normal_form(casimir_space(pi, br.degree()), br)

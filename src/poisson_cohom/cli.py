@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -205,38 +206,31 @@ def _golden_paths(directory: str | None) -> list:
 
 
 def parse_golden(text: str) -> dict:
-    entry: dict = {"rows": [], "slow": False, "label": ""}
-    in_rows = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if raw.startswith("#") and not entry["label"]:
-            entry["label"] = raw.lstrip("# ").strip()
-        if not line:
-            continue
-        if line.startswith("rows"):
-            in_rows = True
-            continue
-        if "=" in line and not in_rows:
-            key, val = [s.strip() for s in line.split("=", 1)]
-            if key in ("structure", "mode", "direction"):
-                entry[key] = val
-            elif key == "weight":
-                entry[key] = int(val)
-            elif key == "slow":
-                entry[key] = val.lower() in ("1", "true", "yes")
-            continue
-        if in_rows and "=" in line:
-            key, val = [s.strip() for s in line.split("=", 1)]
-            if key == "euler":
-                entry["euler"] = int(val)
-            continue
-        entry["rows"].append([int(p) for p in line.split()])
+    """A golden table: its structure, mode, weight and, when given,
+    direction, euler and slow lines, its rows and its first comment as
+    the label.  Raises ValueError when the structure, mode or weight line
+    is missing."""
+    fields, rows = engine.read_table(text)
+    missing = [k for k in ("structure", "mode", "weight") if k not in fields]
+    if missing:
+        raise ValueError("golden lacks the %s line(s)" % ", ".join(missing))
+    label = re.search(r"^#[# ]*(.*\S)", text, re.MULTILINE)
+    entry: dict = {"rows": rows, "slow": False,
+                   "label": label.group(1).strip() if label else ""}
+    for key, val in fields.items():
+        if key in ("structure", "mode", "direction"):
+            entry[key] = val
+        elif key in ("weight", "euler"):
+            entry[key] = int(val)
+        elif key == "slow":
+            entry[key] = val.lower() in ("1", "true", "yes")
     return entry
 
 
 def run_goldens(directory: str | None = None, slow: bool = False,
                 cache_dir: str | None = None, out=None) -> tuple:
-    """Compare every golden file field-exactly; (passed, failed, skipped)."""
+    """Compare every golden file's whole table and Euler line exactly;
+    (passed, failed, skipped)."""
     if out is None:
         out = sys.stdout
     paths = _golden_paths(directory)
@@ -257,13 +251,13 @@ def run_goldens(directory: str | None = None, slow: bool = False,
                   direction=entry.get("direction", "cochain"),
                   cache_dir=cache_dir)[0]
         problems = []
-        for m, dim, ker, rank, betti in entry["rows"]:
-            row = rep.row_at(m)
-            got = (row.dim, row.kernel_dim, row.rank, row.betti)
-            if got != (dim, ker, rank, betti):
-                problems.append("m=%d expected dim/ker/rank/betti=%s got %s"
-                                % (m, (dim, ker, rank, betti), got))
-        if "euler" in entry and rep.euler != entry["euler"]:
+        got = [[r.m, r.dim, r.kernel_dim, r.rank, r.betti] for r in rep.rows]
+        if got != entry["rows"]:
+            problems.append("rows m/dim/ker/rank/betti expected %s got %s"
+                            % (entry["rows"], got))
+        if "euler" not in entry:
+            problems.append("no euler line")
+        elif rep.euler != entry["euler"]:
             problems.append("euler expected %d got %d" % (entry["euler"], rep.euler))
         problems.extend(cross_check(rep))
         if problems:

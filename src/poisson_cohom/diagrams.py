@@ -1,6 +1,8 @@
-"""Young-diagram machinery: partition sets by area and height, tower
-(column) decompositions, signature enumeration for weighted cochain
-spaces, and purely combinatorial Euler characteristics.
+"""Young-diagram machinery: partition sets by area and height, signature
+enumeration for weighted cochain spaces, and purely combinatorial Euler
+characteristics.  The tower (column) decomposition helpers that check
+the enumerator's recursion live beside their tests in
+tests/test_diagrams.py.
 
 A signature is the multiplicity vector [k_1, k_2, ...] (optionally with
 k_0) recording how many wedge slots sit in each graded piece; stored as
@@ -31,58 +33,11 @@ def nabla(area: int, height: int) -> tuple:
     return tuple(sorted((signature_to_partition(s) for s in sigs), reverse=True))
 
 
-def tower_decompose(lam: tuple) -> tuple:
-    """Column slicing of a partition, i.e. its conjugate:
-    l_j = #{i : lam_i >= j}."""
-    if not lam:
-        return ()
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or lam[-1] <= 0:
-        raise ValueError("not a partition")
-    return tuple(sum(1 for r in lam if r >= j) for j in range(1, lam[0] + 1))
-
-
-def partition_to_signature(lam: tuple) -> Signature:
-    """k_j = number of rows of width j."""
-    counts: dict = {}
-    for r in lam:
-        counts[r] = counts.get(r, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def signature_to_partition(sig: Signature) -> tuple:
     rows = []
     for j, k in sig:
         rows.extend([j] * k)
     return tuple(sorted(rows, reverse=True))
-
-
-def towers_to_signature(towers: tuple) -> Signature:
-    """k_j = l_j - l_{j+1}, k_s = l_s for a tower list l_1 >= ... >= l_s."""
-    out = []
-    for j, l in enumerate(towers):
-        nxt = towers[j + 1] if j + 1 < len(towers) else 0
-        if l - nxt:
-            out.append((j + 1, l - nxt))
-    return tuple(out)
-
-
-def prepend_tower(m: int, sig: Signature) -> Signature:
-    """T(m) acting on a signature: kbar_1 = m - sum k_j, kbar_{j+1} = k_j."""
-    height = sum(k for _, k in sig)
-    if m < height:
-        raise ValueError("tower height %d below diagram height %d" % (m, height))
-    out = [(j + 1, k) for j, k in sig]
-    if m - height:
-        out.append((1, m - height))
-    return tuple(sorted(out))
-
-
-def sig_height(sig: Signature) -> int:
-    return sum(k for _, k in sig)
-
-
-def sig_weight(sig: Signature, wt) -> int:
-    return sum(k * wt(j) for j, k in sig)
 
 
 def sig_dim(sig: Signature, cap) -> int:

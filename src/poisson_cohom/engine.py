@@ -32,6 +32,28 @@ def _source_digest() -> str:
 CODE_VERSION = _source_digest()
 
 
+def read_table(text: str) -> tuple:
+    """The `key = value` lines of a report or golden file as a dict of
+    strings, and its rows as [m, dim, ker, rank, betti] lists.  Blank
+    lines, `#` comments and the `rows` header are skipped; a row that is
+    not five integers raises ValueError."""
+    fields: dict = {}
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line or line.startswith("rows"):
+            continue
+        if "=" in line:
+            key, val = [s.strip() for s in line.split("=", 1)]
+            fields[key] = val
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ValueError("table row %r is not five integers" % line)
+        rows.append([int(p) for p in parts])
+    return fields, rows
+
+
 @dataclass
 class ReportRow:
     m: int
@@ -86,26 +108,13 @@ class ComplexReport:
         """Inverse of serialize.  Raises ValueError unless the text is a
         whole report: every row five integers, the mode, direction,
         weight and euler lines present, and euler matching the rows."""
-        fields: dict = {}
-        rows = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("rows"):
-                continue
-            if "=" in line:
-                key, val = [s.strip() for s in line.split("=", 1)]
-                fields[key] = val
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ValueError("report row %r is not five integers" % line)
-            rows.append(ReportRow(*[int(p) for p in parts]))
+        fields, rows = read_table(text)
         missing = [k for k in ("mode", "direction", "weight", "euler") if k not in fields]
         if missing:
             raise ValueError("report lacks the %s line(s)" % ", ".join(missing))
         rep = cls(mode=fields["mode"], weight=int(fields["weight"]),
                   structure=fields.get("structure", ""),
-                  direction=fields["direction"], rows=rows,
+                  direction=fields["direction"], rows=[ReportRow(*r) for r in rows],
                   seconds=float(fields.get("seconds", 0)))
         if rep.euler != int(fields["euler"]):
             raise ValueError("inconsistent euler line in report")
@@ -323,7 +332,7 @@ def run(structure, mode: str, weights, direction: str = "cochain",
 # invariant checks on finished reports
 # ----------------------------------------------------------------------
 
-def cross_check(report: ComplexReport, closed_form=None) -> list:
+def cross_check(report: ComplexReport) -> list:
     """Names of violated report invariants; empty when consistent."""
     bad = []
     rows = report.rows
@@ -338,18 +347,9 @@ def cross_check(report: ComplexReport, closed_form=None) -> list:
             bad.append("betti-formula")
         if r.betti < 0:
             bad.append("betti-negative")
-    euler_dims = sum((1 if r.m % 2 == 0 else -1) * r.dim for r in report.rows)
-    euler_betti = sum((1 if r.m % 2 == 0 else -1) * r.betti for r in report.rows)
-    if euler_dims != euler_betti:
+    if report.euler != sum((1 if r.m % 2 == 0 else -1) * r.betti for r in rows):
         bad.append("euler-mismatch")
-    if closed_form is not None:
-        if list(closed_form) != [r.betti for r in report.rows]:
-            bad.append("closed-form")
-    seen = []
-    for b in bad:
-        if b not in seen:
-            seen.append(b)
-    return seen
+    return list(dict.fromkeys(bad))
 
 
 def homology_vs_cohomology_check(structure: PoissonStructure, mode: str, w: int) -> bool:

@@ -71,29 +71,6 @@ def pibar() -> PoissonStructure:
     return _poisson(3, 2, {(1, 2): "x2^2 - x3^2", (1, 3): "2*x2*x3 + 2*x3^2"}, "pibar")
 
 
-def type2(phi_text: str, f_text: str, g_text: str) -> PoissonStructure:
-    """phi * d1 ^ (f d2 + g d3) on R^3 with f, g polynomials in x2, x3 only;
-    such tensors always satisfy the Jacobi identity."""
-    n = 3
-    phi = parse_poly(phi_text, n)
-    f, g = parse_poly(f_text, n), parse_poly(g_text, n)
-    for poly in (f, g):
-        if any(a[0] for a in poly.terms):
-            raise ValueError("fields must not involve x1")
-    entries = {(0, 1): phi * f, (0, 2): phi * g}
-    h = (phi * f).degree() if not (phi * f).is_zero() else (phi * g).degree()
-    return PoissonStructure(n, h, entries, name="type2")
-
-
-def type31(n: int, p: int, cs) -> PoissonStructure:
-    """sum_{i<j} c_ij x_i^p d_i ^ x_j^p d_j with cs[(i, j)] 1-based."""
-    entries = {}
-    for (i, j), c in cs.items():
-        poly = RatPoly.monomial(tuple(p if k in (i - 1, j - 1) else 0 for k in range(n)), c)
-        entries[(i - 1, j - 1)] = poly
-    return PoissonStructure(n, 2 * p, entries, name="type31")
-
-
 def type32(p: int, cs) -> PoissonStructure:
     """sum_i c_i x_i^p d_{i+1} ^ d_{i+2} on R^3 (cyclic indices)."""
     entries = {}
@@ -251,15 +228,19 @@ def builtin_names() -> list[str]:
 
 
 def load_structure(spec: str, check: bool = True):
-    """Load 'builtin:<name>' or a structure-definition file path."""
+    """Load 'builtin:<name>' or a structure-definition file path.  A
+    structure without a name of its own is named after the builtin or
+    the path."""
     if spec.startswith("builtin:"):
         name = spec.split(":", 1)[1]
         if name not in _BUILTINS:
             raise ValueError("unknown builtin structure %r (have: %s)"
                              % (name, ", ".join(builtin_names())))
-        return _BUILTINS[name]()
-    with open(spec, "r", encoding="utf-8") as fh:
-        obj = parse_structure(fh.read(), check=check)
-    if isinstance(obj, PoissonStructure) and not obj.name:
-        obj.name = spec
+        obj = _BUILTINS[name]()
+    else:
+        with open(spec, "r", encoding="utf-8") as fh:
+            obj = parse_structure(fh.read(), check=check)
+        name = spec
+    if not getattr(obj, "name", ""):
+        obj.name = name
     return obj

@@ -3,15 +3,13 @@ for the special 3-space structures, and the top-Betti probe."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .algebra import mono_basis
 from .complexes import PolyContext, build_basis, cochain_matrix
 from .linalg import SparseMatrix, rank_kernel
-from .poisson import (GradedMultiVector, MultiVector, PoissonStructure,
-                      phi_flatten, r_schouten, schouten)
+from .poisson import MultiVector, PoissonStructure, schouten
 
 
 def poly_module_basis(n: int, h: int, m: int, w: int) -> list:
@@ -38,16 +36,6 @@ def poly_module_matrix(pi: PoissonStructure, src: list, tgt: list) -> SparseMatr
             raise AssertionError("module differential left the weight basis")
         cols.append(dict(zip(rows, image.values())))
     return SparseMatrix.from_columns(len(tgt), cols, pi.denom)
-
-
-def commuting_square_holds(pi_like: GradedMultiVector, gen) -> bool:
-    """Check the square on one graded generator: flattening then bracketing
-    with the flattened structure equals bracketing then flattening."""
-    n = pi_like.n
-    one_slot = GradedMultiVector(n, 1, {(gen,): Fraction(1)})
-    left = schouten(phi_flatten(pi_like), phi_flatten(one_slot))
-    right = phi_flatten(r_schouten(pi_like, one_slot))
-    return left == right
 
 
 # ----------------------------------------------------------------------

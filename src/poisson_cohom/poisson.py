@@ -116,22 +116,6 @@ def jacobi_check(pi: PoissonStructure):
     return True, None
 
 
-def verify_linear_candidate(cs) -> bool:
-    """Check the three quadratic conditions for a 1-homogeneous 2-vector
-    on R^3 written with coefficients c1..c9 as
-
-        (c1 x1 + c2 x2 + c3 x3) d1^d2 + (c4 x1 + c5 x2 + c6 x3) d2^d3
-        + (c7 x1 + c8 x2 + c9 x3) d3^d1.
-    """
-    c = [Fraction(0)] + [Fraction(v) for v in cs]
-    if len(c) != 10:
-        raise ValueError("need exactly 9 coefficients")
-    eq1 = c[1] * c[5] - c[2] * c[4] + c[4] * c[9] - c[6] * c[7]
-    eq2 = c[1] * c[8] - c[2] * c[7] + c[5] * c[9] - c[6] * c[8]
-    eq3 = c[1] * c[9] - c[2] * c[6] + c[3] * c[5] - c[3] * c[7]
-    return eq1 == 0 and eq2 == 0 and eq3 == 0
-
-
 # ----------------------------------------------------------------------
 # The shared term-dict core of both multivector types
 # ----------------------------------------------------------------------
@@ -316,9 +300,10 @@ def gen_sort_key(gen) -> tuple:
 
 class GradedMultiVector(_WedgeSum):
     """R-linear combination of wedges of generators (A, i) = w^A d_{i+1},
-    keyed by the factor tuple in gen_sort_key order."""
+    keyed by the factor tuple in gen_sort_key order.  The name slot is
+    set only by load_structure; an unset name reports as empty."""
 
-    __slots__ = ()
+    __slots__ = ("name",)
 
     def _canonical(self, factors):
         if len(factors) != self.degree:
@@ -387,16 +372,6 @@ def phi_flatten(p: GradedMultiVector) -> MultiVector:
             total = mi_add(total, a)
             axes.append(i)
         out.add_term(total, tuple(axes), c)
-    return out
-
-
-def graded_from_multivector(m: MultiVector) -> GradedMultiVector:
-    """Lift c * w^A d_I to the graded side, with w^A on the first slot."""
-    out = GradedMultiVector(m.n, m.degree)
-    zero = tuple([0] * m.n)
-    for (a, axes), c in m.terms.items():
-        factors = tuple([(a if k == 0 else zero, ax) for k, ax in enumerate(axes)])
-        out.add_term(factors, c)
     return out
 
 

@@ -135,7 +135,7 @@ def test_quotient_basis_counts_and_pairing():
     for s in (fx.sl2(), fx.heisenberg(), fx.sl2_r4()):
         for j in range(1, 6):
             cb = casimir_space(s, j)
-            qb = quotient_basis(s, j, cb)
+            qb = quotient_basis(s, j)
             assert len(qb.primal) + len(cb) == comb(s.n - 1 + j, j)
             # dual functionals annihilate Casimirs ...
             for func in qb.dual:

@@ -234,6 +234,46 @@ def test_run_goldens_detects_perturbation(tmp_path):
     assert "FAIL bad.golden" in buf.getvalue()
 
 
+def test_run_goldens_fails_incomplete_golden(tmp_path):
+    """A golden is compared as a whole table: one that leaves out a row
+    of the report, or keeps only its first row and no euler line, fails."""
+    src = os.path.join(os.path.dirname(fx.__file__), "goldens", "case1_bar_w3.golden")
+    text = open(src).read()
+    assert "3 1 1 0 0\n" in text and "euler = 7\n" in text
+    (tmp_path / "dropped_row.golden").write_text(text.replace("3 1 1 0 0\n", ""))
+    head = text.split("rows =", 1)[0] + "rows = m dim ker rank betti\n1 10 2 8 2\n"
+    (tmp_path / "row_1_only.golden").write_text(head)
+    buf = io.StringIO()
+    assert run_goldens(str(tmp_path), out=buf) == (0, 2, 0)
+    out = buf.getvalue()
+    assert "FAIL dropped_row.golden" in out and "FAIL row_1_only.golden" in out
+    assert "no euler line" in out
+
+
+@pytest.mark.parametrize("key", ["structure", "mode", "weight"])
+def test_golden_missing_line_exits_2(tmp_path, capsys, key):
+    """A golden without its structure, mode or weight line is bad input,
+    named in the message, not a KeyError traceback."""
+    lines = {"structure": "structure = builtin:sl2\n", "mode": "mode = poly-bar\n",
+             "weight": "weight = 1\n"}
+    text = ("# sl2 weight 1\n" + "".join(v for k, v in lines.items() if k != key)
+            + "rows = m dim ker rank betti\n1 6 1 5 1\n2 18 5 13 0\n"
+            "3 18 13 5 0\n4 6 6 0 1\neuler = 0\n")
+    with pytest.raises(ValueError, match="the %s line" % key):
+        parse_golden(text)
+    (tmp_path / "partial.golden").write_text(text)
+    assert main(["goldens", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_packaged_fast_goldens_all_pass():
+    """Every packaged fast golden, whole table and Euler line, including
+    those no acceptance criterion names; the one gated entry is skipped."""
+    buf = io.StringIO()
+    assert run_goldens(out=buf) == (86, 0, 1), buf.getvalue()
+
+
 def test_goldens_cli_exit_code_on_failure(tmp_path):
     bad = ("# wrong\nstructure = builtin:sl2\nmode = poly-bar\nweight = 1\n"
            "rows = m dim ker rank betti\n1 6 2 4 2\n")

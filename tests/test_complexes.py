@@ -403,7 +403,7 @@ def test_kernel_dimension_identity_h0():
             assert r.kernel_dim == expect, (w, m)
 
 
-def _embedding_matrix(pi, ham_ctx, bar_ctx, ham_basis, bar_basis):
+def _embedding_matrix(pi, ham_basis, bar_basis):
     """Expand wedges of quotient dual functionals in the monomial dual
     wedge basis of the plain complex."""
     duals = {}
@@ -411,7 +411,7 @@ def _embedding_matrix(pi, ham_ctx, bar_ctx, ham_basis, bar_basis):
     def dual_as_gids(gid):
         if gid not in duals:
             j = gid[0]
-            qb = quotient_basis(pi, j, ham_ctx.casimirs(j))
+            qb = quotient_basis(pi, j)
             func = qb.dual[gid[1]]
             idx = mono_index(pi.n, j)
             duals[gid] = [((j, idx[a]), c) for a, c in func.items()]
@@ -463,8 +463,8 @@ def test_hamiltonian_complex_embeds_in_plain_complex():
                 bar_tgt = build_basis(bar, m + 1, w)
                 if not len(ham_src):
                     continue
-                e_src = _embedding_matrix(pi, ham, bar, ham_src, bar_src)
-                e_tgt = _embedding_matrix(pi, ham, bar, ham_tgt, bar_tgt)
+                e_src = _embedding_matrix(pi, ham_src, bar_src)
+                e_tgt = _embedding_matrix(pi, ham_tgt, bar_tgt)
                 d_ham = cochain_matrix(ham, ham_src, ham_tgt)
                 d_bar = cochain_matrix(bar, bar_src, bar_tgt)
                 assert matmul(d_bar, e_src) == matmul(e_tgt, d_ham), (pi.name, w, m)

@@ -3,12 +3,62 @@ from math import comb
 
 import pytest
 
-from poisson_cohom.diagrams import (degree_range, enumerate_signatures,
-                                    euler_combinatorial, euler_polymodule,
-                                    nabla, partition_to_signature, poly_caps,
-                                    prepend_tower, sig_dim, sig_height,
-                                    sig_weight, signature_to_partition,
-                                    tower_decompose, towers_to_signature)
+from poisson_cohom.diagrams import (Signature, degree_range,
+                                    enumerate_signatures, euler_combinatorial,
+                                    euler_polymodule, nabla, poly_caps,
+                                    sig_dim, signature_to_partition)
+
+
+# ----------------------------------------------------------------------
+# Tower (column) decompositions of partitions and signatures; only these
+# tests use them, to check the recursion enumerate_signatures follows
+# ----------------------------------------------------------------------
+
+def tower_decompose(lam: tuple) -> tuple:
+    """Column slicing of a partition, i.e. its conjugate:
+    l_j = #{i : lam_i >= j}."""
+    if not lam:
+        return ()
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or lam[-1] <= 0:
+        raise ValueError("not a partition")
+    return tuple(sum(1 for r in lam if r >= j) for j in range(1, lam[0] + 1))
+
+
+def partition_to_signature(lam: tuple) -> Signature:
+    """k_j = number of rows of width j."""
+    counts: dict = {}
+    for r in lam:
+        counts[r] = counts.get(r, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def towers_to_signature(towers: tuple) -> Signature:
+    """k_j = l_j - l_{j+1}, k_s = l_s for a tower list l_1 >= ... >= l_s."""
+    out = []
+    for j, l in enumerate(towers):
+        nxt = towers[j + 1] if j + 1 < len(towers) else 0
+        if l - nxt:
+            out.append((j + 1, l - nxt))
+    return tuple(out)
+
+
+def prepend_tower(m: int, sig: Signature) -> Signature:
+    """T(m) acting on a signature: kbar_1 = m - sum k_j, kbar_{j+1} = k_j."""
+    height = sum(k for _, k in sig)
+    if m < height:
+        raise ValueError("tower height %d below diagram height %d" % (m, height))
+    out = [(j + 1, k) for j, k in sig]
+    if m - height:
+        out.append((1, m - height))
+    return tuple(sorted(out))
+
+
+def sig_height(sig: Signature) -> int:
+    return sum(k for _, k in sig)
+
+
+def sig_weight(sig: Signature, wt) -> int:
+    return sum(k * wt(j) for j, k in sig)
 
 
 def brute_partitions(area, height):

@@ -58,8 +58,8 @@ def test_cross_check_clean_and_corrupted():
 
 def test_cross_check_closed_form():
     rep = build_report(fx.sl2(), "poly-module", 2)
-    assert cross_check(rep, closed_form=(1, 0, 0, 1)) == []
-    assert "closed-form" in cross_check(rep, closed_form=(0, 0, 0, 0))
+    assert cross_check(rep) == []
+    assert rep.betti_list() == [1, 0, 0, 1]
 
 
 def test_cross_check_names_each_violation():
@@ -134,25 +134,37 @@ def test_cache_round_trip(tmp_path):
     assert second[0].serialize() == payload
 
 
-@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-def test_cache_hit_reports_requested_structure_name(tmp_path, order):
-    """The built-in sl2 and its structure file have the same terms, so they
-    share one cache key; whichever comes second is a cache hit, and its
-    report must still name the structure that was asked for."""
-    path = os.path.join(os.path.dirname(fx.__file__), "structures", "sl2.poisson")
-    pair = [fx.sl2(), fx.load_structure(path)]
+def _check_cache_hit_names(name, mode, cache, order):
+    """The built-in structure `name` and its structure file have the same
+    terms, so they share one cache key; whichever comes second is a cache
+    hit, and its report must still name the structure that was asked
+    for."""
+    path = os.path.join(os.path.dirname(fx.__file__), "structures", name + ".poisson")
+    pair = [fx.load_structure("builtin:" + name), fx.load_structure(path)]
     assert pair[0].name != pair[1].name
     assert pair[0].serialize() == pair[1].serialize()
-    cache = str(tmp_path / "cache")
 
     def text(rep):
         return [line for line in rep.serialize().splitlines()
                 if not line.startswith("seconds")]
 
     for i in order:
-        rep = run(pair[i], "poly-bar", [1], cache_dir=cache)[0]
-        assert text(rep) == text(build_report(pair[i], "poly-bar", 1)), i
+        rep = run(pair[i], mode, [1], cache_dir=cache)[0]
+        assert rep.structure == pair[i].name, i
+        assert text(rep) == text(build_report(pair[i], mode, 1)), i
     assert len(os.listdir(cache)) == 1
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_cache_hit_reports_requested_structure_name(tmp_path, order):
+    _check_cache_hit_names("sl2", "poly-bar", str(tmp_path / "cache"), order)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_poisson_like_report_names_its_structure(tmp_path, order):
+    """A graded 2-vector is named like a Poisson structure: its builtin
+    name or its file path, in fresh reports and cache hits alike."""
+    _check_cache_hit_names("poisson_like_h1", "poisson-like", str(tmp_path / "cache"), order)
 
 
 def test_parse_rejects_partial_reports():

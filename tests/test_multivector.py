@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -7,11 +8,22 @@ from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import mono_basis
 from poisson_cohom.diagrams import euler_polymodule
 from poisson_cohom.engine import build_report
-from poisson_cohom.multivector import (commuting_square_holds,
-                                       heisenberg_closed_form,
+from poisson_cohom.multivector import (heisenberg_closed_form,
                                        heisenberg_kernel_form,
                                        poly_module_basis, sp2_closed_form,
                                        top_betti_probe)
+from poisson_cohom.poisson import (GradedMultiVector, phi_flatten, r_schouten,
+                                   schouten)
+
+
+def commuting_square_holds(pi_like: GradedMultiVector, gen) -> bool:
+    """Check the square on one graded generator: flattening then bracketing
+    with the flattened structure equals bracketing then flattening."""
+    n = pi_like.n
+    one_slot = GradedMultiVector(n, 1, {(gen,): Fraction(1)})
+    left = schouten(phi_flatten(pi_like), phi_flatten(one_slot))
+    right = phi_flatten(r_schouten(pi_like, one_slot))
+    return left == right
 
 
 def test_module_basis_counts():

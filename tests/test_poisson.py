@@ -9,9 +9,62 @@ from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, mono_basis, parse_poly
 from poisson_cohom.poisson import (GradedMultiVector, MultiVector,
                                    PoissonStructure, StructureFileError,
-                                   graded_from_multivector, jacobi_check,
-                                   parse_structure, phi_flatten, r_schouten,
-                                   schouten, verify_linear_candidate, wedge2)
+                                   jacobi_check, parse_structure, phi_flatten,
+                                   r_schouten, schouten, wedge2)
+
+
+# ----------------------------------------------------------------------
+# Structure families, a closed-form Jacobi test and a graded lift that
+# only these tests use
+# ----------------------------------------------------------------------
+
+def type2(phi_text: str, f_text: str, g_text: str) -> PoissonStructure:
+    """phi * d1 ^ (f d2 + g d3) on R^3 with f, g polynomials in x2, x3 only;
+    such tensors always satisfy the Jacobi identity."""
+    n = 3
+    phi = parse_poly(phi_text, n)
+    f, g = parse_poly(f_text, n), parse_poly(g_text, n)
+    for poly in (f, g):
+        if any(a[0] for a in poly.terms):
+            raise ValueError("fields must not involve x1")
+    entries = {(0, 1): phi * f, (0, 2): phi * g}
+    h = (phi * f).degree() if not (phi * f).is_zero() else (phi * g).degree()
+    return PoissonStructure(n, h, entries, name="type2")
+
+
+def type31(n: int, p: int, cs) -> PoissonStructure:
+    """sum_{i<j} c_ij x_i^p d_i ^ x_j^p d_j with cs[(i, j)] 1-based."""
+    entries = {}
+    for (i, j), c in cs.items():
+        poly = RatPoly.monomial(tuple(p if k in (i - 1, j - 1) else 0 for k in range(n)), c)
+        entries[(i - 1, j - 1)] = poly
+    return PoissonStructure(n, 2 * p, entries, name="type31")
+
+
+def verify_linear_candidate(cs) -> bool:
+    """Check the three quadratic conditions for a 1-homogeneous 2-vector
+    on R^3 written with coefficients c1..c9 as
+
+        (c1 x1 + c2 x2 + c3 x3) d1^d2 + (c4 x1 + c5 x2 + c6 x3) d2^d3
+        + (c7 x1 + c8 x2 + c9 x3) d3^d1.
+    """
+    c = [Fraction(0)] + [Fraction(v) for v in cs]
+    if len(c) != 10:
+        raise ValueError("need exactly 9 coefficients")
+    eq1 = c[1] * c[5] - c[2] * c[4] + c[4] * c[9] - c[6] * c[7]
+    eq2 = c[1] * c[8] - c[2] * c[7] + c[5] * c[9] - c[6] * c[8]
+    eq3 = c[1] * c[9] - c[2] * c[6] + c[3] * c[5] - c[3] * c[7]
+    return eq1 == 0 and eq2 == 0 and eq3 == 0
+
+
+def graded_from_multivector(m: MultiVector) -> GradedMultiVector:
+    """Lift c * w^A d_I to the graded side, with w^A on the first slot."""
+    out = GradedMultiVector(m.n, m.degree)
+    zero = tuple([0] * m.n)
+    for (a, axes), c in m.terms.items():
+        factors = tuple([(a if k == 0 else zero, ax) for k, ax in enumerate(axes)])
+        out.add_term(factors, c)
+    return out
 
 
 def rand_poly(rng, n, max_deg=2, nterms=3):
@@ -49,11 +102,11 @@ def test_type2_with_x1_coefficient_fails():
 
 def test_structure_families_are_poisson():
     assert jacobi_check(fx.type32(2, [1, 1, 1]))[0]
-    assert jacobi_check(fx.type31(3, 1, {(1, 2): 1, (2, 3): -2}))[0]
-    assert jacobi_check(fx.type2("x2", "x2^2", "x2*x3 - x3^2"))[0]
-    assert jacobi_check(fx.type2("1", "x3", "x2"))[0]
+    assert jacobi_check(type31(3, 1, {(1, 2): 1, (2, 3): -2}))[0]
+    assert jacobi_check(type2("x2", "x2^2", "x2*x3 - x3^2"))[0]
+    assert jacobi_check(type2("1", "x3", "x2"))[0]
     with pytest.raises(ValueError):
-        fx.type2("1", "x1", "x2")
+        type2("1", "x1", "x2")
     for make in (fx.so3, fx.h2_case1, fx.h2_case2, fx.h2_case3, fx.pibar,
                  fx.square_bracket, fx.sl2_r4, fx.so4, fx.sl3, fx.so5):
         assert jacobi_check(make())[0]
