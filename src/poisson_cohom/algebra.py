@@ -128,9 +128,6 @@ class RatPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grevlex_key)
 
-    def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
     # -- arithmetic ----------------------------------------------------
     def _check(self, other: "RatPoly") -> None:
         if self.n != other.n:

@@ -1,7 +1,8 @@
 """Command-line surface: structure checks, Casimir listings, Betti and
 Euler tables, signature listings and the golden-table corpus runner.
 
-Exit codes: 0 success, 1 invariant or golden failure, 2 bad input.
+Exit codes: 0 success, 1 invariant or golden failure, 2 bad input, 141
+when the reader closes stdout (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -351,7 +352,14 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the rest of the output goes to devnull, so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

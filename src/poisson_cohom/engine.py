@@ -15,7 +15,7 @@ from .complexes import (PolyContext, PoissonLikeContext, boundary_matrix,
 from .linalg import (SparseMatrix, compose_is_zero, in_span_coordinates,
                      matmul, rank_kernel)
 from .multivector import poly_module_basis, poly_module_matrix
-from .poisson import GradedMultiVector, PoissonStructure, schouten
+from .poisson import GradedMultiVector, PoissonStructure, jacobi_check
 
 
 def _source_digest() -> str:
@@ -221,8 +221,7 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
 
 def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     """The Poisson polynomial complex u -> [pi, u] of multivector fields."""
-    pi_mv = pi.as_multivector()
-    if not schouten(pi_mv, pi_mv).is_zero():
+    if not jacobi_check(pi)[0]:
         raise ValueError("structure is not Poisson")
     bases = {m: poly_module_basis(pi.n, pi.h, m, w) for m in range(0, pi.n + 2)}
     maps = {m: poly_module_matrix(pi, bases[m], bases[m + 1])

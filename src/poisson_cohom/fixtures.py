@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import RatPoly, parse_poly
-from .linalg import SparseMatrix, clear_denominators, rank_kernel
+from .linalg import SparseMatrix, in_span_coordinates
 from .poisson import GradedMultiVector, PoissonStructure, parse_structure, wedge2
 
 
@@ -127,43 +127,35 @@ def poisson_like_h0() -> GradedMultiVector:
 # Lie-Poisson structures from matrix Lie algebras
 # ----------------------------------------------------------------------
 
-def _coordinates(columns: list, target: list) -> list:
-    """The unique c with sum_k c_k columns[k] = target: the one kernel
-    vector v of [columns | target] gives c_k = -v_k / v_last."""
-    k, size = len(columns), len(target)
-    ints, _ = clear_denominators([v for col in columns + [target] for v in col])
-    cols = [{r: v for r, v in enumerate(ints[c * size:(c + 1) * size]) if v}
-            for c in range(k + 1)]
-    res = rank_kernel(SparseMatrix.from_columns(size, cols), want_basis=True)
-    if res.rank != k or not res.kernel[0].get(k):
-        raise ValueError("bracket does not lie in the span of the basis")
-    vec = res.kernel[0]
-    return [Fraction(-vec.get(c, 0), vec[k]) for c in range(k)]
-
-
 def lie_poisson_from_matrices(basis: list, name: str) -> PoissonStructure:
-    """Lie-Poisson structure on the dual of the span of square matrices."""
+    """Lie-Poisson structure on the dual of the span of square integer
+    matrices: {x_i, x_j} = sum_k c^k_ij x_k with [B_i, B_j] = sum_k c^k_ij B_k.
+    All the constants come from one in_span_coordinates call, which needs
+    each basis matrix to have an entry where every other basis matrix is
+    zero (so(k) and sl(k) in their standard bases have one)."""
     dim = len(basis)
     size = len(basis[0])
-    flat = [[basis[k][r][c] for r in range(size) for c in range(size)]
-            for k in range(dim)]
+
+    def column(mat) -> dict:
+        return {r * size + c: x for r, row in enumerate(mat) for c, x in enumerate(row) if x}
 
     def commutator(a, b):
         return [[sum(a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(size))
                  for c in range(size)] for r in range(size)]
 
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    k = SparseMatrix.from_columns(size * size, [column(mat) for mat in basis])
+    v = SparseMatrix.from_columns(size * size, [column(commutator(basis[i], basis[j]))
+                                                for i, j in pairs])
+    try:
+        y = in_span_coordinates(k, v)
+    except AssertionError as exc:
+        raise ValueError("bracket does not lie in the span of the basis: %s" % exc)
     entries = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = commutator(basis[i], basis[j])
-            target = [comm[r][c] for r in range(size) for c in range(size)]
-            coeffs = _coordinates(flat, target)
-            terms = {}
-            for k, ck in enumerate(coeffs):
-                if ck:
-                    terms[tuple(1 if t == k else 0 for t in range(dim))] = ck
-            if terms:
-                entries[(i, j)] = RatPoly(dim, terms)
+    for (i, j), col in zip(pairs, y.cols):
+        if col:
+            entries[(i, j)] = RatPoly(dim, {tuple(1 if t == c else 0 for t in range(dim)):
+                                            Fraction(x, y.denom) for c, x in sorted(col.items())})
     return PoissonStructure(dim, 1, entries, name=name)
 
 

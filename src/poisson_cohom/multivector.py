@@ -22,15 +22,14 @@ def poly_module_basis(n: int, h: int, m: int, w: int) -> list:
 
 
 def poly_module_matrix(pi: PoissonStructure, src: list, tgt: list) -> SparseMatrix:
-    """Matrix of u -> [pi, u] between module bases.  The 2-vector is the
+    """Matrix of u -> [pi, u] between module bases.  pi.two_vector is the
     structure's integer terms over pi.denom, so the Schouten brackets and
     the assembly run in integers over that one denominator."""
     n = pi.n
-    pi_int = MultiVector(n, 2, {(mono, (i, j)): c for i, j, mono, c in pi.terms})
     index = {key: row for row, key in enumerate(tgt)}
     cols = []
     for a, axes in src:
-        image = schouten(pi_int, MultiVector(n, len(axes), {(a, axes): 1})).terms
+        image = schouten(pi.two_vector, MultiVector(n, len(axes), {(a, axes): 1})).terms
         rows = [index.get(key) for key in image]
         if None in rows:
             raise AssertionError("module differential left the weight basis")
@@ -75,11 +74,16 @@ def top_betti_probe(pi: PoissonStructure, mode: str, ell: int) -> dict:
     generator degree ell: the top space C^{m0}_{w0} is one-dimensional,
     everything above m0 is empty, and (where the vanishing statement
     applies, h > 1 or ell >= 2) the top cohomology vanishes because the
-    incoming differential has rank 1.
+    incoming differential has rank 1.  The mode is poly-bar or
+    hamiltonian.
     """
+    kinds = {"poly-bar": "bar", "hamiltonian": "hamiltonian"}
+    if mode not in kinds:
+        raise ValueError("top_betti_probe supports the modes %s, not %r"
+                         % (" and ".join(kinds), mode))
     if pi.is_trivial():
         raise ValueError("probe needs a non-trivial structure")
-    ctx = PolyContext(pi, "hamiltonian" if mode == "hamiltonian" else "bar")
+    ctx = PolyContext(pi, kinds[mode])
     caps = [ctx.cap(j) for j in range(1, ell + 1)]
     m0 = sum(caps)
     w0 = sum((j - 2 + pi.h) * caps[j - 1] for j in range(1, ell + 1))

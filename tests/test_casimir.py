@@ -118,7 +118,7 @@ def test_normal_form_matches_three_step_recipe():
                 assert normal_form(cb, RatPoly.monomial(a)) == RatPoly.monomial(a)
         for f in cb.basis:
             lm = f.leading_monomial()
-            lc = f.leading_coeff()
+            lc = f.terms[lm]
             tail = f - RatPoly.monomial(lm, lc)
             expect = tail.scale(Fraction(-1) / lc)
             # expect is supported off the leading set, so it is its own form

@@ -42,6 +42,21 @@ def test_check_command_bad_input():
     assert main(["check", "builtin:nonexistent"]) == 2
 
 
+def test_check_and_betti_name_the_failing_triple(tmp_path, capsys):
+    """A non-Poisson file: `check` names the first failing triple with its
+    cyclic-sum residual, and `betti` refuses the file with the same one."""
+    path = tmp_path / "bad.poisson"
+    path.write_text("n = 4\nh = 2\np 1 2 = 1/2*x1*x3\np 1 3 = x2^2 - 2/3*x4^2\n"
+                    "p 2 4 = x1*x2\np 3 4 = 3*x3^2\n")
+    failure = "(1,2,3), residual -1/2*x2^2*x3 + 4/3*x1*x2*x4 + 1/3*x3*x4^2"
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == ("n = 4, h = 2, entries = 4\n"
+                                       "Jacobi identity: FAILS at %s\n" % failure)
+    assert main(["betti", str(path), "--mode", "poly-bar", "--weights", "1"]) == 2
+    assert capsys.readouterr().err == ("error: Jacobi identity fails at %s\n"
+                                       % failure.replace(", residual", ":"))
+
+
 def test_betti_command_structured(capsys):
     rc = main(["betti", "builtin:heisenberg", "--mode", "hamiltonian",
                "--weights", "1", "--format", "structured"])
@@ -141,6 +156,14 @@ def test_betti_bad_mode_combination_exits_2(capsys, args):
     assert err.startswith("error: ") and "mode" in err
 
 
+def _cli_env() -> dict:
+    """The environment of a CLI subprocess: this package first on the
+    path, and no cache."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_zero_structure_hamiltonian_terminates(tmp_path):
     """Every polynomial is a Casimir of the zero structure, so every
     Hamiltonian generator space is empty and only the w = 0 scalar is
@@ -148,18 +171,40 @@ def test_zero_structure_hamiltonian_terminates(tmp_path):
     ends fails the test instead of blocking the suite."""
     path = tmp_path / "zero.poisson"
     path.write_text("n = 2\nh = 1\n")
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "poisson_cohom.cli", "betti", str(path),
          "--mode", "hamiltonian", "--weights", "0..3", "--format", "structured"],
-        capture_output=True, text=True, timeout=60, env=env)
+        capture_output=True, text=True, timeout=60, env=_cli_env())
     assert proc.returncode == 0, proc.stderr
     reports = [ComplexReport.parse(block) for block in proc.stdout.split("\n\n")
                if block.strip()]
     got = [(r.weight, [(row.m, row.dim, row.kernel_dim, row.rank, row.betti)
                        for row in r.rows]) for r in reports]
     assert got == [(0, [(0, 1, 1, 0, 1)]), (1, []), (2, []), (3, [])]
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    """A reader that stops after the first report, as `| head` does, ends
+    `betti` with exit 141 (128 + SIGPIPE) and nothing on stderr.  The
+    pipe closes while the later weights (w = 5 alone takes seconds) are
+    still being computed, and -u makes every report reach it at once."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "poisson_cohom.cli", "betti", "builtin:poisson_like_h1",
+         "--mode", "poisson-like", "--weights", "1..5", "--format", "structured"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env())
+    first = []
+    for line in proc.stdout:
+        if not line.strip():
+            break
+        first.append(line)
+    proc.stdout.close()
+    try:
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+    assert ComplexReport.parse("".join(first)).weight == 1
+    assert err == ""
+    assert proc.returncode == 141
 
 
 @pytest.mark.parametrize("n, h", [(2, -1), (0, 1)])
@@ -395,10 +440,8 @@ def _check_in_subprocess(tmp_path, text: str, timeout: float):
     instead of blocking the suite."""
     path = tmp_path / "bad.poisson"
     path.write_text(text)
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "poisson_cohom.cli", "check", str(path)],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=_cli_env())
 
 
 @pytest.mark.parametrize("line", ["p 1 2 = x3^99999999999", "p 1 2 = (x1 + x2)^100000",

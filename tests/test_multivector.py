@@ -129,3 +129,9 @@ def test_probe_rejects_trivial_structure():
     from poisson_cohom.poisson import PoissonStructure
     with pytest.raises(ValueError):
         top_betti_probe(PoissonStructure(3, 1, {}), "poly-bar", 1)
+
+
+@pytest.mark.parametrize("mode", ["poly-with-constants", "nonsense"])
+def test_probe_rejects_unsupported_mode(mode):
+    with pytest.raises(ValueError, match="poly-bar and hamiltonian"):
+        top_betti_probe(fx.sl2(), mode, 1)

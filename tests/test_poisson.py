@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, mono_basis, parse_poly
@@ -14,9 +16,28 @@ from poisson_cohom.poisson import (GradedMultiVector, MultiVector,
 
 
 # ----------------------------------------------------------------------
-# Structure families, a closed-form Jacobi test and a graded lift that
-# only these tests use
+# Structure families, a closed-form Jacobi test, the cyclic-sum Jacobi
+# oracle and the rational 2-vector and graded lift that only these tests use
 # ----------------------------------------------------------------------
+
+def as_multivector(pi: PoissonStructure) -> MultiVector:
+    """The 2-vector sum_{i<j} p_ij d_i ^ d_j with rational coefficients."""
+    return pi.two_vector.scale(Fraction(1, pi.denom))
+
+
+def oracle_jacobi_check(pi: PoissonStructure):
+    """(True, None) if the cyclic sum {x_i, p_jk} + {x_j, p_ki} + {x_k, p_ij}
+    vanishes identically for every i < j < k, else (False, ((i, j, k),
+    residual))."""
+    n = pi.n
+    for i, j, k in itertools.combinations(range(n), 3):
+        res = RatPoly.zero(n)
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            res = res + pi.bracket(RatPoly.var(n, c), pi.entry(a, b))
+        if not res.is_zero():
+            return False, ((i, j, k), res)
+    return True, None
+
 
 def type2(phi_text: str, f_text: str, g_text: str) -> PoissonStructure:
     """phi * d1 ^ (f d2 + g d3) on R^3 with f, g polynomials in x2, x3 only;
@@ -110,6 +131,27 @@ def test_structure_families_are_poisson():
     for make in (fx.so3, fx.h2_case1, fx.h2_case2, fx.h2_case3, fx.pibar,
                  fx.square_bracket, fx.sl2_r4, fx.so4, fx.sl3, fx.so5):
         assert jacobi_check(make())[0]
+
+
+@st.composite
+def random_structures(draw):
+    """Unchecked structures, n 3..5 and h 0..3, each entry zero or up to
+    two h-homogeneous monomials with rational coefficients."""
+    n, h = draw(st.integers(3, 5)), draw(st.integers(0, 3))
+    monos = mono_basis(n, h)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entries = {pair: RatPoly(n, draw(st.dictionaries(st.sampled_from(monos), coeffs,
+                                                     max_size=2)))
+               for pair in itertools.combinations(range(n), 2)}
+    return PoissonStructure(n, h, entries, check=False)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(random_structures())
+def test_jacobi_check_matches_cyclic_sum_oracle(pi):
+    """The Schouten self-bracket check names the same first failing triple
+    and the same residual as the cyclic sum of brackets."""
+    assert jacobi_check(pi) == oracle_jacobi_check(pi)
 
 
 def test_loader_rejects_jacobi_failure():
@@ -234,11 +276,11 @@ def test_self_bracket_detects_jacobi():
         s = fx.load_structure("builtin:" + name)
         if not isinstance(s, PoissonStructure):
             continue
-        mv = s.as_multivector()
+        mv = as_multivector(s)
         assert schouten(mv, mv).is_zero(), name
     bad = PoissonStructure(3, 1, {(0, 1): parse_poly("x1", 3),
                                   (0, 2): parse_poly("x2", 3)}, check=False)
-    assert not schouten(bad.as_multivector(), bad.as_multivector()).is_zero()
+    assert not schouten(as_multivector(bad), as_multivector(bad)).is_zero()
 
 
 def test_self_bracket_coordinate_formula():
@@ -249,7 +291,7 @@ def test_self_bracket_coordinate_formula():
                                           (0, 2): parse_poly("x2", 3)}, check=False)]
     for s in structures:
         n = s.n
-        mv = s.as_multivector()
+        mv = as_multivector(s)
         expect = MultiVector(n, 3)
         for i in range(n):
             for j in range(n):
@@ -323,7 +365,7 @@ def test_lift_of_sl2_has_nonzero_self_bracket():
     phi = (wedge2([(one, 0)], [(parse_poly("x3", n), 1)], n)
            + wedge2([(one, 0)], [(parse_poly("x1", n), 2)], n).scale(-2)
            + wedge2([(one, 1)], [(parse_poly("x2", n), 2)], n).scale(2))
-    assert phi_flatten(phi) == fx.sl2().as_multivector()
+    assert phi_flatten(phi) == as_multivector(fx.sl2())
     sb = r_schouten(phi, phi).scale(Fraction(1, 4))
     assert not sb.is_zero()
     # flattening must kill it, since the flattened structure is Poisson
@@ -347,12 +389,12 @@ def test_phi_flatten_collapses_repeated_axis():
 
 
 def test_phi_flatten_fixture_image():
-    assert phi_flatten(fx.poisson_like_h2()) == fx.pibar().as_multivector()
-    assert phi_flatten(fx.poisson_like_h0()) == fx.constant_r3().as_multivector()
+    assert phi_flatten(fx.poisson_like_h2()) == as_multivector(fx.pibar())
+    assert phi_flatten(fx.poisson_like_h0()) == as_multivector(fx.constant_r3())
 
 
 def test_graded_lift_round_trip():
-    mv = fx.pibar().as_multivector()
+    mv = as_multivector(fx.pibar())
     assert phi_flatten(graded_from_multivector(mv)) == mv
 
 

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+from collections import Counter
 
 from poisson_cohom import engine
 from poisson_cohom import fixtures as fx
@@ -81,44 +82,67 @@ def test_benchmark_tracer_reads_matrix_attributes():
     assert t.max_dim == max(len(b1), len(b2), len(b3))
 
 
-def _named(tree) -> set:
-    """Every name a syntax tree uses: names, attributes and string
-    constants (the tracer names its layers as strings).  Imports do not
-    count, so an unused import keeps nothing alive."""
-    out = set()
+def _named(tree) -> Counter:
+    """Every name a syntax tree uses, with its count: names, attributes and
+    string constants (the tracer names its layers as strings).  Imports
+    do not count, so an unused import keeps nothing alive."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            out[node.value] += 1
     return out
+
+
+def _definitions_and_uses() -> tuple:
+    """The package's (file, top-level node) pairs, and the names used in
+    the package, in perfbench/ and in tests/test_acceptance.py (the
+    paper's API).  Other tests do not count, so a helper only they call
+    lives beside them."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    perfbench = os.path.join(root, "perfbench")
+    paths = ([os.path.join(PKG, f) for f in sorted(os.listdir(PKG)) if f.endswith(".py")]
+             + [os.path.join(perfbench, f) for f in sorted(os.listdir(perfbench))
+                if f.endswith(".py")]
+             + [os.path.join(root, "tests", "test_acceptance.py")])
+    defined, uses = [], Counter()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        if os.path.dirname(path) == PKG:
+            defined += [(os.path.basename(path), node) for node in tree.body]
+        uses += _named(tree)
+    return defined, uses
+
+
+def _named_only_in_itself(defined: list, uses: Counter) -> list:
+    """The definitions whose name is used nowhere outside their own body."""
+    return ["%s:%s" % (name, node.name) for name, node in defined
+            if uses[node.name] == _named(node)[node.name]]
 
 
 def test_every_top_level_definition_is_named_elsewhere():
     """No dead or test-only helpers: every top-level function and class of
     the package is named somewhere besides its own definition, in the
-    package, in perfbench/ or in tests/test_acceptance.py (the paper's
-    API).  Other tests do not count, so a helper only they call lives
-    beside them."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    defined = []  # (file, definition node)
-    uses = []  # (definition node or None, names it uses)
-    for name in sorted(f for f in os.listdir(PKG) if f.endswith(".py")):
-        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((name, node))
-            uses.append((node, _named(node)))
-    perfbench = os.path.join(root, "perfbench")
-    outside = [os.path.join(perfbench, f) for f in sorted(os.listdir(perfbench))
-               if f.endswith(".py")] + [os.path.join(root, "tests", "test_acceptance.py")]
-    for path in outside:
-        with open(path, encoding="utf-8") as fh:
-            uses.append((None, _named(ast.parse(fh.read(), path))))
-    dead = ["%s:%s" % (name, node.name) for name, node in defined
-            if not any(node.name in names for owner, names in uses if owner is not node)]
-    assert len(defined) > 100
-    assert not dead, dead
+    package, in perfbench/ or in tests/test_acceptance.py."""
+    defined, uses = _definitions_and_uses()
+    defs = [(name, node) for name, node in defined
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defs) > 100
+    assert _named_only_in_itself(defs, uses) == []
+
+
+def test_every_method_is_named_elsewhere():
+    """The same rule for the non-dunder methods of the package's classes:
+    a method is named (called or read) somewhere besides its
+    own body, in the package, in perfbench/ or in tests/test_acceptance.py."""
+    defined, uses = _definitions_and_uses()
+    methods = [("%s:%s" % (name, cls.name), node) for name, cls in defined
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert len(methods) > 30
+    assert _named_only_in_itself(methods, uses) == []
