@@ -9,7 +9,7 @@ from math import comb
 from .algebra import mono_basis
 from .complexes import PolyContext, build_basis, cochain_matrix
 from .linalg import SparseMatrix, rank_kernel
-from .poisson import MultiVector, PoissonStructure, schouten
+from .poisson import PoissonStructure
 
 
 def poly_module_basis(n: int, h: int, m: int, w: int) -> list:
@@ -21,19 +21,81 @@ def poly_module_basis(n: int, h: int, m: int, w: int) -> list:
     return [(a, axes) for a in mono_basis(n, p) for axes in combinations(range(n), m)]
 
 
+def _code(a, unit: list) -> int:
+    """A monomial as one integer: exponent k times unit[k]."""
+    return sum(e * u for e, u in zip(a, unit))
+
+
+def _slot_table(terms: list, axes: tuple, unit: list) -> list:
+    """The a-independent pieces of [pi, x^a d_axes] for the integer terms
+    (i, j, mu, c) of pi: [pi, x^a d_I] = [pi, x^a] ^ d_I + x^a [pi, d_I].
+    Each piece is (delta, coeff, k): the image word's code is that of x^a
+    plus delta (the monomial mu - e_k and the output axis mask), and the
+    coefficient is coeff, times a[k] when k is not None.  Signs are those
+    of schouten, with the wedge reordering a popcount parity on axis
+    masks as in complexes._wedge_place; pieces come in schouten's order."""
+    mask = sum(1 << ax for ax in axes)
+    out = []
+    for i, j, mu, c in terms:
+        base = _code(mu, unit)
+        # the vector part of pi differentiates x^a along slot k of (i, j)
+        for k, other, coeff in ((i, j, -c), (j, i, c)):
+            bit = 1 << other
+            if mask & bit:
+                continue
+            if (mask & (bit - 1)).bit_count() & 1:
+                coeff = -coeff
+            out.append((base - unit[k] + (mask | bit), coeff, k))
+        # d_I differentiates the coefficient mu of pi along its slot pos
+        ij = (1 << i) | (1 << j)
+        between = ((1 << i) - 1) ^ ((1 << j) - 1)
+        for pos, k in enumerate(axes):
+            rest = mask ^ (1 << k)
+            if not mu[k] or rest & ij:
+                continue
+            coeff = c * mu[k] * (1 if pos & 1 else -1)
+            if (rest & between).bit_count() & 1:
+                coeff = -coeff
+            out.append((base - unit[k] + (rest | ij), coeff, None))
+    return out
+
+
 def poly_module_matrix(pi: PoissonStructure, src: list, tgt: list) -> SparseMatrix:
-    """Matrix of u -> [pi, u] between module bases.  pi.two_vector is the
-    structure's integer terms over pi.denom, so the Schouten brackets and
-    the assembly run in integers over that one denominator."""
+    """Matrix of u -> [pi, u] between module bases, by the derivation rule
+    on integer-coded words.  A word (a, axes) is one integer: the axis
+    mask in the low n bits, exponent k in a field above them, each field
+    wide enough for the largest image or target degree, so no sum
+    carries into a neighbouring field and distinct words stay distinct.
+    A column entry is then one add, one lookup and one accumulate.  The coefficients are integers over
+    pi.denom, each column keyed in the order schouten meets its rows."""
     n = pi.n
-    index = {key: row for row, key in enumerate(tgt)}
+    src_monos = {a for a, _ in src}
+    tgt_monos = {b for b, _ in tgt}
+    top = max([sum(a) + pi.h - 1 for a in src_monos] + [sum(b) for b in tgt_monos], default=0)
+    width = max(top, 1).bit_length()
+    unit = [1 << (n + k * width) for k in range(n)]
+    code = {a: _code(a, unit) for a in src_monos | tgt_monos}
+    masks = {axes: sum(1 << ax for ax in axes) for axes in {axes for _, axes in tgt}}
+    index = {code[b] + masks[axes]: row for row, (b, axes) in enumerate(tgt)}
+    tables = {axes: _slot_table(pi.terms, axes, unit) for axes in {axes for _, axes in src}}
     cols = []
     for a, axes in src:
-        image = schouten(pi.two_vector, MultiVector(n, len(axes), {(a, axes): 1})).terms
-        rows = [index.get(key) for key in image]
-        if None in rows:
-            raise AssertionError("module differential left the weight basis")
-        cols.append(dict(zip(rows, image.values())))
+        key = code[a]
+        col: dict = {}
+        for delta, c, k in tables[axes]:
+            if k is not None:
+                if not a[k]:
+                    continue
+                c *= a[k]
+            row = index.get(key + delta)
+            if row is None:
+                raise AssertionError("module differential left the weight basis")
+            s = col.get(row, 0) + c
+            if s:
+                col[row] = s
+            else:
+                del col[row]
+        cols.append(col)
     return SparseMatrix.from_columns(len(tgt), cols, pi.denom)
 
 

@@ -54,14 +54,6 @@ class PoissonStructure:
                 raise ValueError("Jacobi identity fails at (%d,%d,%d): %s"
                                  % (i + 1, j + 1, k + 1, format_poly(res)))
 
-    def entry(self, i: int, j: int) -> RatPoly:
-        """p_ij with the sign convention p_ji = -p_ij, p_ii = 0."""
-        if i == j:
-            return RatPoly.zero(self.n)
-        if i < j:
-            return self.p.get((i, j), RatPoly.zero(self.n))
-        return -self.p.get((j, i), RatPoly.zero(self.n))
-
     def is_trivial(self) -> bool:
         return not self.p
 

@@ -19,6 +19,8 @@ from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
 from poisson_cohom.linalg import SparseMatrix, rank_kernel
 from poisson_cohom.poisson import PoissonStructure
 
+from test_poisson import entry
+
 
 def test_run_sl2_weight_range():
     reports = run(fx.sl2(), "poly-bar", range(0, 3))
@@ -393,7 +395,7 @@ def _in_coordinates(pi: PoissonStructure, a: list, inv: list) -> PoissonStructur
             out = out + term
         return out
 
-    p = {(k, l): substitute(pi.entry(k, l)) for k in range(n) for l in range(n)}
+    p = {(k, l): substitute(entry(pi, k, l)) for k in range(n) for l in range(n)}
     entries = {(i, j): sum((p[k, l].scale(a[i][k] * a[j][l])
                             for k in range(n) for l in range(n)), RatPoly.zero(n))
                for i in range(n) for j in range(i + 1, n)}

@@ -3,17 +3,39 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import mono_basis
+from poisson_cohom.cli import _golden_paths, parse_golden
 from poisson_cohom.diagrams import euler_polymodule
 from poisson_cohom.engine import build_report
+from poisson_cohom.linalg import SparseMatrix
 from poisson_cohom.multivector import (heisenberg_closed_form,
                                        heisenberg_kernel_form,
-                                       poly_module_basis, sp2_closed_form,
-                                       top_betti_probe)
-from poisson_cohom.poisson import (GradedMultiVector, phi_flatten, r_schouten,
+                                       poly_module_basis, poly_module_matrix,
+                                       sp2_closed_form, top_betti_probe)
+from poisson_cohom.poisson import (GradedMultiVector, MultiVector,
+                                   PoissonStructure, phi_flatten, r_schouten,
                                    schouten)
+
+from test_poisson import random_structures
+
+
+def oracle_poly_module_matrix(pi: PoissonStructure, src: list, tgt: list) -> SparseMatrix:
+    """Matrix of u -> [pi, u] between module bases.  pi.two_vector is the
+    structure's integer terms over pi.denom, so the Schouten brackets and
+    the assembly run in integers over that one denominator."""
+    n = pi.n
+    index = {key: row for row, key in enumerate(tgt)}
+    cols = []
+    for a, axes in src:
+        image = schouten(pi.two_vector, MultiVector(n, len(axes), {(a, axes): 1})).terms
+        rows = [index.get(key) for key in image]
+        if None in rows:
+            raise AssertionError("module differential left the weight basis")
+        cols.append(dict(zip(rows, image.values())))
+    return SparseMatrix.from_columns(len(tgt), cols, pi.denom)
 
 
 def commuting_square_holds(pi_like: GradedMultiVector, gen) -> bool:
@@ -24,6 +46,83 @@ def commuting_square_holds(pi_like: GradedMultiVector, gen) -> bool:
     left = schouten(phi_flatten(pi_like), phi_flatten(one_slot))
     right = phi_flatten(r_schouten(pi_like, one_slot))
     return left == right
+
+
+def _module_maps(pi: PoissonStructure, w: int):
+    """(src, tgt) for every map of the weight-w module complex, as
+    engine._module_complex builds them."""
+    bases = [poly_module_basis(pi.n, pi.h, m, w) for m in range(pi.n + 2)]
+    return [(bases[m], bases[m + 1]) for m in range(pi.n + 1) if bases[m]]
+
+
+def _assert_same(pi: PoissonStructure, src: list, tgt: list) -> None:
+    """The derivation-rule matrix equals the Schouten oracle's in shape,
+    denominator and every column's items in order."""
+    got = poly_module_matrix(pi, src, tgt)
+    want = oracle_poly_module_matrix(pi, src, tgt)
+    assert (got.n_rows, got.n_cols, got.denom) == (want.n_rows, want.n_cols, want.denom)
+    assert [list(c.items()) for c in got.cols] == [list(c.items()) for c in want.cols], \
+        (pi, len(src), len(tgt))
+
+
+def _assert_matches_oracle(pi: PoissonStructure, w: int) -> int:
+    """_assert_same on every map of the weight-w complex; the count of maps."""
+    maps = _module_maps(pi, w)
+    for src, tgt in maps:
+        _assert_same(pi, src, tgt)
+    return len(maps)
+
+
+def test_module_matrix_matches_oracle_on_goldens():
+    """Every map of every poly-module golden."""
+    goldens = count = 0
+    for path in _golden_paths(None):
+        with open(path) as fh:
+            spec = parse_golden(fh.read())
+        if spec["mode"] == "poly-module":
+            goldens += 1
+            count += _assert_matches_oracle(fx.load_structure(spec["structure"]), spec["weight"])
+    assert goldens == 28 and count > 100
+
+
+@pytest.mark.parametrize("make, weights", [
+    (fx.sl2, range(0, 9)),  # exponent 8 sets the top bit of a 4-bit field
+    (fx.sl2_r4, range(0, 5)),
+    (fx.heisenberg, range(0, 5)),
+    (fx.pibar, range(-3, 2)),
+])
+def test_module_matrix_matches_oracle_on_weights(make, weights):
+    pi = make()
+    for w in weights:
+        _assert_matches_oracle(pi, w)
+
+
+@st.composite
+def random_module_maps(draw):
+    """(pi, src, tgt): an unchecked 2-vector of random_structures, n 2..5,
+    whose integer terms have a denominator above 1, and its map from a
+    degree m with source polynomial degree p <= 4 (the bracket [pi, u]
+    is defined whether or not pi is Poisson)."""
+    pi = draw(random_structures(min_n=2))
+    assume(pi.denom > 1)
+    m, p = draw(st.integers(0, pi.n)), draw(st.integers(0, 4))
+    w = p - (pi.h - 1) * m
+    return pi, poly_module_basis(pi.n, pi.h, m, w), poly_module_basis(pi.n, pi.h, m + 1, w)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(random_module_maps())
+def test_module_matrix_matches_oracle_on_random_two_vectors(case):
+    _assert_same(*case)
+
+
+def test_module_matrix_raises_on_a_missing_target_word():
+    """A placement outside tgt raises, for a word the map does hit."""
+    pi = fx.sl2()
+    src, tgt = _module_maps(pi, 2)[1]
+    hit = next(iter(poly_module_matrix(pi, src, tgt).cols[0]))
+    with pytest.raises(AssertionError, match="module differential left the weight basis"):
+        poly_module_matrix(pi, src, tgt[:hit] + tgt[hit + 1:])
 
 
 def test_module_basis_counts():

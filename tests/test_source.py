@@ -82,13 +82,14 @@ def test_benchmark_tracer_reads_matrix_attributes():
     assert t.max_dim == max(len(b1), len(b2), len(b3))
 
 
-def _named(tree) -> Counter:
-    """Every name a syntax tree uses, with its count: names, attributes and
-    string constants (the tracer names its layers as strings).  Imports
-    do not count, so an unused import keeps nothing alive."""
+def _named(tree, bare: bool = True) -> Counter:
+    """Every name a syntax tree uses, with its count: attributes, string
+    constants (the tracer names its layers as strings) and, when bare is
+    true, plain names.  Imports do not count, so an unused import keeps
+    nothing alive."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if bare and isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
@@ -97,11 +98,11 @@ def _named(tree) -> Counter:
     return out
 
 
-def _definitions_and_uses() -> tuple:
+def _definitions_and_uses(bare: bool = True) -> tuple:
     """The package's (file, top-level node) pairs, and the names used in
     the package, in perfbench/ and in tests/test_acceptance.py (the
-    paper's API).  Other tests do not count, so a helper only they call
-    lives beside them."""
+    paper's API), counted as _named(tree, bare) counts them.  Other tests
+    do not count, so a helper only they call lives beside them."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     perfbench = os.path.join(root, "perfbench")
     paths = ([os.path.join(PKG, f) for f in sorted(os.listdir(PKG)) if f.endswith(".py")]
@@ -114,14 +115,14 @@ def _definitions_and_uses() -> tuple:
             tree = ast.parse(fh.read(), path)
         if os.path.dirname(path) == PKG:
             defined += [(os.path.basename(path), node) for node in tree.body]
-        uses += _named(tree)
+        uses += _named(tree, bare)
     return defined, uses
 
 
-def _named_only_in_itself(defined: list, uses: Counter) -> list:
+def _named_only_in_itself(defined: list, uses: Counter, bare: bool = True) -> list:
     """The definitions whose name is used nowhere outside their own body."""
     return ["%s:%s" % (name, node.name) for name, node in defined
-            if uses[node.name] == _named(node)[node.name]]
+            if uses[node.name] == _named(node, bare)[node.name]]
 
 
 def test_every_top_level_definition_is_named_elsewhere():
@@ -137,12 +138,14 @@ def test_every_top_level_definition_is_named_elsewhere():
 
 def test_every_method_is_named_elsewhere():
     """The same rule for the non-dunder methods of the package's classes:
-    a method is named (called or read) somewhere besides its
-    own body, in the package, in perfbench/ or in tests/test_acceptance.py."""
-    defined, uses = _definitions_and_uses()
+    a method is named (called or read) somewhere besides its own body, in
+    the package, in perfbench/ or in tests/test_acceptance.py.  Only an
+    attribute access or a string counts, so a local variable or a
+    function of the same name cannot keep a dead method alive."""
+    defined, uses = _definitions_and_uses(bare=False)
     methods = [("%s:%s" % (name, cls.name), node) for name, cls in defined
                if isinstance(cls, ast.ClassDef) for node in cls.body
                if isinstance(node, ast.FunctionDef)
                and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert len(methods) > 30
-    assert _named_only_in_itself(methods, uses) == []
+    assert _named_only_in_itself(methods, uses, bare=False) == []
