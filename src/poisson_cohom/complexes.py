@@ -227,24 +227,32 @@ def _pairs(bit: dict, terms, scale: int) -> tuple:
     return tuple(out)
 
 
-def _wedge_place(src: list, tgt: list, bit: dict, pieces, denom: int) -> SparseMatrix:
-    """Matrix whose column col is the sum, over the (rest, pairs) that
-    pieces(tup) gives for src word tup, of every pair wedged onto the
-    word with mask rest; a pair that meets rest contributes nothing, one
-    that lands outside tgt is an error.  Entries are integers over denom,
+def _wedge_place(src, tgt, table: dict, denom: int) -> SparseMatrix:
+    """Matrix whose column col is a sum over the slots of the col-th
+    source word, given as (mask, gids) by the iterable src: slot k holds
+    gid g with table[g] = (bit, even-slot pairs, odd-slot pairs), and
+    every pair of the one for k's parity is wedged onto rest = mask ^ bit.
+    A pair that meets rest contributes nothing, one that lands outside
+    the target is an error.  The iterable tgt gives the distinct target
+    word masks in row order.  Both are read once, so generators keep a
+    large basis from being copied.  Entries are integers over denom,
     each column keyed in the order its rows are first met."""
-    index = {sum(map(bit.__getitem__, tup)): row for row, tup in enumerate(tgt)}
+    index = {mask: row for row, mask in enumerate(tgt)}
     cols = []
-    for tup in src:
+    for mask, gids in src:
         acc: dict = {}  # target mask -> value
-        for rest, pairs in pieces(tup):
-            for ab, between, c in pairs:
+        odd = False
+        for g in gids:
+            bit, even_pairs, odd_pairs = table[g]
+            rest = mask ^ bit
+            for ab, between, c in odd_pairs if odd else even_pairs:
                 if rest & ab:
                     continue
                 key = rest | ab
                 if (rest & between).bit_count() & 1:
                     c = -c
                 acc[key] = acc.get(key, 0) + c
+            odd = not odd
         col: dict = {}
         for key, v in acc.items():
             row = index.get(key)
@@ -253,7 +261,7 @@ def _wedge_place(src: list, tgt: list, bit: dict, pieces, denom: int) -> SparseM
             if v:
                 col[row] = v
         cols.append(col)
-    return SparseMatrix.from_columns(len(tgt), cols, denom)
+    return SparseMatrix.from_columns(len(index), cols, denom)
 
 
 def cochain_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
@@ -266,16 +274,13 @@ def cochain_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
     denom = lcm(1, *denoms.values())
     images = {g: ctx.image2(g) for g in gens}
     bit = _bits(gens, *tgt, *(t[:2] for img in images.values() for t in img))
-    signed = {}
+    table = {}
     for g, img in images.items():
         scale = denom // denoms[g[0]]
-        signed[g] = (_pairs(bit, img, scale), _pairs(bit, img, -scale))
-
-    def pieces(tup):
-        mask = sum(map(bit.__getitem__, tup))
-        return [(mask ^ bit[g], signed[g][slot & 1]) for slot, g in enumerate(tup)]
-
-    return _wedge_place(src, tgt, bit, pieces, denom)
+        table[g] = (bit[g], _pairs(bit, img, scale), _pairs(bit, img, -scale))
+    get = bit.__getitem__
+    return _wedge_place(((sum(map(get, tup)), tup) for tup in src),
+                        (sum(map(get, tup)) for tup in tgt), table, denom)
 
 
 def boundary_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
@@ -326,9 +331,11 @@ def constant_two_cochain(pi: PoissonStructure) -> tuple:
 
 def wedge_cochain_matrix(two_cochain: tuple, src: list, tgt: list) -> SparseMatrix:
     """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain given as
-    (terms, denom) by constant_two_cochain."""
+    (terms, denom) by constant_two_cochain: each source word is one slot,
+    None, whose bit 0 leaves the whole word as rest."""
     terms, denom = two_cochain
     bit = _bits(*src, *tgt, *(t[:2] for t in terms))
     pairs = _pairs(bit, terms, 1)
-    return _wedge_place(src, tgt, bit, lambda tup: ((sum(map(bit.__getitem__, tup)), pairs),),
-                        denom)
+    get = bit.__getitem__
+    return _wedge_place(((sum(map(get, tup)), (None,)) for tup in src),
+                        (sum(map(get, tup)) for tup in tgt), {None: (0, pairs, pairs)}, denom)

@@ -137,7 +137,9 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     """Report rows of a complex with space dimensions dims[m] and
     differentials maps[m] out of degree m into degree m + step (+1 for a
     cochain complex, -1 for a chain complex); maps[m + step] must
-    annihilate maps[m] exactly.
+    annihilate maps[m] exactly, or AssertionError names the degree m of
+    the first failing pair in complex order.  The matrix_sink receives
+    every full map before any is checked or ranked.
 
     The maps are ranked in complex order, ascending m for a cochain
     complex and descending m for a chain complex.  The pivots R of
@@ -145,12 +147,17 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     outside R span a complement of that map's image.  maps[m] vanishes
     on the image, so its columns outside R carry its whole rank, and it
     is ranked with the columns in R cleared (the twist of Chen & Kerber).
-    The vanishing is d o d = 0, so every map passes the exact check
-    before any map is ranked.  The matrix_sink receives the full maps."""
-    for m, d in maps.items():
-        nxt = maps.get(m + step)
-        if nxt is not None and not compose_is_zero(nxt, d):
-            raise AssertionError("d o d != 0 at degree %d" % m)
+
+    The d o d = 0 check of each pair follows the ranking of its inner
+    map and is exact on the rank-many columns S_m that rank_kernel
+    retired.  Once maps[m] o maps[m - step] = 0 is checked, maps[m]
+    kills the image of maps[m - step], so the image of maps[m] is that
+    of the unit vectors outside R: the column space of the cleared view,
+    which its retired columns S_m span.  Hence maps[m + step] o maps[m]
+    = 0 exactly when maps[m + step] annihilates the columns S_m of
+    maps[m].  The first map of the complex has nothing cleared, which
+    starts the induction, and a pair is reached only after every pair
+    before it passed."""
     if matrix_sink is not None:
         for m, d in maps.items():
             matrix_sink(m, d)
@@ -163,6 +170,10 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
                 {} if c in cleared else col for c, col in enumerate(d.cols)], d.denom)
         res = rank_kernel(d)
         ranks[m], pivots[m] = res.rank, set(res.pivots)
+        nxt = maps.get(m + step)
+        if nxt is not None and not compose_is_zero(nxt, SparseMatrix.from_columns(
+                d.n_rows, [d.cols[c] for c in res.spanning], d.denom)):
+            raise AssertionError("d o d != 0 at degree %d" % m)
     rows = []
     for m, dim in sorted(dims.items()):
         rank = ranks.get(m, 0)

@@ -13,11 +13,14 @@ Rank/kernel run fraction-free: rows are kept gcd-reduced through
 elimination, so no integer blow-up occurs on the larger cochain matrices.
 Pivots are chosen by a Markowitz-style fill estimate with deterministic
 tie-breaking, which keeps results identical across runs.  Each rank step
-also records its pivot: a row index of the matrix, that is a coordinate
-of the target space.  The rows retired at those pivots span the image
-and are triangular on them, so the coordinates outside the pivots span a
-complement of the image; the report pipeline uses this to rank the next
-differential of a complex on fewer columns (clearing).
+also records its pivot, a row index of the matrix, that is a coordinate
+of the target space, and the column it retires.  The rows retired at
+those pivots span the image and are triangular on them, so the
+coordinates outside the pivots span a complement of the image; the
+report pipeline uses this to rank the next differential of a complex on
+fewer columns (clearing).  The retired columns alone span the image, so
+the pipeline's exact d o d = 0 check multiplies the next differential
+by those rank-many columns instead of the whole map.
 """
 
 from __future__ import annotations
@@ -104,6 +107,8 @@ class RankResult:
     kernel: list | None = None  # list of dict col -> int, primitive
     # the pivot row index of m at each rank step, in step order
     pivots: list = field(default_factory=list, repr=False, compare=False)
+    # the column of m retired at each rank step, in step order
+    spanning: list = field(default_factory=list, repr=False, compare=False)
 
 
 def _gcd_reduce(row: dict, tail: dict | None = None) -> None:
@@ -132,6 +137,10 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     rows span the column space of m and are triangular on the pivots:
     the rows of m at the pivots alone have rank `rank`, and the unit
     vectors outside the pivots span a complement of the column space.
+    spanning lists the row pr retired at each step, a column index of m.
+    Each row is a nonzero multiple of its own column of m plus a
+    combination of rows retired before it, so the columns of m at
+    spanning alone span the column space of m.
     """
     rows = [dict(col) for col in m.cols]  # copies: the columns may be shared
     tails = [{j: m.denom} for j in range(m.n_cols)] if want_basis else None
@@ -143,8 +152,7 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
 
     heap = [(len(rs), c) for c, rs in col_rows.items()]
     heapq.heapify(heap)
-    active = [True] * len(rows)
-    pivots = []
+    pivots, spanning = [], []
 
     while heap:
         cnt, c = heapq.heappop(heap)
@@ -196,16 +204,17 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
             if k != c:
                 col_rows[k].discard(pr)
         col_rows.pop(c, None)
-        active[pr] = False
         pivots.append(c)
+        spanning.append(pr)
 
     kernel = None
     if want_basis:
         # an active tail holds its own index j: only retired rows entered it
-        kernel = sorted((tails[j] for j in range(m.n_cols) if active[j]),
+        retired = set(spanning)
+        kernel = sorted((tails[j] for j in range(m.n_cols) if j not in retired),
                         key=lambda v: sorted(v.items()))
     return RankResult(rank=len(pivots), kernel_dim=m.n_cols - len(pivots),
-                      kernel=kernel, pivots=pivots)
+                      kernel=kernel, pivots=pivots, spanning=spanning)
 
 
 def _product_columns(a: SparseMatrix, b: SparseMatrix):

@@ -141,6 +141,20 @@ def test_annihilator_dumps_map_between_kernel_bases(tmp_path, capsys, monkeypatc
     assert open(tmp_path / "pi-annihilator_w2_d3.mtx").readline() == "219 83\n"
 
 
+def test_failing_d_o_d_check_leaves_the_dumped_maps(tmp_path, capsys, monkeypatch):
+    """A non-Poisson file run with --no-check: the matrix sink writes every
+    map of w = 0 before the d o d = 0 check fails there, and the error
+    names the degree of the first failing pair in complex order."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    path = tmp_path / "bad.poisson"
+    path.write_text("n = 3\nh = 1\np 1 2 = x3\np 1 3 = x1\np 2 3 = x1\n")
+    dump = tmp_path / "dump"
+    assert main(["betti", str(path), "--no-check", "--mode", "poly-bar",
+                 "--weights", "0,1,2", "--dump-matrices", str(dump)]) == 1
+    assert capsys.readouterr().err == "invariant failure: d o d != 0 at degree 1\n"
+    assert sorted(os.listdir(dump)) == ["poly-bar_w0_d%d.mtx" % m for m in range(4)]
+
+
 @pytest.mark.parametrize("args", [
     ["builtin:poisson_like_h2", "--mode", "poisson-like", "--direction", "chain",
      "--weights=-3"],

@@ -16,7 +16,7 @@ from poisson_cohom.complexes import PolyContext, weight_degree_range
 from poisson_cohom.diagrams import euler_combinatorial, euler_polymodule
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
-from poisson_cohom.linalg import SparseMatrix, rank_kernel
+from poisson_cohom.linalg import SparseMatrix, compose_is_zero, rank_kernel
 from poisson_cohom.poisson import PoissonStructure
 
 from test_poisson import entry
@@ -344,6 +344,69 @@ def test_cleared_ranks_equal_plain_ranks(complex_):
         rows = _complex_rows(dict(enumerate(dims)), maps, step)
         assert {r.m: r.rank for r in rows if r.m in maps} == \
             {m: rank_kernel(d).rank for m, d in maps.items()}
+
+
+def _first_failing_pair(maps: dict, step: int):
+    """The degree m of the first pair maps[m + step] o maps[m] that is not
+    exactly zero, in complex order, by the full product; None if none is."""
+    for m in sorted(maps, reverse=step < 0):
+        if m + step in maps and not compose_is_zero(maps[m + step], maps[m]):
+            return m
+    return None
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(exact_cochain_maps(), st.data())
+def test_d_o_d_check_catches_every_single_entry_change(complex_, data):
+    """Changing one entry of one map of an exact complex makes _complex_rows
+    raise exactly when some adjacent pair's full product is nonzero, and
+    name the first such pair in complex order: the check on the retired
+    columns misses nothing and raises no false alarm, whether the entry
+    sits in a cleared or a kernel column.  Checked on the cochain complex
+    and on its transpose, the chain complex."""
+    dims, cochain = complex_
+    m = data.draw(st.sampled_from(sorted(cochain)), label="map")
+    d = cochain[m]
+    r = data.draw(st.integers(0, d.n_rows - 1), label="row")
+    c = data.draw(st.integers(0, d.n_cols - 1), label="column")
+    delta = data.draw(RATIONALS.filter(bool), label="delta")
+    cells = {k: Fraction(v, d.denom) for k, v in d.entries.items()}
+    cells[(r, c)] = cells.get((r, c), 0) + delta
+    cochain = {**cochain, m: SparseMatrix(d.n_rows, d.n_cols, cells)}
+    chain = {k + 1: e.transpose() for k, e in cochain.items()}
+    for maps, step in ((cochain, 1), (chain, -1)):
+        failing = _first_failing_pair(maps, step)
+        if failing is None:
+            _complex_rows(dict(enumerate(dims)), maps, step)
+        else:
+            with pytest.raises(AssertionError, match="at degree %d$" % failing):
+                _complex_rows(dict(enumerate(dims)), maps, step)
+
+
+@pytest.mark.parametrize("name, mode, weights, direction", [
+    ("solvable22", "poly-with-constants", range(6), "chain"),
+    ("poisson_like_h2", "poisson-like", [-2], "cochain"),
+])
+def test_d_o_d_check_multiplies_rank_many_columns(monkeypatch, name, mode, weights,
+                                                  direction):
+    """Each d o d = 0 check multiplies the next map by exactly rank(d_m)
+    columns of d_m, not by the whole map."""
+    calls = []
+
+    def spy(a, b):
+        calls.append(b.n_cols)
+        return compose_is_zero(a, b)
+
+    monkeypatch.setattr(engine, "compose_is_zero", spy)
+    pi = fx.load_structure("builtin:" + name)
+    step = -1 if direction == "chain" else 1
+    for w in weights:
+        seen: dict = {}
+        calls.clear()
+        build_report(pi, mode, w, direction, matrix_sink=seen.__setitem__)
+        pairs = [m for m in sorted(seen, reverse=step < 0) if m + step in seen]
+        assert pairs and calls == [rank_kernel(seen[m]).rank for m in pairs], w
+        assert sum(calls) < sum(seen[m].n_cols for m in pairs), w
 
 
 @pytest.mark.parametrize("name, mode, w, direction", [

@@ -74,9 +74,11 @@ def test_rank_kernel_output_pinned():
 
 
 def test_rank_kernel_pivots_contract():
-    """One pivot per rank step, each a distinct row index of m; the rows
-    of m at the pivots alone keep the whole rank (the triangularity that
-    clearing relies on); repr and == ignore the field."""
+    """One pivot and one spanning column per rank step, each a distinct
+    row or column index of m; the rows of m at the pivots alone keep the
+    whole rank (the triangularity that clearing relies on), and so do the
+    columns of m at the spanning indices alone (what the d o d check
+    relies on); repr and == ignore both fields."""
     rng = random.Random(20261019)
     for _ in range(120):
         m = random_matrix(rng, max_size=14, density=rng.choice((0.1, 0.3, 0.6)))
@@ -85,9 +87,13 @@ def test_rank_kernel_pivots_contract():
         assert all(0 <= r < m.n_rows for r in res.pivots)
         kept = {k: v for k, v in m.entries.items() if k[0] in set(res.pivots)}
         assert dense_rank(kept, m.n_rows, m.n_cols) == res.rank
+        assert len(res.spanning) == res.rank == len(set(res.spanning))
+        assert all(0 <= c < m.n_cols for c in res.spanning)
+        kept = {k: v for k, v in m.entries.items() if k[1] in set(res.spanning)}
+        assert dense_rank(kept, m.n_rows, m.n_cols) == res.rank
     res = rank_kernel(SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 1}), want_basis=True)
-    bare = dataclasses.replace(res, pivots=[])
-    assert res.pivots and res == bare and repr(res) == repr(bare)
+    bare = dataclasses.replace(res, pivots=[], spanning=[])
+    assert res.pivots and res.spanning and res == bare and repr(res) == repr(bare)
 
 
 def test_rank_transpose_invariant():
