@@ -5,16 +5,18 @@ Hamiltonian quotient, the constant-structure annihilator subcomplex and
 the Poisson-like multivector complex) supplies the same small interface:
 graded generators with caps and weights plus the differential's action
 on a single generator.  The basis/matrix builders below are shared.
-cochain_matrix is the one assembly routine of a context: the chain
+The coboundary is the one assembly routine of a context: the chain
 boundary is the dual of the coboundary under the wedge-basis pairing,
-so boundary_matrix is its transpose.
+so boundary_matrix places the coboundary's entries row by row, as its
+transpose.
 
 Generator ids are (degree, position) pairs; a cochain basis is the list
-of its words, ascending tuples of generator ids.  Each matrix builder
-gives every generator it meets one bit of an integer, in gid order, so
-a basis word is a bitmask: wedging a pair onto the rest of a word is an AND
-(collision) and an OR (the target word), and the reordering sign is a
-popcount parity.
+of its words, ascending tuples of generator ids.  A WordCoding gives
+every generator of a complex's bases one bit of an integer, in gid
+order, so a basis word is a bitmask: wedging a pair onto the rest of a
+word is an AND (collision) and an OR (the target word), and the
+reordering sign is a popcount parity.  The maps of one complex share
+one coding; a map given none codes its two bases alone.
 
 Coefficients are integers over a denominator: a context's image2 of a
 degree-j generator is over image2_denom(j), and each builder accumulates
@@ -26,7 +28,7 @@ integer normal-form rules of the degree-j CasimirBasis.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, gcd, lcm
 
 from .algebra import mono_basis, mono_index
@@ -194,52 +196,87 @@ class PoissonLikeContext:
 def build_basis(ctx, m: int, w: int) -> list:
     """Deterministic basis of the degree-m, weight-w cochain space: the
     list of its words, ascending tuples of gids, its size checked
-    against the signature count."""
+    against the signature count.  The words of a signature are its
+    blocks' combinations joined in product order, the last block
+    varying fastest."""
     basis = []
     if m or ctx.include_m0:
         for sig in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start):
-            pools = [list(combinations([(j, p) for p in range(ctx.cap(j))], k))
-                     for j, k in sig]
-            for combo in product(*pools):
-                basis.append(tuple(g for block in combo for g in block))
+            words = [()]
+            for j, k in sig:
+                pool = list(combinations([(j, p) for p in range(ctx.cap(j))], k))
+                words = [word + block for word in words for block in pool]
+            basis += words
     basis_dimension_check(ctx, m, w, basis)
     return basis
 
 
-def _bits(*gid_lists) -> dict:
-    """One bit per generator met, in gid order, so a basis word (an
-    ascending tuple of gids) is the OR of its bits and the count of its
-    factors before a generator is a popcount."""
-    met = sorted(set().union(*gid_lists))
-    return {g: 1 << i for i, g in enumerate(met)}
+class WordCoding:
+    """The coding that the maps of one complex share.  Every generator
+    met in its bases gets one bit of an integer, in gid order, so a word
+    (an ascending tuple of gids) is the OR of its bits and the count of
+    its factors before a generator is a popcount; each basis's word
+    masks are summed once, and each source generator's slot table once
+    per scale.  A generator met in no basis gets the one escape bit
+    above them all: a pair holding it either meets the rest of a word or
+    lands outside every basis, so its sign is never read."""
+
+    def __init__(self, bases):
+        gens = [set().union(*basis) for basis in bases]
+        self.bit = {g: 1 << i for i, g in enumerate(sorted(set().union(*gens)))}
+        self.escape = 1 << len(self.bit)
+        get = self.bit.__getitem__
+        self._coded = {id(basis): (basis, [sum(map(get, word)) for word in basis], met)
+                       for basis, met in zip(bases, gens)}
+        self._slots: dict = {}  # (gid, scale) -> slot table
+
+    def basis(self, words: list) -> tuple:
+        """(word masks, generators met) of one of the coded bases."""
+        coded = self._coded.get(id(words))
+        if coded is None or coded[0] is not words:
+            raise ValueError("basis was not coded with this coding")
+        return coded[1], coded[2]
+
+    def slot(self, ctx, g, scale: int) -> tuple:
+        """(bit, even-slot pairs, odd-slot pairs) of generator g: its
+        image2 under ctx as pairs scaled by scale, and by -scale for an
+        odd slot."""
+        key = (g, scale)
+        if key not in self._slots:
+            img = ctx.image2(g)
+            self._slots[key] = (self.bit[g], self.pairs(img, scale), self.pairs(img, -scale))
+        return self._slots[key]
+
+    def pairs(self, terms, scale: int) -> tuple:
+        """A 2-cochain's terms (ga, gb, c), ga < gb, as (a|b, (a-1) ^ (b-1),
+        scale*c): wedging ga^gb onto a word with mask rest moves ga past
+        popcount(rest & (a-1)) factors and gb past popcount(rest & (b-1)),
+        and when rest misses a the two sum to the parity of
+        popcount(rest & ((a-1) ^ (b-1)))."""
+        bit, escape = self.bit, self.escape
+        out = []
+        for ga, gb, c in terms:
+            a, b = bit.get(ga, escape), bit.get(gb, escape)
+            out.append((a | b, (a - 1) ^ (b - 1), scale * c))
+        return tuple(out)
 
 
-def _pairs(bit: dict, terms, scale: int) -> tuple:
-    """A 2-cochain's terms (ga, gb, c), ga < gb, as (a|b, (a-1) ^ (b-1),
-    scale*c): wedging ga^gb onto a word with mask rest moves ga past
-    popcount(rest & (a-1)) factors and gb past popcount(rest & (b-1)),
-    and when rest misses a the two sum to the parity of
-    popcount(rest & ((a-1) ^ (b-1)))."""
-    out = []
-    for ga, gb, c in terms:
-        a, b = bit[ga], bit[gb]
-        out.append((a | b, (a - 1) ^ (b - 1), scale * c))
-    return tuple(out)
-
-
-def _wedge_place(src, tgt, table: dict, denom: int) -> SparseMatrix:
-    """Matrix whose column col is a sum over the slots of the col-th
-    source word, given as (mask, gids) by the iterable src: slot k holds
-    gid g with table[g] = (bit, even-slot pairs, odd-slot pairs), and
-    every pair of the one for k's parity is wedged onto rest = mask ^ bit.
+def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool = False) -> SparseMatrix:
+    """Matrix whose column j is a sum over the slots of the j-th source
+    word, given as (mask, gids) by the iterable src: slot k holds gid g
+    with table[g] = (bit, even-slot pairs, odd-slot pairs), and every
+    pair of the one for k's parity is wedged onto rest = mask ^ bit.
     A pair that meets rest contributes nothing, one that lands outside
     the target is an error.  The iterable tgt gives the distinct target
-    word masks in row order.  Both are read once, so generators keep a
-    large basis from being copied.  Entries are integers over denom,
-    each column keyed in the order its rows are first met."""
+    word masks in row order.  Both are read once.  Entries are integers
+    over denom, each column keyed in the order its rows are first met.
+    rowwise places the transpose: entry (row, j) goes to out[row][j], so
+    each row fills in ascending source order, the key order of a
+    column-by-column transpose."""
     index = {mask: row for row, mask in enumerate(tgt)}
-    cols = []
-    for mask, gids in src:
+    out: list = [{} for _ in index] if rowwise else []
+    j = -1
+    for j, (mask, gids) in enumerate(src):
         acc: dict = {}  # target mask -> value
         odd = False
         for g in gids:
@@ -259,35 +296,43 @@ def _wedge_place(src, tgt, table: dict, denom: int) -> SparseMatrix:
             if row is None:
                 raise AssertionError("differential left the weight-graded basis")
             if v:
-                col[row] = v
-        cols.append(col)
-    return SparseMatrix.from_columns(len(index), cols, denom)
+                if rowwise:
+                    out[row][j] = v
+                else:
+                    col[row] = v
+        if not rowwise:
+            out.append(col)
+    return SparseMatrix.from_columns(j + 1 if rowwise else len(index), out, denom)
 
 
-def cochain_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
+def _coboundary(ctx, src: list, tgt: list, coding, rowwise: bool) -> SparseMatrix:
+    """The coboundary from src to tgt, placed column- or row-wise, on
+    the coding's masks and slot tables (the two bases coded alone when
+    coding is None)."""
+    if coding is None:
+        coding = WordCoding((src, tgt))
+    src_masks, gens = coding.basis(src)
+    denoms = {j: ctx.image2_denom(j) for j in {g[0] for g in gens}}
+    denom = lcm(1, *denoms.values())
+    table = {g: coding.slot(ctx, g, denom // denoms[g[0]]) for g in gens}
+    return _wedge_place(zip(src_masks, src), coding.basis(tgt)[0], table, denom, rowwise)
+
+
+def cochain_matrix(ctx, src: list, tgt: list, coding: WordCoding | None = None) -> SparseMatrix:
     """Exact matrix of the coboundary from src (degree m) to tgt (m+1),
     accumulated in integers over the lcm of the image2 denominators of the
     generator degrees in src: the slot-k generator of a word is replaced
-    by its image2, with sign (-1)^k."""
-    gens = set().union(*src)
-    denoms = {j: ctx.image2_denom(j) for j in {g[0] for g in gens}}
-    denom = lcm(1, *denoms.values())
-    images = {g: ctx.image2(g) for g in gens}
-    bit = _bits(gens, *tgt, *(t[:2] for img in images.values() for t in img))
-    table = {}
-    for g, img in images.items():
-        scale = denom // denoms[g[0]]
-        table[g] = (bit[g], _pairs(bit, img, scale), _pairs(bit, img, -scale))
-    get = bit.__getitem__
-    return _wedge_place(((sum(map(get, tup)), tup) for tup in src),
-                        (sum(map(get, tup)) for tup in tgt), table, denom)
+    by its image2, with sign (-1)^k.  coding, when given, must hold both
+    bases."""
+    return _coboundary(ctx, src, tgt, coding, False)
 
 
-def boundary_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
+def boundary_matrix(ctx, src: list, tgt: list, coding: WordCoding | None = None) -> SparseMatrix:
     """Exact matrix of the boundary operator from src (degree m) to tgt
     (m-1): the transpose of the coboundary from tgt to src, since the
-    boundary is the dual of the coboundary under the wedge-basis pairing."""
-    return cochain_matrix(ctx, tgt, src).transpose()
+    boundary is the dual of the coboundary under the wedge-basis pairing,
+    placed row by row."""
+    return _coboundary(ctx, tgt, src, coding, True)
 
 
 def weight_degree_range(ctx, w: int) -> int:
@@ -334,8 +379,7 @@ def wedge_cochain_matrix(two_cochain: tuple, src: list, tgt: list) -> SparseMatr
     (terms, denom) by constant_two_cochain: each source word is one slot,
     None, whose bit 0 leaves the whole word as rest."""
     terms, denom = two_cochain
-    bit = _bits(*src, *tgt, *(t[:2] for t in terms))
-    pairs = _pairs(bit, terms, 1)
-    get = bit.__getitem__
-    return _wedge_place(((sum(map(get, tup)), (None,)) for tup in src),
-                        (sum(map(get, tup)) for tup in tgt), {None: (0, pairs, pairs)}, denom)
+    coding = WordCoding((src, tgt))
+    pairs = coding.pairs(terms, 1)
+    return _wedge_place(((mask, (None,)) for mask in coding.basis(src)[0]),
+                        coding.basis(tgt)[0], {None: (0, pairs, pairs)}, denom)

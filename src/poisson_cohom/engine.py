@@ -9,9 +9,10 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (PolyContext, PoissonLikeContext, boundary_matrix,
-                        build_basis, cochain_matrix, constant_two_cochain,
-                        wedge_cochain_matrix, weight_degree_range)
+from .complexes import (PolyContext, PoissonLikeContext, WordCoding,
+                        boundary_matrix, build_basis, cochain_matrix,
+                        constant_two_cochain, wedge_cochain_matrix,
+                        weight_degree_range)
 from .linalg import (SparseMatrix, compose_is_zero, in_span_coordinates,
                      matmul, rank_kernel)
 from .multivector import poly_module_basis, poly_module_matrix
@@ -184,20 +185,22 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
 
 def _context_complex(ctx, w: int, direction: str) -> tuple:
     """A PolyContext or PoissonLikeContext complex: coboundaries m -> m+1,
-    or boundaries m -> m-1 in the chain direction."""
+    or boundaries m -> m-1 in the chain direction, all placed on one
+    coding of its bases."""
     hi = weight_degree_range(ctx, w)
     bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
+    coding = WordCoding(bases.values())
     maps: dict = {}
     if direction == "cochain":
         step = 1
         for m in range(hi + 1):
             if bases[m]:
-                maps[m] = cochain_matrix(ctx, bases[m], bases[m + 1])
+                maps[m] = cochain_matrix(ctx, bases[m], bases[m + 1], coding)
     else:
         step = -1
         for m in range(1, hi + 1):
             if bases[m]:
-                maps[m] = boundary_matrix(ctx, bases[m], bases[m - 1])
+                maps[m] = boundary_matrix(ctx, bases[m], bases[m - 1], coding)
     return {m: len(bases[m]) for m in range(hi + 1)}, maps, step
 
 
@@ -219,13 +222,14 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     two = constant_two_cochain(pi)
     hi = weight_degree_range(ctx, w)
     bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
+    coding = WordCoding(bases.values())
     kmats: dict = {}
     for m, basis in bases.items():
         wedge = wedge_cochain_matrix(two, basis, build_basis(ctx, m + 2, w - 2))
         kmats[m] = SparseMatrix.from_columns(
             len(basis), rank_kernel(wedge, want_basis=True).kernel)
     maps = {m: in_span_coordinates(kmats[m + 1], matmul(
-                cochain_matrix(ctx, bases[m], bases[m + 1]), kmats[m]))
+                cochain_matrix(ctx, bases[m], bases[m + 1], coding), kmats[m]))
             for m in range(hi + 1) if kmats[m].n_cols}
     return {m: kmats[m].n_cols for m in range(hi + 1)}, maps, 1
 

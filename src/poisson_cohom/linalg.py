@@ -81,13 +81,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(map(len, self.cols))
 
-    def transpose(self) -> "SparseMatrix":
-        out: list = [{} for _ in range(self.n_rows)]
-        for c, col in enumerate(self.cols):
-            for r, v in col.items():
-                out[r][c] = v
-        return SparseMatrix.from_columns(self.n_cols, out, self.denom)
-
     def __eq__(self, other) -> bool:
         if not (isinstance(other, SparseMatrix) and self.n_rows == other.n_rows
                 and self.n_cols == other.n_cols):
@@ -162,11 +155,16 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
         if cnt != len(rs):
             heapq.heappush(heap, (len(rs), c))
             continue
-        # pivot row in this column: fewest entries, smallest value, lowest id
-        pr = min(rs, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
+        if cnt == 1:  # the column's one row is the pivot row, with nothing to clear
+            (pr,) = rs
+            clear = ()
+        else:
+            # pivot row in this column: fewest entries, smallest value, lowest id
+            pr = min(rs, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
+            clear = sorted(rs)
         prow = rows[pr]
         pval = prow[c]
-        for r in sorted(rs):
+        for r in clear:
             if r == pr:
                 continue
             row = rows[r]

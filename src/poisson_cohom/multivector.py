@@ -26,37 +26,51 @@ def _code(a, unit: list) -> int:
     return sum(e * u for e, u in zip(a, unit))
 
 
-def _slot_table(terms: list, axes: tuple, unit: list) -> list:
-    """The a-independent pieces of [pi, x^a d_axes] for the integer terms
-    (i, j, mu, c) of pi: [pi, x^a d_I] = [pi, x^a] ^ d_I + x^a [pi, d_I].
-    Each piece is (delta, coeff, k): the image word's code is that of x^a
-    plus delta (the monomial mu - e_k and the output axis mask), and the
+def _coded_terms(terms: list, unit: list) -> list:
+    """The integer terms (i, j, mu, c) of pi coded once for every axis
+    set: the vector part as (code of mu - e_k, bit of the other slot,
+    coeff, k) for the slots k = i, j, the slot mask of (i, j) and the
+    axis bits between its slots, and for each axis k with mu[k] > 0 the
+    code of mu - e_k with c * mu[k]."""
+    out = []
+    for i, j, mu, c in terms:
+        base = _code(mu, unit)
+        vector = ((base - unit[i], 1 << j, -c, i), (base - unit[j], 1 << i, c, j))
+        between = ((1 << i) - 1) ^ ((1 << j) - 1)
+        shifted = {k: (base - unit[k], c * e) for k, e in enumerate(mu) if e}
+        out.append((vector, (1 << i) | (1 << j), between, shifted))
+    return out
+
+
+def _slot_table(coded: list, axes: tuple) -> list:
+    """The a-independent pieces of [pi, x^a d_axes] for the coded terms
+    of pi: [pi, x^a d_I] = [pi, x^a] ^ d_I + x^a [pi, d_I].  Each piece
+    is (delta, coeff, k): the image word's code is that of x^a plus
+    delta (the monomial mu - e_k and the output axis mask), and the
     coefficient is coeff, times a[k] when k is not None.  Signs are those
     of schouten, with the wedge reordering a popcount parity on axis
     masks as in complexes._wedge_place; pieces come in schouten's order."""
     mask = sum(1 << ax for ax in axes)
     out = []
-    for i, j, mu, c in terms:
-        base = _code(mu, unit)
+    for vector, ij, between, shifted in coded:
         # the vector part of pi differentiates x^a along slot k of (i, j)
-        for k, other, coeff in ((i, j, -c), (j, i, c)):
-            bit = 1 << other
+        for code, bit, coeff, k in vector:
             if mask & bit:
                 continue
             if (mask & (bit - 1)).bit_count() & 1:
                 coeff = -coeff
-            out.append((base - unit[k] + (mask | bit), coeff, k))
+            out.append((code + (mask | bit), coeff, k))
         # d_I differentiates the coefficient mu of pi along its slot pos
-        ij = (1 << i) | (1 << j)
-        between = ((1 << i) - 1) ^ ((1 << j) - 1)
         for pos, k in enumerate(axes):
             rest = mask ^ (1 << k)
-            if not mu[k] or rest & ij:
+            if k not in shifted or rest & ij:
                 continue
-            coeff = c * mu[k] * (1 if pos & 1 else -1)
+            code, coeff = shifted[k]
+            if not pos & 1:
+                coeff = -coeff
             if (rest & between).bit_count() & 1:
                 coeff = -coeff
-            out.append((base - unit[k] + (rest | ij), coeff, None))
+            out.append((code + (rest | ij), coeff, None))
     return out
 
 
@@ -77,7 +91,8 @@ def poly_module_matrix(pi: PoissonStructure, src: list, tgt: list) -> SparseMatr
     code = {a: _code(a, unit) for a in src_monos | tgt_monos}
     masks = {axes: sum(1 << ax for ax in axes) for axes in {axes for _, axes in tgt}}
     index = {code[b] + masks[axes]: row for row, (b, axes) in enumerate(tgt)}
-    tables = {axes: _slot_table(pi.terms, axes, unit) for axes in {axes for _, axes in src}}
+    coded = _coded_terms(pi.terms, unit)
+    tables = {axes: _slot_table(coded, axes) for axes in {axes for _, axes in src}}
     cols = []
     for a, axes in src:
         key = code[a]

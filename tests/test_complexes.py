@@ -12,11 +12,11 @@ from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, mono_index
 from poisson_cohom.casimir import normal_form, quotient_basis
 from poisson_cohom.cli import _golden_paths, parse_golden
-from poisson_cohom.complexes import (PolyContext, PoissonLikeContext,
-                                     basis_dimension_check, build_basis,
-                                     cochain_matrix, constant_two_cochain,
-                                     wedge_cochain_matrix, weight_degree_range,
-                                     with_constants_split)
+from poisson_cohom.complexes import (PolyContext, PoissonLikeContext, WordCoding,
+                                     basis_dimension_check, boundary_matrix,
+                                     build_basis, cochain_matrix,
+                                     constant_two_cochain, wedge_cochain_matrix,
+                                     weight_degree_range, with_constants_split)
 from poisson_cohom.engine import build_report, homology_vs_cohomology_check
 from poisson_cohom.linalg import (SparseMatrix, clear_denominators, compose_is_zero,
                                   matmul, rank_kernel)
@@ -67,6 +67,16 @@ def _insert_front(rest: tuple, gc):
 def _nonzero(cols: list) -> list:
     """The oracles' accumulated columns with their cancelled entries dropped."""
     return [{r: v for r, v in col.items() if v} for col in cols]
+
+
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    """The transpose, read column by column, so each of its columns is
+    keyed in ascending row order."""
+    out: list = [{} for _ in range(m.n_rows)]
+    for c, col in enumerate(m.cols):
+        for r, v in col.items():
+            out[r][c] = v
+    return SparseMatrix.from_columns(m.n_cols, out, m.denom)
 
 
 def oracle_boundary_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
@@ -323,7 +333,7 @@ def test_coboundary_is_transpose_of_boundary():
         for m in range(hi + 1):
             d = cochain_matrix(ctx, bases[m], bases[m + 1])
             bd = oracle_boundary_matrix(ctx, bases[m + 1], bases[m])
-            assert d.transpose() == bd, (label, m)
+            assert transpose(d) == bd, (label, m)
             nonzero += d.nnz() > 0
     assert nonzero > 0
 
@@ -504,6 +514,54 @@ def test_cochain_matrix_matches_oracle():
     assert count > 100
 
 
+def _engine_map_jobs():
+    """(label, structure, mode, context, weight, direction) for every fast
+    golden in poly-bar, poly-with-constants, hamiltonian or poisson-like
+    mode, and solvable22's poly-with-constants chain complex at w 0..5."""
+    kinds = {"poly-bar": "bar", "poly-with-constants": "full", "hamiltonian": "hamiltonian"}
+    jobs = []
+    for path in _golden_paths(None):
+        with open(path) as fh:
+            spec = parse_golden(fh.read())
+        if spec["slow"] or spec["mode"] not in (*kinds, "poisson-like"):
+            continue
+        s = fx.load_structure(spec["structure"])
+        ctx = (PoissonLikeContext(s, s.poly_degree()) if spec["mode"] == "poisson-like"
+               else PolyContext(s, kinds[spec["mode"]]))
+        jobs.append((path.rsplit("/", 1)[-1], s, spec["mode"], ctx, spec["weight"],
+                     spec.get("direction", "cochain")))
+    s = fx.solvable22()
+    jobs += [("solvable22 chain w %d" % w, s, "poly-with-constants", PolyContext(s, "full"),
+              w, "chain") for w in range(6)]
+    return jobs
+
+
+def test_engine_maps_match_oracles():
+    """Every map the engine hands to the matrix_sink, placed on the one
+    coding of its complex, equals the oracle on bases built alone, key
+    order included: a coboundary the cochain oracle, a chain boundary the
+    transpose of the cochain oracle (rows filled in ascending source
+    order) and, by value, the independent boundary oracle."""
+    count = chain = 0
+    for label, s, mode, ctx, w, direction in _engine_map_jobs():
+        maps: dict = {}
+        build_report(s, mode, w, direction, matrix_sink=maps.__setitem__)
+        assert maps, label
+        for m, d in maps.items():
+            src = build_basis(ctx, m, w)
+            if direction == "chain":
+                tgt = build_basis(ctx, m - 1, w)
+                assert _same_matrix(d, transpose(oracle_cochain_matrix(ctx, tgt, src))), \
+                    (label, m)
+                assert d == oracle_boundary_matrix(ctx, src, tgt), (label, m)
+                chain += 1
+            else:
+                tgt = build_basis(ctx, m + 1, w)
+                assert _same_matrix(d, oracle_cochain_matrix(ctx, src, tgt)), (label, m)
+            count += d.nnz() > 0
+    assert count > 100 and chain >= 30
+
+
 def test_wedge_matrix_matches_oracle():
     """The bitmask wedge equals the oracle on every annihilator wedge map
     of the pi-annihilator goldens."""
@@ -563,10 +621,29 @@ def stub_complexes(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(stub_complexes())
 def test_mask_assembly_matches_oracle_on_stubs(stub):
+    """Column-wise placement equals the oracle, on the two bases coded
+    alone and on a coding of three bases (more generators, so other bits)
+    that two maps with their own denominators share; row-wise placement,
+    the boundary, equals its transpose with keys in the same order; with
+    a target word that some column hits removed, both placements raise."""
     ctx, two, src, tgt1, tgt2 = stub
-    assert _same_matrix(cochain_matrix(ctx, src, tgt1), oracle_cochain_matrix(ctx, src, tgt1))
+    d = cochain_matrix(ctx, src, tgt1)
+    assert _same_matrix(d, oracle_cochain_matrix(ctx, src, tgt1))
+    coding = WordCoding((src, tgt1, tgt2))
+    assert _same_matrix(cochain_matrix(ctx, src, tgt1, coding), d)
+    assert _same_matrix(cochain_matrix(ctx, tgt1, tgt2, coding),
+                        oracle_cochain_matrix(ctx, tgt1, tgt2))
+    assert _same_matrix(boundary_matrix(ctx, tgt1, src), transpose(d))
+    assert _same_matrix(boundary_matrix(ctx, tgt1, src, coding), transpose(d))
     assert _same_matrix(wedge_cochain_matrix(two, src, tgt2),
                         oracle_wedge_cochain_matrix(two, src, tgt2))
+    hit = next((row for col in d.cols for row in col), None)
+    if hit is not None:
+        short = tgt1[:hit] + tgt1[hit + 1:]
+        with pytest.raises(AssertionError):
+            cochain_matrix(ctx, src, short)
+        with pytest.raises(AssertionError):
+            boundary_matrix(ctx, short, src)
 
 
 def test_mask_assembly_skips_colliding_pairs_and_rejects_escapes():
@@ -581,6 +658,14 @@ def test_mask_assembly_skips_colliding_pairs_and_rejects_escapes():
     escape = _StubContext({g: [(x, y, 1)]}, {1: 1})
     with pytest.raises(AssertionError):
         cochain_matrix(escape, [(a, g)], [(a, g, x)])
+    with pytest.raises(AssertionError):
+        boundary_matrix(escape, [(a, g, x)], [(a, g)])
+    # x and y, met in no basis, take the escape bit, so the pair cannot
+    # land on a target word equal to the rest
+    with pytest.raises(AssertionError):
+        cochain_matrix(escape, [(a, g)], [(a,)])
+    with pytest.raises(ValueError):  # a target basis the coding does not hold
+        cochain_matrix(ctx, [(a, g)], [], WordCoding(([(a, g)],)))
     with pytest.raises(AssertionError):
         wedge_cochain_matrix(([(x, y, 1)], 1), [(a,)], [(a, x)])
 

@@ -19,6 +19,7 @@ from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
 from poisson_cohom.linalg import SparseMatrix, compose_is_zero, rank_kernel
 from poisson_cohom.poisson import PoissonStructure
 
+from test_complexes import transpose
 from test_poisson import entry
 
 
@@ -319,7 +320,7 @@ def exact_cochain_maps(draw):
         if m == 0:
             basis = [{c: 1} for c in range(dims[0])]
         else:
-            basis = rank_kernel(maps[m - 1].transpose(), want_basis=True).kernel
+            basis = rank_kernel(transpose(maps[m - 1]), want_basis=True).kernel
         coeffs = draw(st.lists(st.lists(st.one_of(st.just(0), RATIONALS),
                                         min_size=len(basis), max_size=len(basis)),
                                min_size=dims[m + 1], max_size=dims[m + 1]))
@@ -339,7 +340,7 @@ def test_cleared_ranks_equal_plain_ranks(complex_):
     of every full map, for the cochain complex and for its transpose, the
     chain complex maps[m + 1] = d_m^T: C_{m+1} -> C_m."""
     dims, cochain = complex_
-    chain = {m + 1: d.transpose() for m, d in cochain.items()}
+    chain = {m + 1: transpose(d) for m, d in cochain.items()}
     for maps, step in ((cochain, 1), (chain, -1)):
         rows = _complex_rows(dict(enumerate(dims)), maps, step)
         assert {r.m: r.rank for r in rows if r.m in maps} == \
@@ -373,7 +374,7 @@ def test_d_o_d_check_catches_every_single_entry_change(complex_, data):
     cells = {k: Fraction(v, d.denom) for k, v in d.entries.items()}
     cells[(r, c)] = cells.get((r, c), 0) + delta
     cochain = {**cochain, m: SparseMatrix(d.n_rows, d.n_cols, cells)}
-    chain = {k + 1: e.transpose() for k, e in cochain.items()}
+    chain = {k + 1: transpose(e) for k, e in cochain.items()}
     for maps, step in ((cochain, 1), (chain, -1)):
         failing = _first_failing_pair(maps, step)
         if failing is None:
