@@ -66,7 +66,7 @@ def casimir_space(pi: PoissonStructure, j: int) -> CasimirBasis:
     cols = [{i * len(tindex) + tindex[b]: c for i in range(n)
              for b, c in pi.mono_bracket(mi_unit(n, i), a).items() if c}
             for a in monos]
-    mat = SparseMatrix.from_columns(n * len(tindex), cols, pi.denom)
+    mat = SparseMatrix(n * len(tindex), cols, pi.denom)
     kernel = rank_kernel(mat, want_basis=True).kernel
     return CasimirBasis(n, j, _echelonize(kernel, monos))
 

@@ -302,7 +302,7 @@ def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool = False) -> Sp
                     col[row] = v
         if not rowwise:
             out.append(col)
-    return SparseMatrix.from_columns(j + 1 if rowwise else len(index), out, denom)
+    return SparseMatrix(j + 1 if rowwise else len(index), out, denom)
 
 
 def _coboundary(ctx, src: list, tgt: list, coding, rowwise: bool) -> SparseMatrix:

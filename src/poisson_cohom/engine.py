@@ -167,13 +167,13 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     for m in sorted(maps, reverse=step < 0):
         d, cleared = maps[m], pivots.get(m - step, ())
         if cleared:
-            d = SparseMatrix.from_columns(d.n_rows, [
+            d = SparseMatrix(d.n_rows, [
                 {} if c in cleared else col for c, col in enumerate(d.cols)], d.denom)
         res = rank_kernel(d)
         ranks[m], pivots[m] = res.rank, set(res.pivots)
         nxt = maps.get(m + step)
-        if nxt is not None and not compose_is_zero(nxt, SparseMatrix.from_columns(
-                d.n_rows, [d.cols[c] for c in res.spanning], d.denom)):
+        if nxt is not None and not compose_is_zero(
+                nxt, SparseMatrix(d.n_rows, [d.cols[c] for c in res.spanning], d.denom)):
             raise AssertionError("d o d != 0 at degree %d" % m)
     rows = []
     for m, dim in sorted(dims.items()):
@@ -226,8 +226,7 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     kmats: dict = {}
     for m, basis in bases.items():
         wedge = wedge_cochain_matrix(two, basis, build_basis(ctx, m + 2, w - 2))
-        kmats[m] = SparseMatrix.from_columns(
-            len(basis), rank_kernel(wedge, want_basis=True).kernel)
+        kmats[m] = SparseMatrix(len(basis), rank_kernel(wedge, want_basis=True).kernel)
     maps = {m: in_span_coordinates(kmats[m + 1], matmul(
                 cochain_matrix(ctx, bases[m], bases[m + 1], coding), kmats[m]))
             for m in range(hi + 1) if kmats[m].n_cols}

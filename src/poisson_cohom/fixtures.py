@@ -144,9 +144,8 @@ def lie_poisson_from_matrices(basis: list, name: str) -> PoissonStructure:
                  for c in range(size)] for r in range(size)]
 
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    k = SparseMatrix.from_columns(size * size, [column(mat) for mat in basis])
-    v = SparseMatrix.from_columns(size * size, [column(commutator(basis[i], basis[j]))
-                                                for i, j in pairs])
+    k = SparseMatrix(size * size, [column(mat) for mat in basis])
+    v = SparseMatrix(size * size, [column(commutator(basis[i], basis[j])) for i, j in pairs])
     try:
         y = in_span_coordinates(k, v)
     except AssertionError as exc:

@@ -3,7 +3,7 @@
 A matrix is stored as its columns, integers over one positive
 denominator: cols[c] is a dict row -> nonzero int, and the value at
 (r, c) is cols[c][r] / denom.  Builders write one column at a time and
-hand the list over to SparseMatrix.from_columns; the d o d check, the
+hand the list over to the SparseMatrix constructor; the d o d check, the
 products and elimination read the columns directly, since scaling by a
 positive constant changes no rank, no kernel and no zero test.  Column
 dicts may be shared between matrices (a kernel basis and the maps built
@@ -46,27 +46,12 @@ class SparseMatrix:
 
     __slots__ = ("n_rows", "cols", "denom")
 
-    def __init__(self, n_rows: int, n_cols: int, cells: dict | None = None):
-        """Cells (r, c) -> value may be rationals; they are cleared with one lcm."""
-        cells = cells or {}
-        if not all(0 <= r < n_rows and 0 <= c < n_cols for r, c in cells):
-            raise ValueError("index out of range")
-        nonzero = {k: v for k, v in cells.items() if v}
-        ints, self.denom = clear_denominators(list(nonzero.values()))
-        self.n_rows, self.cols = n_rows, [{} for _ in range(n_cols)]
-        for (r, c), v in zip(nonzero, ints):
-            self.cols[c][r] = v
-
-    @classmethod
-    def from_columns(cls, n_rows: int, cols: list, denom: int = 1) -> "SparseMatrix":
-        """Fast constructor for builders that hold their columns as dicts
-        row -> nonzero in-range int already; the list is taken over, not
-        copied, so a column dict may be shared with other matrices."""
+    def __init__(self, n_rows: int, cols: list, denom: int = 1):
+        """The list cols is taken over, not copied, so a column dict may
+        be shared with other matrices."""
         if denom < 1:
             raise ValueError("denominator must be positive")
-        m = cls.__new__(cls)
-        m.n_rows, m.cols, m.denom = n_rows, cols, denom
-        return m
+        self.n_rows, self.cols, self.denom = n_rows, cols, denom
 
     @property
     def n_cols(self) -> int:
@@ -238,7 +223,7 @@ def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Exact product; its denominator is a.denom * b.denom."""
     cols = [{r: x for r, x in col.items() if x} for col in _product_columns(a, b)]
-    return SparseMatrix.from_columns(a.n_rows, cols, a.denom * b.denom)
+    return SparseMatrix(a.n_rows, cols, a.denom * b.denom)
 
 
 def in_span_coordinates(k: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
@@ -261,7 +246,7 @@ def in_span_coordinates(k: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
     put = {r: (c, k.denom * (scale // p)) for c, (_, r, p) in private.items()}
     cols = [{put[r][0]: x * put[r][1] for r, x in col.items() if r in put}
             for col in v.cols]
-    y = SparseMatrix.from_columns(k.n_cols, cols, v.denom * scale)
+    y = SparseMatrix(k.n_cols, cols, v.denom * scale)
     if matmul(k, y) != v:
         raise AssertionError("a column lies outside the span")
     return y

@@ -111,7 +111,7 @@ def poly_module_matrix(pi: PoissonStructure, src: list, tgt: list) -> SparseMatr
             else:
                 del col[row]
         cols.append(col)
-    return SparseMatrix.from_columns(len(tgt), cols, pi.denom)
+    return SparseMatrix(len(tgt), cols, pi.denom)
 
 
 # ----------------------------------------------------------------------

@@ -311,7 +311,7 @@ class GradedMultiVector(_WedgeSum):
         return degs.pop() if degs else 0
 
     def serialize(self) -> str:
-        lines = []
+        lines = ["n = %d" % self.n, "h = %d" % self.poly_degree()]
         for factors in sorted(self.terms, key=lambda fs: [gen_sort_key(g) for g in fs]):
             c = self.terms[factors]
             slot = " ; ".join(_format_vf([(RatPoly.monomial(a), i)]) for a, i in factors)

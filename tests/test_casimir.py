@@ -9,8 +9,10 @@ from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, grevlex_key, mono_basis, parse_poly
 from poisson_cohom.casimir import (_echelonize, casimir_space, normal_form,
                                    quotient_basis, quotient_bracket)
-from poisson_cohom.linalg import SparseMatrix, clear_denominators, rank_kernel
+from poisson_cohom.linalg import clear_denominators, rank_kernel
 from poisson_cohom.poisson import PoissonStructure
+
+from test_linalg import cells_matrix
 
 
 def span_equal(polys_a, polys_b, n, degree):
@@ -20,10 +22,10 @@ def span_equal(polys_a, polys_b, n, degree):
         return {(index[a], col0 + k): c for k, p in enumerate(polys)
                 for a, c in p.terms.items()}
 
-    both = SparseMatrix(len(index), len(polys_a) + len(polys_b),
+    both = cells_matrix(len(index), len(polys_a) + len(polys_b),
                         {**mat(polys_a, 0), **mat(polys_b, len(polys_a))})
-    ra = rank_kernel(SparseMatrix(len(index), len(polys_a), mat(polys_a, 0))).rank
-    rb = rank_kernel(SparseMatrix(len(index), len(polys_b), mat(polys_b, 0))).rank
+    ra = rank_kernel(cells_matrix(len(index), len(polys_a), mat(polys_a, 0))).rank
+    rb = rank_kernel(cells_matrix(len(index), len(polys_b), mat(polys_b, 0))).rank
     return ra == rb == rank_kernel(both).rank
 
 
@@ -100,7 +102,7 @@ def test_normal_form_idempotent_and_kernel():
                 r = normal_form(cb, RatPoly.monomial(a))
                 for b, c in r.terms.items():
                     entries[(idx[b], col)] = c
-            proj = SparseMatrix(len(basis), len(basis), entries)
+            proj = cells_matrix(len(basis), len(basis), entries)
             assert rank_kernel(proj).kernel_dim == len(cb)
             for f in cb.basis:
                 assert normal_form(cb, f).is_zero()

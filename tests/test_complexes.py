@@ -21,6 +21,8 @@ from poisson_cohom.engine import build_report, homology_vs_cohomology_check
 from poisson_cohom.linalg import (SparseMatrix, clear_denominators, compose_is_zero,
                                   matmul, rank_kernel)
 
+from test_linalg import cells_matrix, transpose
+
 
 # ----------------------------------------------------------------------
 # reference oracle: the boundary assembled independently of the
@@ -69,16 +71,6 @@ def _nonzero(cols: list) -> list:
     return [{r: v for r, v in col.items() if v} for col in cols]
 
 
-def transpose(m: SparseMatrix) -> SparseMatrix:
-    """The transpose, read column by column, so each of its columns is
-    keyed in ascending row order."""
-    out: list = [{} for _ in range(m.n_rows)]
-    for c, col in enumerate(m.cols):
-        for r, v in col.items():
-            out[r][c] = v
-    return SparseMatrix.from_columns(m.n_cols, out, m.denom)
-
-
 def oracle_boundary_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
     """Exact matrix of the boundary operator from src (degree m) to tgt (m-1):
     sum over slot pairs of (-1)^{i+j} [u_i, u_j] wedged in front, accumulated
@@ -110,7 +102,7 @@ def oracle_boundary_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
                     if row is None:
                         raise AssertionError("boundary left the weight-graded basis")
                     cols[col][row] = cols[col].get(row, 0) + sign * f * c
-    return SparseMatrix.from_columns(len(tgt), _nonzero(cols), denom)
+    return SparseMatrix(len(tgt), _nonzero(cols), denom)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +146,7 @@ def oracle_cochain_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
                 if row is None:
                     raise AssertionError("differential left the weight-graded basis")
                 cols[col][row] = cols[col].get(row, 0) + sign * f * c
-    return SparseMatrix.from_columns(len(tgt), _nonzero(cols), denom)
+    return SparseMatrix(len(tgt), _nonzero(cols), denom)
 
 
 def oracle_wedge_cochain_matrix(two_cochain: tuple, src: list, tgt: list) -> SparseMatrix:
@@ -173,7 +165,7 @@ def oracle_wedge_cochain_matrix(two_cochain: tuple, src: list, tgt: list) -> Spa
             if row is None:
                 raise AssertionError("wedge left the weight-graded basis")
             cols[col][row] = cols[col].get(row, 0) + sign * c
-    return SparseMatrix.from_columns(len(tgt), _nonzero(cols), denom)
+    return SparseMatrix(len(tgt), _nonzero(cols), denom)
 
 
 def _same_matrix(a: SparseMatrix, b: SparseMatrix) -> bool:
@@ -452,7 +444,7 @@ def _embedding_matrix(pi, ham_basis, bar_basis):
                 rec(k + 1, factors + [gid], coeff * c)
 
         rec(0, [], Fraction(1))
-    return SparseMatrix(len(bar_basis), len(ham_basis), entries)
+    return cells_matrix(len(bar_basis), len(ham_basis), entries)
 
 
 def test_hamiltonian_complex_embeds_in_plain_complex():

@@ -16,10 +16,10 @@ from poisson_cohom.complexes import PolyContext, weight_degree_range
 from poisson_cohom.diagrams import euler_combinatorial, euler_polymodule
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
-from poisson_cohom.linalg import SparseMatrix, compose_is_zero, rank_kernel
-from poisson_cohom.poisson import PoissonStructure
+from poisson_cohom.linalg import compose_is_zero, rank_kernel
+from poisson_cohom.poisson import PoissonStructure, parse_structure
 
-from test_complexes import transpose
+from test_linalg import cells_matrix, transpose
 from test_poisson import entry
 
 
@@ -170,6 +170,23 @@ def test_poisson_like_report_names_its_structure(tmp_path, order):
     _check_cache_hit_names("poisson_like_h1", "poisson-like", str(tmp_path / "cache"), order)
 
 
+def test_cache_key_tells_dimensions_apart(tmp_path):
+    """d1^d2 on R^2 and on R^3 have the same v line, so the cache key
+    must hash n and h as well: through one cache directory each gets
+    its own rows.  With one mode for all, only the structure text tells
+    the keys of the builtins apart, and no two of them share a key."""
+    cache = str(tmp_path / "cache")
+    pair = [parse_structure("n = %d\nh = 0\nv 1 d1 ; 1 d2\n" % n) for n in (2, 3)]
+    fresh = [build_report(s, "poisson-like", 1).rows for s in pair]
+    assert fresh[0] != fresh[1]
+    for s, rows in zip(pair, fresh):
+        assert run(s, "poisson-like", [1], cache_dir=cache)[0].rows == rows
+    assert len(os.listdir(cache)) == 2
+    keys = {cache_key(fx.load_structure("builtin:" + name), "poly-bar", 1, "cochain")
+            for name in fx.builtin_names()}
+    assert len(keys) == len(fx.builtin_names()) == 18
+
+
 def test_parse_rejects_partial_reports():
     """A missing header line or a short row in an otherwise whole report;
     test_cache_rebuilds_cut_or_foreign_file covers cut files."""
@@ -294,7 +311,7 @@ def test_matrix_sink_bypasses_warm_cache(tmp_path):
 
 
 def test_complex_rows_directions_and_ambient_check():
-    one = SparseMatrix(1, 1, {(0, 0): 1})
+    one = cells_matrix(1, 1, {(0, 0): 1})
     # cochain 0 -> 1: betti = ker - rank of the incoming map from m - 1
     assert _complex_rows({0: 1, 1: 1}, {0: one}, 1) == [
         ReportRow(0, 1, 0, 1, 0), ReportRow(1, 1, 1, 0, 0)]
@@ -329,7 +346,7 @@ def exact_cochain_maps(draw):
             for a, vec in zip(row, basis):
                 for c, y in vec.items():
                     entries[(r, c)] = entries.get((r, c), 0) + a * y
-        maps[m] = SparseMatrix(dims[m + 1], dims[m], entries)
+        maps[m] = cells_matrix(dims[m + 1], dims[m], entries)
     return dims, maps
 
 
@@ -373,7 +390,7 @@ def test_d_o_d_check_catches_every_single_entry_change(complex_, data):
     delta = data.draw(RATIONALS.filter(bool), label="delta")
     cells = {k: Fraction(v, d.denom) for k, v in d.entries.items()}
     cells[(r, c)] = cells.get((r, c), 0) + delta
-    cochain = {**cochain, m: SparseMatrix(d.n_rows, d.n_cols, cells)}
+    cochain = {**cochain, m: cells_matrix(d.n_rows, d.n_cols, cells)}
     chain = {k + 1: transpose(e) for k, e in cochain.items()}
     for maps, step in ((cochain, 1), (chain, -1)):
         failing = _first_failing_pair(maps, step)

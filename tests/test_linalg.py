@@ -7,10 +7,33 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson_cohom.linalg import (SparseMatrix, compose_is_zero,
+from poisson_cohom.linalg import (SparseMatrix, clear_denominators, compose_is_zero,
                                   in_span_coordinates, matmul, rank_kernel)
 
-from test_complexes import transpose
+
+def cells_matrix(n_rows: int, n_cols: int, cells: dict | None = None) -> SparseMatrix:
+    """The matrix of cells (r, c) -> value, the values rationals cleared
+    over one lcm denominator and zero values dropped; ValueError for a
+    cell outside the shape."""
+    cells = cells or {}
+    if not all(0 <= r < n_rows and 0 <= c < n_cols for r, c in cells):
+        raise ValueError("index out of range")
+    nonzero = {k: v for k, v in cells.items() if v}
+    ints, denom = clear_denominators(list(nonzero.values()))
+    cols: list = [{} for _ in range(n_cols)]
+    for (r, c), v in zip(nonzero, ints):
+        cols[c][r] = v
+    return SparseMatrix(n_rows, cols, denom)
+
+
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    """The transpose, read column by column, so each of its columns is
+    keyed in ascending row order."""
+    out: list = [{} for _ in range(m.n_rows)]
+    for c, col in enumerate(m.cols):
+        for r, v in col.items():
+            out[r][c] = v
+    return SparseMatrix(m.n_cols, out, m.denom)
 
 
 def dense_rank(entries, n_rows, n_cols):
@@ -42,7 +65,7 @@ def random_matrix(rng, max_size=30, density=0.4):
                 v = rng.randint(-9, 9)
                 if v:
                     entries[(i, j)] = Fraction(v)
-    return SparseMatrix(n_rows, n_cols, entries)
+    return cells_matrix(n_rows, n_cols, entries)
 
 
 def test_rank_against_dense_oracle_200_random():
@@ -55,7 +78,7 @@ def test_rank_against_dense_oracle_200_random():
         assert res.kernel_dim == m.n_cols - expect
         assert len(res.kernel) == res.kernel_dim
         for vec in res.kernel:
-            assert compose_is_zero(m, SparseMatrix.from_columns(m.n_cols, [vec])), \
+            assert compose_is_zero(m, SparseMatrix(m.n_cols, [vec])), \
                 "kernel vector not annihilated"
 
 
@@ -69,7 +92,7 @@ def test_rank_kernel_output_pinned():
         n_rows, n_cols = rng.randint(1, 14), rng.randint(1, 14)
         cells = {(r, c): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                  for r in range(n_rows) for c in range(n_cols) if rng.random() < 0.35}
-        h.update(repr(rank_kernel(SparseMatrix(n_rows, n_cols, cells),
+        h.update(repr(rank_kernel(cells_matrix(n_rows, n_cols, cells),
                                   want_basis=True)).encode())
     assert h.hexdigest() == \
         "e9eed67a3c7c81f45236a9b8bb3b35ddc958461b1f688f652d67b5d596ffbd9f"
@@ -93,7 +116,7 @@ def test_rank_kernel_pivots_contract():
         assert all(0 <= c < m.n_cols for c in res.spanning)
         kept = {k: v for k, v in m.entries.items() if k[1] in set(res.spanning)}
         assert dense_rank(kept, m.n_rows, m.n_cols) == res.rank
-    res = rank_kernel(SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 1}), want_basis=True)
+    res = rank_kernel(cells_matrix(2, 2, {(0, 0): 1, (1, 1): 1}), want_basis=True)
     bare = dataclasses.replace(res, pivots=[], spanning=[])
     assert res.pivots and res.spanning and res == bare and repr(res) == repr(bare)
 
@@ -106,14 +129,20 @@ def test_rank_transpose_invariant():
 
 
 def test_zero_matrix():
-    m = SparseMatrix(4, 5)
+    m = cells_matrix(4, 5)
     res = rank_kernel(m, want_basis=True)
     assert res.rank == 0 and res.kernel_dim == 5
     assert len(res.kernel) == 5
 
 
+def test_constructor_rejects_nonpositive_denominator():
+    for denom in (0, -1, -6):
+        with pytest.raises(ValueError, match="positive"):
+            SparseMatrix(2, [{}], denom)
+
+
 def test_compose_is_zero():
-    ident = SparseMatrix(3, 3, {(i, i): 1 for i in range(3)})
+    ident = cells_matrix(3, 3, {(i, i): 1 for i in range(3)})
     assert not compose_is_zero(ident, ident)
     rng = random.Random(11)
     for _ in range(25):
@@ -121,28 +150,28 @@ def test_compose_is_zero():
         res = rank_kernel(m, want_basis=True)
         if not res.kernel:
             continue
-        kmat = SparseMatrix.from_columns(m.n_cols, res.kernel)
+        kmat = SparseMatrix(m.n_cols, res.kernel)
         assert compose_is_zero(m, kmat)
 
 
 def test_compose_dimension_mismatch():
     with pytest.raises(ValueError):
-        compose_is_zero(SparseMatrix(2, 3), SparseMatrix(2, 3))
+        compose_is_zero(cells_matrix(2, 3), cells_matrix(2, 3))
 
 
 def test_matmul_small():
-    a = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): 3})
-    b = SparseMatrix(2, 1, {(0, 0): 5, (1, 0): -1})
+    a = cells_matrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): 3})
+    b = cells_matrix(2, 1, {(0, 0): 5, (1, 0): -1})
     ab = matmul(a, b)
     assert ab.entries == {(0, 0): Fraction(3), (1, 0): Fraction(-3)}
 
 
 def test_rational_entries():
-    m = SparseMatrix(2, 3, {(0, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4),
+    m = cells_matrix(2, 3, {(0, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4),
                             (1, 1): Fraction(2, 7)})
     res = rank_kernel(m, want_basis=True)
     assert res.rank == 2 and res.kernel_dim == 1
-    assert compose_is_zero(m, SparseMatrix.from_columns(m.n_cols, [res.kernel[0]]))
+    assert compose_is_zero(m, SparseMatrix(m.n_cols, [res.kernel[0]]))
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +212,7 @@ def reference_product(a_cells, b_cells):
 @given(matrix_cells())
 def test_property_rank_and_kernel(cells):
     n_rows, n_cols, entries = cells
-    m = SparseMatrix(n_rows, n_cols, entries)
+    m = cells_matrix(n_rows, n_cols, entries)
     assert values(m) == {k: v for k, v in entries.items() if v}
     assert all(type(v) is int for v in m.entries.values()) and m.denom >= 1
     res = rank_kernel(m, want_basis=True)
@@ -203,27 +232,27 @@ def test_property_products_match_fraction_reference(data):
     n, k, p = (data.draw(st.integers(1, 7)) for _ in range(3))
     a_cells = data.draw(rational_cells(n, k))
     b_cells = data.draw(rational_cells(k, p))
-    a, b = SparseMatrix(n, k, a_cells), SparseMatrix(k, p, b_cells)
+    a, b = cells_matrix(n, k, a_cells), cells_matrix(k, p, b_cells)
     ref = reference_product(a_cells, b_cells)
     ab = matmul(a, b)
     assert (ab.n_rows, ab.n_cols) == (n, p)
     assert values(ab) == ref
-    assert ab == SparseMatrix(n, p, ref)
+    assert ab == cells_matrix(n, p, ref)
     assert compose_is_zero(a, b) == (not ref)
     # a genuinely zero product: a times its own kernel basis
     kernel = rank_kernel(a, want_basis=True).kernel
     if kernel:
-        assert compose_is_zero(a, SparseMatrix.from_columns(k, kernel))
-        assert matmul(a, SparseMatrix.from_columns(k, kernel)).nnz() == 0
+        assert compose_is_zero(a, SparseMatrix(k, kernel))
+        assert matmul(a, SparseMatrix(k, kernel)).nnz() == 0
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(matrix_cells(), st.integers(2, 6))
 def test_property_equality_compares_values(cells, scale):
     n_rows, n_cols, entries = cells
-    m = SparseMatrix(n_rows, n_cols, entries)
-    scaled = SparseMatrix.from_columns(n_rows, [{r: v * scale for r, v in col.items()}
-                                                for col in m.cols], m.denom * scale)
+    m = cells_matrix(n_rows, n_cols, entries)
+    scaled = SparseMatrix(n_rows, [{r: v * scale for r, v in col.items()}
+                                   for col in m.cols], m.denom * scale)
     assert scaled.denom != m.denom
     assert scaled == m and m == scaled
     assert transpose(m) == transpose(scaled)
@@ -236,7 +265,7 @@ def test_property_equality_compares_values(cells, scale):
         bumped[c][r] += 1
         if bumped[c][r] == 0:
             del bumped[c][r]
-        assert SparseMatrix.from_columns(n_rows, bumped, scaled.denom) != m
+        assert SparseMatrix(n_rows, bumped, scaled.denom) != m
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -246,10 +275,10 @@ def test_property_in_span_coordinates(cells, data):
     the coordinates Y of K @ Y come back exactly, whatever the
     denominators; a column outside the span is refused."""
     n_rows, n_cols, entries = cells
-    m = SparseMatrix(n_rows, n_cols, entries)
-    k = SparseMatrix.from_columns(n_cols, rank_kernel(m, want_basis=True).kernel)
+    m = cells_matrix(n_rows, n_cols, entries)
+    k = SparseMatrix(n_cols, rank_kernel(m, want_basis=True).kernel)
     p = data.draw(st.integers(1, 5))
-    y = SparseMatrix(k.n_cols, p, data.draw(rational_cells(k.n_cols, p)) if k.n_cols else {})
+    y = cells_matrix(k.n_cols, p, data.draw(rational_cells(k.n_cols, p)) if k.n_cols else {})
     got = in_span_coordinates(k, matmul(k, y))
     assert (got.n_rows, got.n_cols) == (k.n_cols, p)
     assert got == y
@@ -258,7 +287,7 @@ def test_property_in_span_coordinates(cells, data):
         r0 = min(m.entries)[0]
         row = {c: v for (r, c), v in m.entries.items() if r == r0}
         with pytest.raises(AssertionError):
-            in_span_coordinates(k, SparseMatrix.from_columns(n_cols, [row]))
+            in_span_coordinates(k, SparseMatrix(n_cols, [row]))
 
 
 # ----------------------------------------------------------------------
@@ -276,11 +305,11 @@ def test_property_column_layout_round_trips(cells):
     """Cells go into columns and come back through the entries view; the
     transpose of the transpose is the matrix, column for column."""
     n_rows, n_cols, entries = cells
-    m = SparseMatrix(n_rows, n_cols, entries)
+    m = cells_matrix(n_rows, n_cols, entries)
     assert m.n_cols == len(m.cols) == n_cols and m.nnz() == len(m.entries)
     assert all(v and 0 <= r < n_rows for col in m.cols for r, v in col.items())
     assert all(m.cols[c][r] == v for (r, c), v in m.entries.items())
-    again = SparseMatrix(n_rows, n_cols, values(m))
+    again = cells_matrix(n_rows, n_cols, values(m))
     assert (again.denom, again.entries) == (m.denom, m.entries)
     t = transpose(m)
     assert (t.n_rows, t.n_cols, t.denom) == (n_cols, n_rows, m.denom)
@@ -295,14 +324,14 @@ def test_property_operations_leave_operand_columns_unchanged(data):
     vectors share column dicts, so rank_kernel, compose_is_zero, matmul
     and in_span_coordinates must not write to their operands."""
     n, k, p = (data.draw(st.integers(1, 7)) for _ in range(3))
-    a = SparseMatrix(n, k, data.draw(rational_cells(n, k)))
-    b = SparseMatrix(k, p, data.draw(rational_cells(k, p)))
+    a = cells_matrix(n, k, data.draw(rational_cells(n, k)))
+    b = cells_matrix(k, p, data.draw(rational_cells(k, p)))
     drop = data.draw(st.sets(st.integers(0, k - 1)))
-    cleared = SparseMatrix.from_columns(
-        n, [{} if c in drop else col for c, col in enumerate(a.cols)], a.denom)
+    cleared = SparseMatrix(n, [{} if c in drop else col for c, col in enumerate(a.cols)],
+                           a.denom)
     before = snapshot(a), snapshot(b)
     res = rank_kernel(a, want_basis=True)
-    kmat = SparseMatrix.from_columns(k, res.kernel)
+    kmat = SparseMatrix(k, res.kernel)
     kernel_before = snapshot(kmat)
     rank_kernel(cleared, want_basis=True)
     rank_kernel(b)
@@ -310,7 +339,7 @@ def test_property_operations_leave_operand_columns_unchanged(data):
     compose_is_zero(a, kmat)
     matmul(a, b)
     if kmat.n_cols:
-        in_span_coordinates(kmat, matmul(kmat, SparseMatrix(kmat.n_cols, 1, {(0, 0): 1})))
+        in_span_coordinates(kmat, matmul(kmat, cells_matrix(kmat.n_cols, 1, {(0, 0): 1})))
     rank_kernel(kmat, want_basis=True)
     assert (snapshot(a), snapshot(b)) == before
     assert snapshot(kmat) == kernel_before

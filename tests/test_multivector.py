@@ -35,7 +35,7 @@ def oracle_poly_module_matrix(pi: PoissonStructure, src: list, tgt: list) -> Spa
         if None in rows:
             raise AssertionError("module differential left the weight basis")
         cols.append(dict(zip(rows, image.values())))
-    return SparseMatrix.from_columns(len(tgt), cols, pi.denom)
+    return SparseMatrix(len(tgt), cols, pi.denom)
 
 
 def commuting_square_holds(pi_like: GradedMultiVector, gen) -> bool:

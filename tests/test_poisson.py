@@ -409,18 +409,35 @@ def test_graded_lift_round_trip():
 
 
 def test_structure_file_round_trip():
-    """parse_structure(serialize(s)) is s for every built-in Poisson
-    structure, its integer terms and denominator included."""
-    count = 0
-    for name in fx.builtin_names():
+    """parse_structure(serialize(s)) is s for every built-in structure:
+    a Poisson one with its integer terms and denominator, a Poisson-like
+    one with its dimension and degree."""
+    names = fx.builtin_names()
+    assert len(names) == 18
+    for name in names:
         s = fx.load_structure("builtin:" + name)
-        if not isinstance(s, PoissonStructure):
-            continue
         again = parse_structure(s.serialize())
-        assert (again.n, again.h, again.p) == (s.n, s.h, s.p), name
-        assert (sorted(again.terms), again.denom) == (sorted(s.terms), s.denom), name
-        count += 1
-    assert count == 15
+        if isinstance(s, PoissonStructure):
+            assert (again.n, again.h, again.p) == (s.n, s.h, s.p), name
+            assert (sorted(again.terms), again.denom) == (sorted(s.terms), s.denom), name
+        else:
+            assert again == s and again.poly_degree() == s.poly_degree(), name
+        assert again.serialize() == s.serialize(), name
+
+
+def test_packaged_structure_files_match_their_builtins():
+    """Each sample file shipped in structures/ loads to the builtin of
+    its name: the same file text, and for a p file the same integer
+    terms over the same denominator."""
+    folder = os.path.join(os.path.dirname(fx.__file__), "structures")
+    files = sorted(f for f in os.listdir(folder) if f.endswith(".poisson"))
+    assert len(files) == 5
+    for f in files:
+        got = fx.load_structure(os.path.join(folder, f))
+        want = fx.load_structure("builtin:" + f[:-len(".poisson")])
+        assert got.serialize() == want.serialize(), f
+        if isinstance(want, PoissonStructure):
+            assert (sorted(got.terms), got.denom) == (sorted(want.terms), want.denom), f
 
 
 def test_v_line_parsing():
@@ -447,6 +464,7 @@ def test_v_line_fields_use_the_polynomial_grammar(grouped, expanded):
 def test_v_line_structure_file_is_stable():
     path = os.path.join(os.path.dirname(fx.__file__), "structures", "poisson_like_h1.poisson")
     assert fx.load_structure(path).serialize() == (
+        "n = 3\nh = 1\n"
         "v 1 : 1*d1 ; x1*d3\nv 1 : 1*d1 ; x3*d3\n"
         "v -1 : 1*d3 ; x1*d3\nv -1 : 1*d3 ; x3*d3\n")
 
@@ -454,8 +472,7 @@ def test_v_line_structure_file_is_stable():
 def test_graded_serialize_round_trip():
     for make in (fx.poisson_like_h1, fx.poisson_like_h2):
         g = make()
-        text = "n = %d\nh = %d\n%s" % (g.n, g.poly_degree(), g.serialize())
-        assert parse_structure(text) == g
+        assert parse_structure(g.serialize()) == g
         assert g.serialize() == make().serialize()  # stable for caching
 
 
@@ -464,7 +481,7 @@ def test_graded_serialize_rational_coefficient_round_trip():
     rational coefficients such as -1/2 parse back equal, and any constant
     expression of that grammar means the same number."""
     g = fx.poisson_like_h1().scale(Fraction(-1, 2))
-    text = "n = 3\nh = 1\n" + g.serialize()
+    text = g.serialize()
     assert "v -1/2 : " in text
     assert parse_structure(text) == g
     head = "n = 3\nh = 1\nv %s : d1 ; x1*d3\n"

@@ -98,11 +98,23 @@ def _named(tree, bare: bool = True) -> Counter:
     return out
 
 
-def _definitions_and_uses(bare: bool = True) -> tuple:
+def _called(tree) -> Counter:
+    """The names a syntax tree calls, f(...) or obj.f(...), with their
+    count."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name:
+                out[name] += 1
+    return out
+
+
+def _definitions_and_uses(count=_named) -> tuple:
     """The package's (file, top-level node) pairs, and the names used in
     the package, in perfbench/ and in tests/test_acceptance.py (the
-    paper's API), counted as _named(tree, bare) counts them.  Other tests
-    do not count, so a helper only they call lives beside them."""
+    paper's API), counted by count(tree).  Other tests do not count, so
+    a helper only they call lives beside them."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     perfbench = os.path.join(root, "perfbench")
     paths = ([os.path.join(PKG, f) for f in sorted(os.listdir(PKG)) if f.endswith(".py")]
@@ -115,7 +127,7 @@ def _definitions_and_uses(bare: bool = True) -> tuple:
             tree = ast.parse(fh.read(), path)
         if os.path.dirname(path) == PKG:
             defined += [(os.path.basename(path), node) for node in tree.body]
-        uses += _named(tree, bare)
+        uses += count(tree)
     return defined, uses
 
 
@@ -142,10 +154,30 @@ def test_every_method_is_named_elsewhere():
     the package, in perfbench/ or in tests/test_acceptance.py.  Only an
     attribute access or a string counts, so a local variable or a
     function of the same name cannot keep a dead method alive."""
-    defined, uses = _definitions_and_uses(bare=False)
+    defined, uses = _definitions_and_uses(lambda tree: _named(tree, bare=False))
     methods = [("%s:%s" % (name, cls.name), node) for name, cls in defined
                if isinstance(cls, ast.ClassDef) for node in cls.body
                if isinstance(node, ast.FunctionDef)
                and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert len(methods) > 30
     assert _named_only_in_itself(methods, uses, bare=False) == []
+
+
+def test_every_constructor_is_called():
+    """Every package class that defines __init__ is instantiated by its
+    own name or a subclass's somewhere in the package, in perfbench/ or
+    in tests/test_acceptance.py.  The name rules above skip dunders, so
+    a constructor that only other tests call escapes them."""
+    defined, calls = _definitions_and_uses(_called)
+    classes = [(name, node) for name, node in defined if isinstance(node, ast.ClassDef)]
+    bases = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+             for _, node in classes}
+
+    def family(cls: str) -> set:
+        return {cls}.union(*(family(sub) for sub, up in bases.items() if cls in up))
+
+    built = [(name, node) for name, node in classes
+             if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body)]
+    assert len(built) > 5
+    assert ["%s:%s" % (name, node.name) for name, node in built
+            if not any(calls[c] for c in family(node.name))] == []
