@@ -11,16 +11,21 @@ on it, a map and its cleared view), so nothing mutates them in place.
 
 Rank/kernel run fraction-free: rows are kept gcd-reduced through
 elimination, so no integer blow-up occurs on the larger cochain matrices.
-Pivots are chosen by a Markowitz-style fill estimate with deterministic
-tie-breaking, which keeps results identical across runs.  Each rank step
-also records its pivot, a row index of the matrix, that is a coordinate
-of the target space, and the column it retires.  The rows retired at
-those pivots span the image and are triangular on them, so the
-coordinates outside the pivots span a complement of the image; the
-report pipeline uses this to rank the next differential of a complex on
-fewer columns (clearing).  The retired columns alone span the image, so
-the pipeline's exact d o d = 0 check multiplies the next differential
-by those rank-many columns instead of the whole map.
+The pivot order is that of a lazily updated heap of (count, coordinate),
+a Markowitz-style fill estimate with deterministic tie-breaking, which
+keeps results identical across runs.  Elimination reads the shared
+columns as its rows and copies a row, gcd-reduced, only when a step that
+clears rows first touches it; the rows nonzero in a coordinate are kept
+as their count and the xor of their ids, so a step with one row retires
+it without listing any.  Each rank step also records its pivot, a row
+index of the matrix, that is a coordinate of the target space, and the
+column it retires.  The rows retired at those pivots span the image and
+are triangular on them, so the coordinates outside the pivots span a
+complement of the image; the report pipeline uses this to rank the next
+differential of a complex on fewer columns (clearing).  The retired
+columns alone span the image, so the pipeline's exact d o d = 0 check
+multiplies the next differential by those rank-many columns instead of
+the whole map.
 """
 
 from __future__ import annotations
@@ -89,26 +94,36 @@ class RankResult:
     spanning: list = field(default_factory=list, repr=False, compare=False)
 
 
-def _gcd_reduce(row: dict, tail: dict | None = None) -> None:
-    """Divide row, and tail when given, by the one gcd of all their values."""
-    g = gcd(*row.values()) if tail is None else gcd(*row.values(), *tail.values())
-    if g > 1:
-        for p in (row,) if tail is None else (row, tail):
-            for k in p:
-                p[k] //= g
-
-
 def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     """Exact rank over Q and kernel dimension, optionally a kernel basis.
 
-    Works on the transpose: rows[j] starts as the integer column j, and
-    each rank step picks a pivot row, applies row <- pval * row - v * prow
-    to every other row nonzero in the pivot column and retires the pivot
-    row.  With want_basis a tail tails[j], starting as {j: m.denom}, takes
-    the same operations and gcd reductions, so rows[j] = sum_k tails[j][k]
-    * (column k of m) throughout; the rows left active have reduced to
-    zero, so their tails span the kernel.  Kernel vectors come out as
-    primitive integer dicts, sorted.
+    Works on the transpose: row j starts as the integer column j, and
+    each rank step picks a pivot coordinate c and a pivot row nonzero in
+    it, applies row <- pval * row - v * prow to every other row nonzero
+    in c and retires the pivot row.  The pivot coordinate is the one a
+    heap of (count, coordinate) pops, where count is the number of
+    active rows nonzero in it and a popped key whose count has since
+    changed goes back in with the current count (a lazily updated heap);
+    the pivot row is, of those rows, the one with the fewest entries,
+    then the smallest |value| at c, then the lowest index.  With
+    want_basis each row carries a tail, starting as {j: m.denom}, that
+    takes the same operations and gcd reductions, so row j = sum_k
+    tail[k] * (column k of m) throughout; the rows left active have
+    reduced to zero, so their tails span the kernel.  Kernel vectors
+    come out as primitive integer dicts, sorted.
+
+    Most steps retire a row with nothing to clear, so the bookkeeping
+    does per-entry work only where arithmetic happens.  Each coordinate
+    keeps its count and the xor of its active rows' ids in flat lists,
+    so the one row of a count-1 coordinate is its xor, and the rows of
+    a coordinate are listed only for a step that clears some.  A row is
+    the shared column of m itself until such a step first touches it
+    and copies it, gcd-reduced (with its tail), so no column of m is
+    written.  The keys of count 1 are the smallest and nothing is pushed
+    while they come off the heap, so the coordinates of count 1 at the
+    start are retired first, in ascending order, without the heap; the
+    heap key of (count, c) is the one int count * (n_rows + 1) + c, and
+    elimination stops once no active row has an entry.
 
     pivots lists the pivot column c of each rank step, a row index of m.
     A row retired later is zero at every earlier pivot, so the retired
@@ -120,81 +135,127 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     combination of rows retired before it, so the columns of m at
     spanning alone span the column space of m.
     """
-    rows = [dict(col) for col in m.cols]  # copies: the columns may be shared
-    tails = [{j: m.denom} for j in range(m.n_cols)] if want_basis else None
-    col_rows: dict = {}  # column -> the rows nonzero in it
-    for j, row in enumerate(rows):
-        _gcd_reduce(row, tails[j] if want_basis else None)
-        for c in row:
-            col_rows.setdefault(c, set()).add(j)
-
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
+    cols, denom, base = m.cols, m.denom, m.n_rows + 1
+    count = [0] * m.n_rows  # coordinate -> its number of active rows
+    xor = [0] * m.n_rows  # coordinate -> the xor of its active rows' ids
+    for j, col in enumerate(cols):
+        for c in col:
+            count[c] += 1
+            xor[c] ^= j
+    live = sum(count)  # the entries of the active rows
+    # rows[j] is the column cols[j] until a step clearing rows first
+    # touches it, then its own gcd-reduced copy, and None once retired
+    rows = list(cols)
+    tails: dict = {}  # row -> its tail, from the first touch on
+    rows_at = None  # coordinate -> rows that may be nonzero in it, built when first needed
+    singles = [c for c, k in enumerate(count) if k == 1]
+    heap = [k * base + c for c, k in enumerate(count) if k > 1]
     heapq.heapify(heap)
     pivots, spanning = [], []
 
-    while heap:
-        cnt, c = heapq.heappop(heap)
-        rs = col_rows.get(c)
-        if not rs:
+    for c in singles:  # the heap's first pops, in its order; retiring pushes nothing
+        if count[c]:
+            pr = xor[c]
+            prow = rows[pr]
+            for k in prow:
+                count[k] -= 1
+                xor[k] ^= pr
+            live -= len(prow)
+            rows[pr] = None
+            pivots.append(c)
+            spanning.append(pr)
+    while live:  # what is left on the heap would only be skipped
+        key = heapq.heappop(heap)
+        c = key % base
+        cnt = count[c]
+        if not cnt:
             continue
-        if cnt != len(rs):
-            heapq.heappush(heap, (len(rs), c))
+        if key != cnt * base + c:
+            heapq.heappush(heap, cnt * base + c)
             continue
-        if cnt == 1:  # the column's one row is the pivot row, with nothing to clear
-            (pr,) = rs
-            clear = ()
+        if cnt == 1:  # the coordinate's one row is the pivot row, with nothing to clear
+            pr = xor[c]
+            prow = rows[pr]
         else:
-            # pivot row in this column: fewest entries, smallest value, lowest id
+            if rows_at is None:  # the first step that clears rows: index the active ones
+                rows_at = {}
+                for j, row in enumerate(rows):
+                    if row is not None:
+                        for k in row:
+                            rows_at.setdefault(k, []).append(j)
+            rs = sorted({r for r in rows_at[c] if rows[r] is not None and c in rows[r]})
+            for r in rs:
+                row = rows[r]
+                if row is cols[r]:  # first touch: a gcd-reduced copy, and its tail
+                    if want_basis:
+                        g = gcd(*row.values(), denom)
+                        tails[r] = {r: denom // g}
+                    else:
+                        g = gcd(*row.values())
+                    rows[r] = {k: x // g for k, x in row.items()} if g > 1 else dict(row)
+            # pivot row at this coordinate: fewest entries, smallest value, lowest id
             pr = min(rs, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
-            clear = sorted(rs)
-        prow = rows[pr]
-        pval = prow[c]
-        for r in clear:
-            if r == pr:
-                continue
-            row = rows[r]
-            v = row.pop(c)
-            col_rows[c].discard(r)
-            # row <- pval * row - v * prow, tracking the column index
-            if pval != 1:
-                row = rows[r] = {k: x * pval for k, x in row.items()}
-            for k, y in prow.items():
-                if k == c:
+            prow = rows[pr]
+            pval = prow[c]
+            for r in rs:
+                if r == pr:
                     continue
-                a = row.get(k, 0) - v * y
-                if a:
-                    if k not in row:
-                        rs2 = col_rows.setdefault(k, set())
-                        rs2.add(r)
-                        heapq.heappush(heap, (len(rs2), k))
-                    row[k] = a
-                elif k in row:
-                    del row[k]
-                    col_rows[k].discard(r)
-            if tails is None:
-                _gcd_reduce(row)
-                continue
-            tail = tails[r] = {k: x * pval for k, x in tails[r].items()}
-            for k, y in tails[pr].items():
-                a = tail.get(k, 0) - v * y
-                if a:
-                    tail[k] = a
+                row = rows[r]
+                v = row.pop(c)
+                count[c] -= 1
+                xor[c] ^= r
+                live -= 1
+                # row <- pval * row - v * prow, tracking the coordinates' rows
+                if pval != 1:
+                    row = rows[r] = {k: x * pval for k, x in row.items()}
+                for k, y in prow.items():
+                    if k == c:
+                        continue
+                    a = row.get(k, 0) - v * y
+                    if a:
+                        if k not in row:
+                            count[k] += 1
+                            xor[k] ^= r
+                            live += 1
+                            rows_at.setdefault(k, []).append(r)
+                            heapq.heappush(heap, count[k] * base + k)
+                        row[k] = a
+                    elif k in row:
+                        del row[k]
+                        count[k] -= 1
+                        xor[k] ^= r
+                        live -= 1
+                if want_basis:
+                    tail = tails[r] = {k: x * pval for k, x in tails[r].items()}
+                    for k, y in tails[pr].items():
+                        a = tail.get(k, 0) - v * y
+                        if a:
+                            tail[k] = a
+                        else:
+                            tail.pop(k, None)
+                    g = gcd(*row.values(), *tail.values())
+                    if g > 1:
+                        for k in tail:
+                            tail[k] //= g
                 else:
-                    tail.pop(k, None)
-            _gcd_reduce(row, tail)
+                    g = gcd(*row.values())
+                if g > 1:
+                    for k in row:
+                        row[k] //= g
         # retire the pivot row
         for k in prow:
-            if k != c:
-                col_rows[k].discard(pr)
-        col_rows.pop(c, None)
+            count[k] -= 1
+            xor[k] ^= pr
+        live -= len(prow)
+        rows[pr] = None
         pivots.append(c)
         spanning.append(pr)
 
     kernel = None
     if want_basis:
-        # an active tail holds its own index j: only retired rows entered it
-        retired = set(spanning)
-        kernel = sorted((tails[j] for j in range(m.n_cols) if j not in retired),
+        # an active row is zero; one never touched is a zero column, whose
+        # tail {j: m.denom} reduces to {j: 1}
+        kernel = sorted((tails.get(j, {j: 1}) for j, row in enumerate(rows) if row is not None),
                         key=lambda v: sorted(v.items()))
     return RankResult(rank=len(pivots), kernel_dim=m.n_cols - len(pivots),
                       kernel=kernel, pivots=pivots, spanning=spanning)

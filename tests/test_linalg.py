@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import heapq
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,8 +8,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson_cohom.linalg import (SparseMatrix, clear_denominators, compose_is_zero,
-                                  in_span_coordinates, matmul, rank_kernel)
+from poisson_cohom import engine
+from poisson_cohom import fixtures as fx
+from poisson_cohom.cli import _golden_paths, parse_golden
+from poisson_cohom.linalg import (RankResult, SparseMatrix, clear_denominators,
+                                  compose_is_zero, in_span_coordinates, matmul,
+                                  rank_kernel)
 
 
 def cells_matrix(n_rows: int, n_cols: int, cells: dict | None = None) -> SparseMatrix:
@@ -66,6 +71,226 @@ def random_matrix(rng, max_size=30, density=0.4):
                 if v:
                     entries[(i, j)] = Fraction(v)
     return cells_matrix(n_rows, n_cols, entries)
+
+
+# ----------------------------------------------------------------------
+# the elimination with a set of rows per coordinate and a heap of
+# (count, coordinate) tuples, kept as the oracle of rank_kernel: the same
+# pivot order, so every field of the result is bit-identical
+# ----------------------------------------------------------------------
+
+def _gcd_reduce(row: dict, tail: dict | None = None) -> None:
+    """Divide row, and tail when given, by the one gcd of all their values."""
+    g = gcd(*row.values()) if tail is None else gcd(*row.values(), *tail.values())
+    if g > 1:
+        for p in (row,) if tail is None else (row, tail):
+            for k in p:
+                p[k] //= g
+
+
+def oracle_rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
+    """Exact rank over Q and kernel dimension, optionally a kernel basis.
+
+    Works on the transpose: rows[j] starts as the integer column j, and
+    each rank step picks a pivot row, applies row <- pval * row - v * prow
+    to every other row nonzero in the pivot column and retires the pivot
+    row.  With want_basis a tail tails[j], starting as {j: m.denom}, takes
+    the same operations and gcd reductions, so rows[j] = sum_k tails[j][k]
+    * (column k of m) throughout; the rows left active have reduced to
+    zero, so their tails span the kernel.  Kernel vectors come out as
+    primitive integer dicts, sorted.
+
+    pivots lists the pivot column c of each rank step, a row index of m.
+    A row retired later is zero at every earlier pivot, so the retired
+    rows span the column space of m and are triangular on the pivots:
+    the rows of m at the pivots alone have rank `rank`, and the unit
+    vectors outside the pivots span a complement of the column space.
+    spanning lists the row pr retired at each step, a column index of m.
+    Each row is a nonzero multiple of its own column of m plus a
+    combination of rows retired before it, so the columns of m at
+    spanning alone span the column space of m.
+    """
+    rows = [dict(col) for col in m.cols]  # copies: the columns may be shared
+    tails = [{j: m.denom} for j in range(m.n_cols)] if want_basis else None
+    col_rows: dict = {}  # column -> the rows nonzero in it
+    for j, row in enumerate(rows):
+        _gcd_reduce(row, tails[j] if want_basis else None)
+        for c in row:
+            col_rows.setdefault(c, set()).add(j)
+
+    heap = [(len(rs), c) for c, rs in col_rows.items()]
+    heapq.heapify(heap)
+    pivots, spanning = [], []
+
+    while heap:
+        cnt, c = heapq.heappop(heap)
+        rs = col_rows.get(c)
+        if not rs:
+            continue
+        if cnt != len(rs):
+            heapq.heappush(heap, (len(rs), c))
+            continue
+        if cnt == 1:  # the column's one row is the pivot row, with nothing to clear
+            (pr,) = rs
+            clear = ()
+        else:
+            # pivot row in this column: fewest entries, smallest value, lowest id
+            pr = min(rs, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
+            clear = sorted(rs)
+        prow = rows[pr]
+        pval = prow[c]
+        for r in clear:
+            if r == pr:
+                continue
+            row = rows[r]
+            v = row.pop(c)
+            col_rows[c].discard(r)
+            # row <- pval * row - v * prow, tracking the column index
+            if pval != 1:
+                row = rows[r] = {k: x * pval for k, x in row.items()}
+            for k, y in prow.items():
+                if k == c:
+                    continue
+                a = row.get(k, 0) - v * y
+                if a:
+                    if k not in row:
+                        rs2 = col_rows.setdefault(k, set())
+                        rs2.add(r)
+                        heapq.heappush(heap, (len(rs2), k))
+                    row[k] = a
+                elif k in row:
+                    del row[k]
+                    col_rows[k].discard(r)
+            if tails is None:
+                _gcd_reduce(row)
+                continue
+            tail = tails[r] = {k: x * pval for k, x in tails[r].items()}
+            for k, y in tails[pr].items():
+                a = tail.get(k, 0) - v * y
+                if a:
+                    tail[k] = a
+                else:
+                    tail.pop(k, None)
+            _gcd_reduce(row, tail)
+        # retire the pivot row
+        for k in prow:
+            if k != c:
+                col_rows[k].discard(pr)
+        col_rows.pop(c, None)
+        pivots.append(c)
+        spanning.append(pr)
+
+    kernel = None
+    if want_basis:
+        # an active tail holds its own index j: only retired rows entered it
+        retired = set(spanning)
+        kernel = sorted((tails[j] for j in range(m.n_cols) if j not in retired),
+                        key=lambda v: sorted(v.items()))
+    return RankResult(rank=len(pivots), kernel_dim=m.n_cols - len(pivots),
+                      kernel=kernel, pivots=pivots, spanning=spanning)
+
+
+def same_result(got: RankResult, want: RankResult) -> bool:
+    """Rank, kernel dimension, pivots, spanning columns and the kernel
+    vectors with their key order all equal."""
+    def fields(res):
+        kernel = None if res.kernel is None else [list(v.items()) for v in res.kernel]
+        return res.rank, res.kernel_dim, res.pivots, res.spanning, kernel
+    return fields(got) == fields(want)
+
+
+CHAIN_SWEEP = [("builtin:solvable22", "poly-with-constants", w, "chain") for w in range(6)]
+
+
+def fast_corpus() -> list:
+    """(structure, mode, weight, direction) of every fast golden."""
+    tasks = []
+    for path in _golden_paths(None):
+        with open(path) as fh:
+            spec = parse_golden(fh.read())
+        if not spec["slow"]:
+            tasks.append((spec["structure"], spec["mode"], spec["weight"],
+                          spec.get("direction", "cochain")))
+    return tasks
+
+
+def engine_rank_inputs(tasks: list) -> list:
+    """(matrix, snapshot of its columns) for every matrix build_report
+    hands to rank_kernel over the (structure, mode, weight, direction)
+    tasks: each map of a complex as _complex_rows ranks it, cleared view
+    included, and each wedge map whose kernel basis the annihilator
+    complex takes."""
+    seen = []
+
+    def spy(m, want_basis=False):
+        seen.append((m, snapshot(m)))
+        return rank_kernel(m, want_basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "rank_kernel", spy)
+        for spec, mode, w, direction in tasks:
+            engine.build_report(fx.load_structure(spec), mode, w, direction)
+    return seen
+
+
+def test_rank_kernel_matches_oracle_on_engine_maps():
+    """On every map the fast corpus and the chain sweep w = 0..5 rank,
+    in both modes, rank_kernel returns what the oracle returns, and no
+    input column changes, neither while the reports are built nor
+    after."""
+    inputs = engine_rank_inputs(fast_corpus() + CHAIN_SWEEP)
+    assert len(inputs) > 400 and any(m.n_cols > 1000 for m, _ in inputs)
+    assert any(not col for m, _ in inputs for col in m.cols)  # cleared views
+    for m, before in inputs:
+        assert snapshot(m) == before
+        for want_basis in (False, True):
+            assert same_result(rank_kernel(m, want_basis), oracle_rank_kernel(m, want_basis))
+        assert snapshot(m) == before
+
+
+@st.composite
+def shared_column_matrices(draw):
+    """A sparse rational matrix whose columns are zero columns and picks,
+    with repeats, from the columns of another: a repeated column is the
+    same dict twice."""
+    n_rows, n_cols, cells = draw(matrix_cells(max_size=10))
+    m = cells_matrix(n_rows, n_cols, cells)
+    picks = draw(st.lists(st.one_of(st.none(), st.integers(0, n_cols - 1)), max_size=14))
+    return SparseMatrix(n_rows, [{} if p is None else m.cols[p] for p in picks], m.denom)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(shared_column_matrices())
+def test_property_rank_kernel_matches_oracle(m):
+    """Zero columns and one column dict at several indices give the
+    oracle's result in both modes, and the columns stay unwritten."""
+    before = snapshot(m)
+    for want_basis in (False, True):
+        assert same_result(rank_kernel(m, want_basis), oracle_rank_kernel(m, want_basis))
+        assert snapshot(m) == before
+
+
+def test_rank_kernel_pivot_order_pinned():
+    """The pivots and spanning columns, in step order, of the 80 seeded
+    matrices of test_rank_kernel_output_pinned and of every map the chain
+    sweep ranks at w = 5, in both modes, pinned bit for bit: clearing,
+    the d o d check and the kernel bases all follow this order."""
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    for _ in range(80):
+        n_rows, n_cols = rng.randint(1, 14), rng.randint(1, 14)
+        cells = {(r, c): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for r in range(n_rows) for c in range(n_cols) if rng.random() < 0.35}
+        res = rank_kernel(cells_matrix(n_rows, n_cols, cells), want_basis=True)
+        h.update(repr((res.pivots, res.spanning)).encode())
+    inputs = engine_rank_inputs(CHAIN_SWEEP[5:])
+    assert len(inputs) == 10
+    for m, _ in inputs:
+        for want_basis in (False, True):
+            res = rank_kernel(m, want_basis)
+            h.update(repr((res.pivots, res.spanning)).encode())
+    assert h.hexdigest() == \
+        "133359b77b3e1632f3ea673ba4e9bb6759f61d35d8ddb1d2cec48fd0b3845f4e"
 
 
 def test_rank_against_dense_oracle_200_random():
