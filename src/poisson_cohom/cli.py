@@ -116,9 +116,27 @@ def cmd_casimir(args) -> int:
     return 0
 
 
+def _check_max_dim(obj, mode: str, weights: list, limit: int) -> None:
+    """CliError naming the first space of the requested complexes whose
+    dimension, counted before any basis is built, exceeds limit."""
+    if limit < 0:
+        raise CliError("--max-dim must be >= 0, got %d" % limit)
+    for w in weights:
+        try:
+            dims = engine.space_dims(obj, mode, w)
+        except ValueError as exc:
+            raise CliError(str(exc))
+        for space_w, m, dim in dims:
+            if dim > limit:
+                raise CliError("the cochain space at w = %d, m = %d has dimension %d, "
+                               "above --max-dim %d" % (space_w, m, dim, limit))
+
+
 def cmd_betti(args) -> int:
     obj = _load(args.structure, args.no_check)
     weights = _parse_weights(args.weights)
+    if args.max_dim is not None:
+        _check_max_dim(obj, args.mode, weights, args.max_dim)
     sink_dir = args.dump_matrices
     failures = 0
     for w in weights:
@@ -318,6 +336,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="table", choices=("table", "structured"))
     p.add_argument("--dump-matrices", default=None,
                    help="directory for coordinate-list matrix dumps")
+    p.add_argument("--max-dim", type=int, default=None,
+                   help="exit 2, before building anything, when a cochain "
+                        "space is larger than this (default: no limit)")
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("euler", help="combinatorial Euler characteristics")

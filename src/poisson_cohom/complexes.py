@@ -340,13 +340,19 @@ def weight_degree_range(ctx, w: int) -> int:
     return degree_range(w, ctx.wt, ctx.cap, ctx.start)
 
 
+def basis_dimension(ctx, m: int, w: int) -> int:
+    """Dimension of the degree-m, weight-w cochain space by the signature
+    dimension sum from the diagrams module, with no word built."""
+    if m == 0 and not ctx.include_m0:
+        return 0
+    return sum(sig_dim(s, ctx.cap)
+               for s in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start))
+
+
 def basis_dimension_check(ctx, m: int, w: int, basis: list) -> None:
     """Structural cross-check: enumerated dimension equals the signature
     dimension sum from the diagrams module."""
-    expect = sum(sig_dim(s, ctx.cap)
-                 for s in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start))
-    if m == 0 and not ctx.include_m0:
-        expect = 0
+    expect = basis_dimension(ctx, m, w)
     if expect != len(basis):
         raise AssertionError("basis size %d != signature total %d at (m=%d, w=%d)"
                              % (len(basis), expect, m, w))

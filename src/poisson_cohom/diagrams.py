@@ -115,14 +115,16 @@ def euler_combinatorial(n: int, h: int, w: int) -> int:
     return total
 
 
+def polymodule_dim(n: int, h: int, m: int, w: int) -> int:
+    """dim(C^m) = C(n-1+p, n-1) C(n, m) of the weight-w module complex,
+    p = w + (h-1)m, and 0 outside the admissible degrees 0 <= m <= n
+    with p >= 0."""
+    p = w + (h - 1) * m
+    if p < 0 or not 0 <= m <= n:
+        return 0
+    return comb(n - 1 + p, n - 1) * comb(n, m)
+
+
 def euler_polymodule(n: int, h: int, w: int) -> int:
-    """Alternating sum of dim(C^m) = C(n-1+w+(h-1)m, n-1) C(n, m) over the
-    admissible degrees 0 <= m <= n with w + (h-1)m >= 0."""
-    total = 0
-    for m in range(0, n + 1):
-        p = w + (h - 1) * m
-        if p < 0:
-            continue
-        d = comb(n - 1 + p, n - 1) * comb(n, m)
-        total += d if m % 2 == 0 else -d
-    return total
+    """Alternating sum of polymodule_dim over the degrees 0 <= m <= n."""
+    return sum((-1) ** m * polymodule_dim(n, h, m, w) for m in range(n + 1))

@@ -10,9 +10,10 @@ import time
 from dataclasses import dataclass, field
 
 from .complexes import (PolyContext, PoissonLikeContext, WordCoding,
-                        boundary_matrix, build_basis, cochain_matrix,
-                        constant_two_cochain, wedge_cochain_matrix,
-                        weight_degree_range)
+                        basis_dimension, boundary_matrix, build_basis,
+                        cochain_matrix, constant_two_cochain,
+                        wedge_cochain_matrix, weight_degree_range)
+from .diagrams import polymodule_dim
 from .linalg import (SparseMatrix, compose_is_zero, in_span_coordinates,
                      matmul, rank_kernel)
 from .multivector import poly_module_basis, poly_module_matrix
@@ -136,45 +137,57 @@ def _trim_rows(rows: list) -> list:
 
 def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     """Report rows of a complex with space dimensions dims[m] and
-    differentials maps[m] out of degree m into degree m + step (+1 for a
-    cochain complex, -1 for a chain complex); maps[m + step] must
-    annihilate maps[m] exactly, or AssertionError names the degree m of
-    the first failing pair in complex order.  The matrix_sink receives
-    every full map before any is checked or ranked.
+    differentials d_m out of degree m into degree m + step (+1 for a
+    cochain complex, -1 for a chain complex), each built by the
+    zero-argument maps[m]; d_{m+step} must annihilate d_m exactly, or
+    AssertionError names the degree m of the first failing pair in
+    complex order.
 
-    The maps are ranked in complex order, ascending m for a cochain
-    complex and descending m for a chain complex.  The pivots R of
-    maps[m - step] are coordinates of degree m, and the unit vectors
-    outside R span a complement of that map's image.  maps[m] vanishes
-    on the image, so its columns outside R carry its whole rank, and it
-    is ranked with the columns in R cleared (the twist of Chen & Kerber).
+    The maps are built and ranked in complex order, ascending m for a
+    cochain complex and descending m for a chain complex, in one pass:
+    d_m is ranked on the previous map's cleared view, d_{m+step} is built
+    and checked against d_m's retired columns, and only then is d_m
+    dropped, so no more than two maps are alive at once, and only the
+    previous map's pivots are kept.  A matrix_sink instead receives
+    every map, all built in ascending m, before any is checked or
+    ranked, so a failing complex still leaves its dumps; the same pass
+    then runs over those maps.
+
+    The pivots R of d_{m-step} are coordinates of degree m, and the unit
+    vectors outside R span a complement of that map's image.  d_m
+    vanishes on the image, so its columns outside R carry its whole
+    rank, and it is ranked with the columns in R cleared (the twist of
+    Chen & Kerber).
 
     The d o d = 0 check of each pair follows the ranking of its inner
     map and is exact on the rank-many columns S_m that rank_kernel
-    retired.  Once maps[m] o maps[m - step] = 0 is checked, maps[m]
-    kills the image of maps[m - step], so the image of maps[m] is that
-    of the unit vectors outside R: the column space of the cleared view,
-    which its retired columns S_m span.  Hence maps[m + step] o maps[m]
-    = 0 exactly when maps[m + step] annihilates the columns S_m of
-    maps[m].  The first map of the complex has nothing cleared, which
-    starts the induction, and a pair is reached only after every pair
-    before it passed."""
+    retired.  Once d_m o d_{m-step} = 0 is checked, d_m kills the image
+    of d_{m-step}, so the image of d_m is that of the unit vectors
+    outside R: the column space of the cleared view, which its retired
+    columns S_m span.  Hence d_{m+step} o d_m = 0 exactly when d_{m+step}
+    annihilates the columns S_m of d_m.  The first map of the complex
+    has nothing cleared, which starts the induction, and a pair is
+    reached only after every pair before it passed."""
     if matrix_sink is not None:
-        for m, d in maps.items():
+        built = {m: maps[m]() for m in sorted(maps)}
+        for m, d in built.items():
             matrix_sink(m, d)
+        maps = {m: (lambda d=d: d) for m, d in built.items()}
     ranks: dict = {}
-    pivots: dict = {}
+    d = None  # d_m, when the step before built it as its d_{m+step}
     for m in sorted(maps, reverse=step < 0):
-        d, cleared = maps[m], pivots.get(m - step, ())
+        if d is None:
+            d, cleared = maps[m](), ()
         if cleared:
             d = SparseMatrix(d.n_rows, [
                 {} if c in cleared else col for c, col in enumerate(d.cols)], d.denom)
         res = rank_kernel(d)
-        ranks[m], pivots[m] = res.rank, set(res.pivots)
-        nxt = maps.get(m + step)
+        ranks[m], cleared = res.rank, set(res.pivots)
+        nxt = maps[m + step]() if m + step in maps else None
         if nxt is not None and not compose_is_zero(
                 nxt, SparseMatrix(d.n_rows, [d.cols[c] for c in res.spanning], d.denom)):
             raise AssertionError("d o d != 0 at degree %d" % m)
+        d = nxt
     rows = []
     for m, dim in sorted(dims.items()):
         rank = ranks.get(m, 0)
@@ -185,41 +198,26 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
 
 def _context_complex(ctx, w: int, direction: str) -> tuple:
     """A PolyContext or PoissonLikeContext complex: coboundaries m -> m+1,
-    or boundaries m -> m-1 in the chain direction, all placed on one
-    coding of its bases."""
+    or boundaries m -> m-1 in the chain direction, each placed, when
+    built, on one coding of its bases."""
     hi = weight_degree_range(ctx, w)
     bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
     coding = WordCoding(bases.values())
-    maps: dict = {}
+    dims = {m: len(bases[m]) for m in range(hi + 1)}
     if direction == "cochain":
-        step = 1
-        for m in range(hi + 1):
-            if bases[m]:
-                maps[m] = cochain_matrix(ctx, bases[m], bases[m + 1], coding)
-    else:
-        step = -1
-        for m in range(1, hi + 1):
-            if bases[m]:
-                maps[m] = boundary_matrix(ctx, bases[m], bases[m - 1], coding)
-    return {m: len(bases[m]) for m in range(hi + 1)}, maps, step
+        return dims, {m: lambda m=m: cochain_matrix(ctx, bases[m], bases[m + 1], coding)
+                      for m in range(hi + 1) if bases[m]}, 1
+    return dims, {m: lambda m=m: boundary_matrix(ctx, bases[m], bases[m - 1], coding)
+                  for m in range(1, hi + 1) if bases[m]}, -1
 
 
-def _poly_complex(kind: str):
-    return lambda pi, w, direction: _context_complex(PolyContext(pi, kind), w, direction)
-
-
-def _poisson_like_complex(pi_like: GradedMultiVector, w: int, direction: str) -> tuple:
-    return _context_complex(PoissonLikeContext(pi_like, pi_like.poly_degree()),
-                            w, direction)
-
-
-def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
+def _annihilator_complex(ctx: PolyContext, w: int, direction: str) -> tuple:
     """The subcomplex K^m = ker(two-cochain ^ -) of the poly-bar complex in
-    the coordinates of the wedge maps' kernel bases: maps[m] is d K_m
+    the coordinates of the wedge maps' kernel bases: maps[m] builds d K_m
     written in the basis K_{m+1}, and reading those coordinates off
-    checks exactly that d keeps the subcomplex inside itself."""
-    ctx = PolyContext(pi, "bar")
-    two = constant_two_cochain(pi)
+    checks exactly that d keeps the subcomplex inside itself.  The bases
+    and kernel bases are built at once, since they give the dimensions."""
+    two = constant_two_cochain(ctx.pi)
     hi = weight_degree_range(ctx, w)
     bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
     coding = WordCoding(bases.values())
@@ -227,7 +225,7 @@ def _annihilator_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     for m, basis in bases.items():
         wedge = wedge_cochain_matrix(two, basis, build_basis(ctx, m + 2, w - 2))
         kmats[m] = SparseMatrix(len(basis), rank_kernel(wedge, want_basis=True).kernel)
-    maps = {m: in_span_coordinates(kmats[m + 1], matmul(
+    maps = {m: lambda m=m: in_span_coordinates(kmats[m + 1], matmul(
                 cochain_matrix(ctx, bases[m], bases[m + 1], coding), kmats[m]))
             for m in range(hi + 1) if kmats[m].n_cols}
     return {m: kmats[m].n_cols for m in range(hi + 1)}, maps, 1
@@ -238,19 +236,29 @@ def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     if not jacobi_check(pi)[0]:
         raise ValueError("structure is not Poisson")
     bases = {m: poly_module_basis(pi.n, pi.h, m, w) for m in range(0, pi.n + 2)}
-    maps = {m: poly_module_matrix(pi, bases[m], bases[m + 1])
+    maps = {m: lambda m=m: poly_module_matrix(pi, bases[m], bases[m + 1])
             for m in range(0, pi.n + 1) if bases[m]}
     return {m: len(bases[m]) for m in range(0, pi.n + 1)}, maps, 1
 
 
-# mode -> (complex builder, structure type it needs, has a chain direction)
+def _poly_context(kind: str):
+    return lambda pi: PolyContext(pi, kind)
+
+
+def _poisson_like_context(pi_like: GradedMultiVector) -> PoissonLikeContext:
+    return PoissonLikeContext(pi_like, pi_like.poly_degree())
+
+
+# mode -> (context of its cochain spaces, or None; complex builder, which
+# takes the context or, without one, the structure; structure type it
+# needs; has a chain direction)
 _MODES = {
-    "poly-bar": (_poly_complex("bar"), PoissonStructure, True),
-    "poly-with-constants": (_poly_complex("full"), PoissonStructure, True),
-    "hamiltonian": (_poly_complex("hamiltonian"), PoissonStructure, True),
-    "pi-annihilator": (_annihilator_complex, PoissonStructure, False),
-    "poisson-like": (_poisson_like_complex, GradedMultiVector, False),
-    "poly-module": (_module_complex, PoissonStructure, False),
+    "poly-bar": (_poly_context("bar"), _context_complex, PoissonStructure, True),
+    "poly-with-constants": (_poly_context("full"), _context_complex, PoissonStructure, True),
+    "hamiltonian": (_poly_context("hamiltonian"), _context_complex, PoissonStructure, True),
+    "pi-annihilator": (_poly_context("bar"), _annihilator_complex, PoissonStructure, False),
+    "poisson-like": (_poisson_like_context, _context_complex, GradedMultiVector, False),
+    "poly-module": (None, _module_complex, PoissonStructure, False),
 }
 MODES = tuple(_MODES)
 DIRECTIONS = ("cochain", "chain")
@@ -261,14 +269,12 @@ def _structure_name(structure) -> str:
     return getattr(structure, "name", "") or ""
 
 
-def build_report(structure, mode: str, w: int, direction: str = "cochain",
-                 matrix_sink=None) -> ComplexReport:
-    """The weight-w report of one mode; a matrix_sink(m, matrix) receives
-    every differential that is ranked, keyed by its source degree."""
-    start = time.monotonic()
+def _mode_entry(structure, mode: str, direction: str) -> tuple:
+    """(context, complex builder) of mode; ValueError unless the mode
+    exists, takes this structure's type and has this direction."""
     if mode not in _MODES:
         raise ValueError("unknown mode %r (have: %s)" % (mode, ", ".join(MODES)))
-    builder, kind, has_chain = _MODES[mode]
+    context, builder, kind, has_chain = _MODES[mode]
     if not isinstance(structure, kind):
         raise ValueError("%s mode needs a %s, not a %s"
                          % (mode, kind.__name__, type(structure).__name__))
@@ -277,7 +283,35 @@ def build_report(structure, mode: str, w: int, direction: str = "cochain",
                          % (direction, ", ".join(DIRECTIONS)))
     if direction == "chain" and not has_chain:
         raise ValueError("%s mode has no chain direction" % mode)
-    dims, maps, step = builder(structure, w, direction)
+    return context, builder
+
+
+def space_dims(structure, mode: str, w: int) -> list:
+    """(weight, degree, dimension) of every space the weight-w complex of
+    mode enumerates, counted without building a word: by the signature
+    count of basis_dimension for the context modes, where pi-annihilator
+    also counts the weight-(w - 2) targets of its wedge, and by the
+    closed form for poly-module.  ValueError as from build_report."""
+    context, _ = _mode_entry(structure, mode, "cochain")
+    if context is None:
+        return [(w, m, polymodule_dim(structure.n, structure.h, m, w))
+                for m in range(structure.n + 1)]
+    ctx = context(structure)
+    degrees = range(weight_degree_range(ctx, w) + 2)
+    out = [(w, m, basis_dimension(ctx, m, w)) for m in degrees]
+    if mode == "pi-annihilator":
+        out += [(w - 2, m + 2, basis_dimension(ctx, m + 2, w - 2)) for m in degrees]
+    return out
+
+
+def build_report(structure, mode: str, w: int, direction: str = "cochain",
+                 matrix_sink=None) -> ComplexReport:
+    """The weight-w report of one mode; a matrix_sink(m, matrix) receives
+    every differential that is ranked, keyed by its source degree."""
+    start = time.monotonic()
+    context, builder = _mode_entry(structure, mode, direction)
+    dims, maps, step = builder(structure if context is None else context(structure),
+                               w, direction)
     rep = ComplexReport(mode=mode, weight=w, direction=direction,
                         structure=_structure_name(structure),
                         rows=_complex_rows(dims, maps, step, matrix_sink))

@@ -8,7 +8,7 @@ import pytest
 from poisson_cohom.cli import (CACHE_ENV, _golden_paths, main, parse_golden, render_table,
                                run_goldens)
 from poisson_cohom.engine import ComplexReport, build_report
-from poisson_cohom import fixtures as fx
+from poisson_cohom import engine, fixtures as fx
 
 STRUCT_DIR = os.path.join(os.path.dirname(fx.__file__), "structures")
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -239,6 +239,43 @@ def test_size_options_out_of_range_exit_2(capsys, command, n, h):
 def test_casimir_rejects_negative_min_degree(capsys):
     assert main(["casimir", "builtin:sl2", "--min-degree", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error: --min-degree must be >= 0")
+
+
+@pytest.mark.parametrize("args, limit, space", [
+    (["builtin:sl2", "--weights", "1,2"], 74, (2, 3, 75)),
+    (["builtin:solvable22", "--mode", "poly-with-constants", "--direction", "chain",
+      "--weights", "0..5"], 8831, (5, 5, 8832)),
+    (["builtin:sl2", "--mode", "hamiltonian", "--weights", "3"], 201, (3, 3, 202)),
+    (["builtin:symplectic_r2", "--mode", "pi-annihilator", "--weights", "0"], 44, (0, 4, 45)),
+    (["builtin:poisson_like_h2", "--mode", "poisson-like", "--weights=-2"], 2519,
+     (-2, 8, 2520)),
+    (["builtin:sl2", "--mode", "poly-module", "--weights", "2"], 17, (2, 1, 18)),
+])
+def test_max_dim_exits_2_before_any_basis(monkeypatch, capsys, args, limit, space):
+    """betti --max-dim counts every degree's space before building one and
+    names the first that is too large; the limit itself is allowed."""
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(engine, "build_basis", refuse)
+    monkeypatch.setattr(engine, "poly_module_basis", refuse)
+    assert main(["betti", *args, "--max-dim", str(limit)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the cochain space at w = %d, m = %d has dimension %d, above --max-dim %d\n"
+        % (*space, limit))
+    assert main(["betti", *args, "--max-dim", str(limit + 1)]) == 1
+    assert capsys.readouterr().err == "invariant failure: a basis was built\n"
+
+
+def test_max_dim_at_the_largest_space_changes_nothing(monkeypatch, capsys):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert main(["betti", "builtin:sl2", "--weights", "0..2"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["betti", "builtin:sl2", "--weights", "0..2", "--max-dim", "75"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["betti", "builtin:sl2", "--weights", "0..2", "--max-dim", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --max-dim must be >= 0, got -1\n"
 
 
 def test_goldens_bad_mode_exits_2(tmp_path, capsys):

@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from poisson_cohom.complexes import PolyContext, weight_degree_range
 from poisson_cohom.diagrams import euler_combinatorial, euler_polymodule
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
-from poisson_cohom.linalg import compose_is_zero, rank_kernel
+from poisson_cohom.linalg import SparseMatrix, compose_is_zero, rank_kernel
 from poisson_cohom.poisson import PoissonStructure, parse_structure
 
 from test_linalg import cells_matrix, transpose
@@ -310,16 +312,21 @@ def test_matrix_sink_bypasses_warm_cache(tmp_path):
     assert rep.rows == run(fx.sl2(), "poly-bar", [1], cache_dir=cache)[0].rows
 
 
+def _builders(maps: dict) -> dict:
+    """The zero-argument map builders _complex_rows takes, one per map."""
+    return {m: (lambda d=d: d) for m, d in maps.items()}
+
+
 def test_complex_rows_directions_and_ambient_check():
     one = cells_matrix(1, 1, {(0, 0): 1})
     # cochain 0 -> 1: betti = ker - rank of the incoming map from m - 1
-    assert _complex_rows({0: 1, 1: 1}, {0: one}, 1) == [
+    assert _complex_rows({0: 1, 1: 1}, _builders({0: one}), 1) == [
         ReportRow(0, 1, 0, 1, 0), ReportRow(1, 1, 1, 0, 0)]
     # chain 1 -> 0: the incoming map comes from m + 1
-    assert _complex_rows({0: 1, 1: 1}, {1: one}, -1) == [
+    assert _complex_rows({0: 1, 1: 1}, _builders({1: one}), -1) == [
         ReportRow(0, 1, 1, 0, 0), ReportRow(1, 1, 0, 1, 0)]
     with pytest.raises(AssertionError):
-        _complex_rows({0: 1, 1: 1, 2: 1}, {0: one, 1: one}, 1)
+        _complex_rows({0: 1, 1: 1, 2: 1}, _builders({0: one, 1: one}), 1)
 
 
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
@@ -359,7 +366,7 @@ def test_cleared_ranks_equal_plain_ranks(complex_):
     dims, cochain = complex_
     chain = {m + 1: transpose(d) for m, d in cochain.items()}
     for maps, step in ((cochain, 1), (chain, -1)):
-        rows = _complex_rows(dict(enumerate(dims)), maps, step)
+        rows = _complex_rows(dict(enumerate(dims)), _builders(maps), step)
         assert {r.m: r.rank for r in rows if r.m in maps} == \
             {m: rank_kernel(d).rank for m, d in maps.items()}
 
@@ -395,10 +402,10 @@ def test_d_o_d_check_catches_every_single_entry_change(complex_, data):
     for maps, step in ((cochain, 1), (chain, -1)):
         failing = _first_failing_pair(maps, step)
         if failing is None:
-            _complex_rows(dict(enumerate(dims)), maps, step)
+            _complex_rows(dict(enumerate(dims)), _builders(maps), step)
         else:
             with pytest.raises(AssertionError, match="at degree %d$" % failing):
-                _complex_rows(dict(enumerate(dims)), maps, step)
+                _complex_rows(dict(enumerate(dims)), _builders(maps), step)
 
 
 @pytest.mark.parametrize("name, mode, weights, direction", [
@@ -443,6 +450,128 @@ def test_clearing_matches_plain_ranks_on_real_complexes(name, mode, w, direction
     assert seen and any(r.rank for r in rep.rows)
     assert {r.m: r.rank for r in rep.rows} == \
         {r.m: rank_kernel(seen[r.m]).rank if r.m in seen else 0 for r in rep.rows}
+
+
+class _Tracked(SparseMatrix):
+    """A built map whose lifetime a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+# (structure, mode, weight, direction, the engine function that builds a map)
+_STREAMED = [
+    ("sl2", "poly-bar", 2, "cochain", "cochain_matrix"),
+    ("sl2", "poly-bar", 2, "chain", "boundary_matrix"),
+    ("solvable22", "poly-with-constants", 3, "cochain", "cochain_matrix"),
+    ("solvable22", "poly-with-constants", 3, "chain", "boundary_matrix"),
+    ("sl2", "hamiltonian", 3, "cochain", "cochain_matrix"),
+    ("sl2", "hamiltonian", 3, "chain", "boundary_matrix"),
+    ("symplectic_r2", "pi-annihilator", 2, "cochain", "in_span_coordinates"),
+    ("poisson_like_h2", "poisson-like", -2, "cochain", "cochain_matrix"),
+    ("sl2", "poly-module", 2, "cochain", "poly_module_matrix"),
+]
+
+
+@pytest.mark.parametrize("name, mode, w, direction, builder", _STREAMED)
+def test_maps_are_built_once_in_complex_order_two_alive(monkeypatch, name, mode, w,
+                                                        direction, builder):
+    """Without a matrix sink, every map is built exactly once and in
+    complex order, the same map the sink receives, and no more than two
+    built maps are alive at any build."""
+    pi = fx.load_structure("builtin:" + name)
+    seen: dict = {}
+    want = build_report(pi, mode, w, direction, matrix_sink=seen.__setitem__)
+    order = sorted(seen, reverse=direction == "chain")
+    assert len(order) >= 3
+    real = getattr(engine, builder)
+    built, refs, alive = [], [], []
+
+    def tracked(*args):
+        d = real(*args)
+        t = _Tracked(d.n_rows, d.cols, d.denom)
+        refs.append(weakref.ref(t))
+        alive.append(sum(r() is not None for r in refs))
+        built.append((d.n_rows, d.cols, d.denom))
+        return t
+
+    monkeypatch.setattr(engine, builder, tracked)
+    assert build_report(pi, mode, w, direction).rows == want.rows
+    assert built == [(seen[m].n_rows, seen[m].cols, seen[m].denom) for m in order]
+    assert max(alive) <= 2, alive
+
+
+@pytest.mark.parametrize("name, mode, w, direction, builder", _STREAMED)
+def test_sink_gets_every_map_ascending_before_any_rank(monkeypatch, name, mode, w,
+                                                       direction, builder):
+    """The matrix sink receives every map, in ascending degree, before
+    the first map is ranked; each map is then ranked once.  The
+    annihilator's wedge kernels, ranked with want_basis, come first."""
+    events = []
+    real = engine.rank_kernel
+
+    def spy(d, want_basis=False):
+        if not want_basis:
+            events.append("rank")
+        return real(d, want_basis)
+
+    monkeypatch.setattr(engine, "rank_kernel", spy)
+    build_report(fx.load_structure("builtin:" + name), mode, w, direction,
+                 matrix_sink=lambda m, d: events.append(m))
+    sunk = [e for e in events if e != "rank"]
+    assert len(sunk) >= 3
+    assert events == sorted(sunk) + ["rank"] * len(sunk)
+
+
+def test_streamed_maps_lower_the_traced_peak():
+    """solvable22 poly-with-constants, chain direction, w = 4: the traced
+    peak of a build without a sink stays below 0.9 of the peak of the
+    same build with a sink that keeps every map alive."""
+    pi = fx.solvable22()
+    want = build_report(pi, "poly-with-constants", 4, "chain")
+    peaks = []
+    for sink in (None, {}.__setitem__):
+        tracemalloc.start()
+        try:
+            rep = build_report(pi, "poly-with-constants", 4, "chain", matrix_sink=sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.rows == want.rows
+    assert peaks[0] < 0.9 * peaks[1], peaks
+
+
+def test_space_dims_count_every_built_basis(monkeypatch):
+    """engine.space_dims counts, with no word built, exactly the nonempty
+    bases each mode builds, the annihilator's wedge targets included, on
+    every fast golden and on the chain direction of the context modes."""
+    built = []
+
+    def spy(real, degree):
+        def basis(*args):
+            out = real(*args)
+            built.append((args[-1], degree(args), len(out)))
+            return out
+        return basis
+
+    monkeypatch.setattr(engine, "build_basis", spy(engine.build_basis, lambda a: a[1]))
+    monkeypatch.setattr(engine, "poly_module_basis",
+                        spy(engine.poly_module_basis, lambda a: a[2]))
+    tasks = []
+    for path in _golden_paths(None):
+        with open(path) as fh:
+            spec = parse_golden(fh.read())
+        if not spec["slow"]:
+            tasks.append((spec["structure"], spec["mode"], spec["weight"], "cochain"))
+    tasks += [("builtin:solvable22", "poly-with-constants", 3, "chain"),
+              ("builtin:sl2", "hamiltonian", 2, "chain")]
+    assert {mode for _, mode, _, _ in tasks} == set(engine.MODES)
+    for structure, mode, w, direction in tasks:
+        pi = fx.load_structure(structure)
+        built.clear()
+        build_report(pi, mode, w, direction)
+        counted = engine.space_dims(pi, mode, w)
+        assert sorted(t for t in counted if t[2]) == sorted(t for t in built if t[2]), \
+            (structure, mode, w)
 
 
 def _unimodular(n: int, seed: int) -> tuple:
