@@ -16,8 +16,8 @@ from importlib import resources
 
 from . import diagrams, engine, fixtures
 from .casimir import casimir_space
-from .complexes import PolyContext, weight_degree_range
-from .diagrams import enumerate_signatures, sig_dim
+from .complexes import PolyContext, basis_dimension, weight_degree_range
+from .diagrams import enumerate_signatures
 from .engine import ComplexReport, cross_check, run
 from .poisson import PoissonStructure, jacobi_check
 
@@ -209,7 +209,7 @@ def cmd_diagrams(args) -> int:
             sigs = enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start)
             if not sigs:
                 continue
-            total = sum(sig_dim(s, ctx.cap) for s in sigs)
+            total = basis_dimension(ctx, m, w)
             desc = "  +  ".join(
                 " ".join("k%d=%d" % (j, k) for j, k in sig) for sig in sigs)
             print("  m=%d dim=%d: %s" % (m, total, desc))
@@ -247,15 +247,13 @@ def parse_golden(text: str) -> dict:
 
 
 def run_goldens(directory: str | None = None, slow: bool = False,
-                cache_dir: str | None = None, out=None) -> tuple:
+                cache_dir: str | None = None) -> tuple:
     """Compare every golden file's whole table and Euler line exactly;
     (passed, failed, skipped)."""
-    if out is None:
-        out = sys.stdout
     paths = _golden_paths(directory)
     passed = failed = skipped = 0
     if not paths:
-        print("warning: empty golden corpus", file=out)
+        print("warning: empty golden corpus")
         return (0, 0, 0)
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
@@ -263,7 +261,7 @@ def run_goldens(directory: str | None = None, slow: bool = False,
         name = os.path.basename(path)
         if entry["slow"] and not slow:
             skipped += 1
-            print("SKIP %s (slow; rerun with --slow)" % name, file=out)
+            print("SKIP %s (slow; rerun with --slow)" % name)
             continue
         structure = fixtures.load_structure(entry["structure"])
         rep = run(structure, entry["mode"], [entry["weight"]],
@@ -281,14 +279,13 @@ def run_goldens(directory: str | None = None, slow: bool = False,
         problems.extend(cross_check(rep))
         if problems:
             failed += 1
-            print("FAIL %s [%s]" % (name, entry["label"]), file=out)
+            print("FAIL %s [%s]" % (name, entry["label"]))
             for p in problems:
-                print("     " + p, file=out)
+                print("     " + p)
         else:
             passed += 1
-            print("PASS %s [%s]" % (name, entry["label"]), file=out)
-    print("goldens: %d passed, %d failed, %d skipped" % (passed, failed, skipped),
-          file=out)
+            print("PASS %s [%s]" % (name, entry["label"]))
+    print("goldens: %d passed, %d failed, %d skipped" % (passed, failed, skipped))
     return (passed, failed, skipped)
 
 

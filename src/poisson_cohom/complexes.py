@@ -10,13 +10,11 @@ boundary is the dual of the coboundary under the wedge-basis pairing,
 so boundary_matrix places the coboundary's entries row by row, as its
 transpose.
 
-Generator ids are (degree, position) pairs; a cochain basis is the list
-of its words, ascending tuples of generator ids.  A WordCoding gives
-every generator of a complex's bases one bit of an integer, in gid
-order, so a basis word is a bitmask: wedging a pair onto the rest of a
-word is an AND (collision) and an OR (the target word), and the
-reordering sign is a popcount parity.  The maps of one complex share
-one coding; a map given none codes its two bases alone.
+Generator ids are (degree, position) pairs.  A context gives every
+generator one bit of an integer, consecutive in gid order from its
+lowest degree, so a cochain basis is the list of its word masks:
+wedging a pair onto the rest of a word is an AND (collision) and an OR
+(the target word), and the reordering sign is a popcount parity.
 
 Coefficients are integers over a denominator: a context's image2 of a
 degree-j generator is over image2_denom(j), and each builder accumulates
@@ -40,7 +38,55 @@ from .poisson import GradedMultiVector, PoissonStructure, r_schouten
 GenId = tuple  # (degree, position within the degree block)
 
 
-class PolyContext:
+class GeneratorBits:
+    """The one generator -> bit assignment of a context, whose subclass
+    gives cap(j) and image2(gid): the generators take consecutive bits in
+    gid order from degree start, so a word is the OR of its bits.  Slot
+    tables are cached here by bit and scale."""
+
+    def __init__(self, start: int):
+        self.start = start
+        self._offsets = [0]  # bit index of generator (start + k, 0)
+        self._slots: dict = {}
+
+    def bit(self, gid: GenId) -> int:
+        j, p = gid
+        offsets = self._offsets
+        while len(offsets) <= j - self.start:
+            offsets.append(offsets[-1] + self.cap(self.start + len(offsets) - 1))
+        return 1 << (offsets[j - self.start] + p)
+
+    def gids(self, mask: int) -> list:
+        """The generators whose bits mask holds, ascending."""
+        out, j = [], self.start
+        while mask >= self.bit((j, 0)):
+            out += [(j, p) for p in range(self.cap(j)) if mask & self.bit((j, p))]
+            j += 1
+        return out
+
+    def slot(self, gid: GenId, scale: int) -> tuple:
+        """(even-slot pairs, odd-slot pairs) of generator gid: its image2
+        as pairs scaled by scale, and by -scale for an odd slot."""
+        key = (self.bit(gid), scale)
+        if key not in self._slots:
+            img = self.image2(gid)
+            self._slots[key] = (self.pairs(img, scale), self.pairs(img, -scale))
+        return self._slots[key]
+
+    def pairs(self, terms, scale: int) -> tuple:
+        """A 2-cochain's terms (ga, gb, c), ga < gb, as (a|b, (a-1) ^ (b-1),
+        scale*c): wedging ga^gb onto a word with mask rest moves ga past
+        popcount(rest & (a-1)) factors and gb past popcount(rest & (b-1)),
+        and when rest misses a the two sum to the parity of
+        popcount(rest & ((a-1) ^ (b-1)))."""
+        out = []
+        for ga, gb, c in terms:
+            a, b = self.bit(ga), self.bit(gb)
+            out.append((a | b, (a - 1) ^ (b - 1), scale * c))
+        return tuple(out)
+
+
+class PolyContext(GeneratorBits):
     """Cochain data of the polynomial algebra of a Poisson structure.
 
     mode 'bar' excludes constants (the quotient by the constants ideal),
@@ -54,11 +100,11 @@ class PolyContext:
     def __init__(self, pi: PoissonStructure, mode: str = "bar"):
         if mode not in ("bar", "full", "hamiltonian"):
             raise ValueError("unknown polynomial mode %r" % mode)
+        super().__init__(0 if mode == "full" else 1)
         self.pi = pi
         self.mode = mode
         self.n = pi.n
         self.h = pi.h
-        self.start = 0 if mode == "full" else 1
         self._gens: dict = {}
         self._casimirs: dict = {}
         self._cob: dict = {}
@@ -135,17 +181,17 @@ class PolyContext:
         return self._coboundaries(deg)[1]
 
 
-class PoissonLikeContext:
+class PoissonLikeContext(GeneratorBits):
     """Cochain data for the R-linear multivector complex of a Poisson-like
     2-vector: generators are w^A d_i, the differential brackets with pi."""
 
     include_m0 = False  # tables never carry the scalar slot
 
     def __init__(self, pi_like: GradedMultiVector, h: int):
+        super().__init__(0)
         self.pi_like = pi_like
         self.n = pi_like.n
         self.h = h
-        self.start = 0
         self._image2: dict = {}
         self._monos: dict = {}  # degree -> mono_basis, read by label
         if pi_like.degree != 2:
@@ -195,101 +241,55 @@ class PoissonLikeContext:
 
 def build_basis(ctx, m: int, w: int) -> list:
     """Deterministic basis of the degree-m, weight-w cochain space: the
-    list of its words, ascending tuples of gids, its size checked
-    against the signature count.  The words of a signature are its
-    blocks' combinations joined in product order, the last block
-    varying fastest."""
+    list of its word masks, its size checked against the signature
+    count.  The words of a signature are its blocks' combinations ORed
+    in product order, the last block varying fastest."""
     basis = []
     if m or ctx.include_m0:
+        blocks: dict = {}  # (degree, size) -> masks of its combinations
         for sig in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start):
-            words = [()]
+            words = [0]
             for j, k in sig:
-                pool = list(combinations([(j, p) for p in range(ctx.cap(j))], k))
-                words = [word + block for word in words for block in pool]
+                if (j, k) not in blocks:
+                    bits = [ctx.bit((j, p)) for p in range(ctx.cap(j))]
+                    blocks[j, k] = [sum(c) for c in combinations(bits, k)]
+                words = [word | block for word in words for block in blocks[j, k]]
             basis += words
     basis_dimension_check(ctx, m, w, basis)
     return basis
 
 
-class WordCoding:
-    """The coding that the maps of one complex share.  Every generator
-    met in its bases gets one bit of an integer, in gid order, so a word
-    (an ascending tuple of gids) is the OR of its bits and the count of
-    its factors before a generator is a popcount; each basis's word
-    masks are summed once, and each source generator's slot table once
-    per scale.  A generator met in no basis gets the one escape bit
-    above them all: a pair holding it either meets the rest of a word or
-    lands outside every basis, so its sign is never read."""
-
-    def __init__(self, bases):
-        gens = [set().union(*basis) for basis in bases]
-        self.bit = {g: 1 << i for i, g in enumerate(sorted(set().union(*gens)))}
-        self.escape = 1 << len(self.bit)
-        get = self.bit.__getitem__
-        self._coded = {id(basis): (basis, [sum(map(get, word)) for word in basis], met)
-                       for basis, met in zip(bases, gens)}
-        self._slots: dict = {}  # (gid, scale) -> slot table
-
-    def basis(self, words: list) -> tuple:
-        """(word masks, generators met) of one of the coded bases."""
-        coded = self._coded.get(id(words))
-        if coded is None or coded[0] is not words:
-            raise ValueError("basis was not coded with this coding")
-        return coded[1], coded[2]
-
-    def slot(self, ctx, g, scale: int) -> tuple:
-        """(bit, even-slot pairs, odd-slot pairs) of generator g: its
-        image2 under ctx as pairs scaled by scale, and by -scale for an
-        odd slot."""
-        key = (g, scale)
-        if key not in self._slots:
-            img = ctx.image2(g)
-            self._slots[key] = (self.bit[g], self.pairs(img, scale), self.pairs(img, -scale))
-        return self._slots[key]
-
-    def pairs(self, terms, scale: int) -> tuple:
-        """A 2-cochain's terms (ga, gb, c), ga < gb, as (a|b, (a-1) ^ (b-1),
-        scale*c): wedging ga^gb onto a word with mask rest moves ga past
-        popcount(rest & (a-1)) factors and gb past popcount(rest & (b-1)),
-        and when rest misses a the two sum to the parity of
-        popcount(rest & ((a-1) ^ (b-1)))."""
-        bit, escape = self.bit, self.escape
-        out = []
-        for ga, gb, c in terms:
-            a, b = bit.get(ga, escape), bit.get(gb, escape)
-            out.append((a | b, (a - 1) ^ (b - 1), scale * c))
-        return tuple(out)
-
-
-def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool = False) -> SparseMatrix:
+def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool) -> SparseMatrix:
     """Matrix whose column j is a sum over the slots of the j-th source
-    word, given as (mask, gids) by the iterable src: slot k holds gid g
-    with table[g] = (bit, even-slot pairs, odd-slot pairs), and every
-    pair of the one for k's parity is wedged onto rest = mask ^ bit.
-    A pair that meets rest contributes nothing, one that lands outside
-    the target is an error.  The iterable tgt gives the distinct target
-    word masks in row order.  Both are read once.  Entries are integers
-    over denom, each column keyed in the order its rows are first met.
-    rowwise places the transpose: entry (row, j) goes to out[row][j], so
-    each row fills in ascending source order, the key order of a
-    column-by-column transpose."""
+    word, given as (mask, slots) by the iterable src: the set bits of
+    slots, ascending, are the slots, slot k holds bit with table[bit] =
+    (even-slot pairs, odd-slot pairs), and every pair of the one for k's
+    parity is wedged onto rest = mask ^ bit.  A pair that meets rest
+    contributes nothing, one that lands outside the target is an error.
+    The iterable tgt gives the distinct target word masks in row order.
+    Both are read once.  Entries are integers over denom, each column
+    keyed in the order its rows are first met.  rowwise places the
+    transpose: entry (row, j) goes to out[row][j], so each row fills in
+    ascending source order, the key order of a column-by-column
+    transpose."""
     index = {mask: row for row, mask in enumerate(tgt)}
     out: list = [{} for _ in index] if rowwise else []
     j = -1
-    for j, (mask, gids) in enumerate(src):
+    for j, (mask, slots) in enumerate(src):
         acc: dict = {}  # target mask -> value
-        odd = False
-        for g in gids:
-            bit, even_pairs, odd_pairs = table[g]
+        odd = 0
+        while slots:
+            bit = slots & -slots
+            slots ^= bit
             rest = mask ^ bit
-            for ab, between, c in odd_pairs if odd else even_pairs:
+            for ab, between, c in table[bit][odd]:
                 if rest & ab:
                     continue
                 key = rest | ab
                 if (rest & between).bit_count() & 1:
                     c = -c
                 acc[key] = acc.get(key, 0) + c
-            odd = not odd
+            odd ^= 1
         col: dict = {}
         for key, v in acc.items():
             row = index.get(key)
@@ -305,34 +305,33 @@ def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool = False) -> Sp
     return SparseMatrix(j + 1 if rowwise else len(index), out, denom)
 
 
-def _coboundary(ctx, src: list, tgt: list, coding, rowwise: bool) -> SparseMatrix:
-    """The coboundary from src to tgt, placed column- or row-wise, on
-    the coding's masks and slot tables (the two bases coded alone when
-    coding is None)."""
-    if coding is None:
-        coding = WordCoding((src, tgt))
-    src_masks, gens = coding.basis(src)
-    denoms = {j: ctx.image2_denom(j) for j in {g[0] for g in gens}}
+def _coboundary(ctx, src: list, tgt: list, rowwise: bool) -> SparseMatrix:
+    """The coboundary from src to tgt, placed column- or row-wise, each
+    word's slots its own bits."""
+    met = 0
+    for mask in src:
+        met |= mask
+    gens = ctx.gids(met)
+    denoms = {j: ctx.image2_denom(j) for j, _ in gens}
     denom = lcm(1, *denoms.values())
-    table = {g: coding.slot(ctx, g, denom // denoms[g[0]]) for g in gens}
-    return _wedge_place(zip(src_masks, src), coding.basis(tgt)[0], table, denom, rowwise)
+    table = {ctx.bit(g): ctx.slot(g, denom // denoms[g[0]]) for g in gens}
+    return _wedge_place(zip(src, src), tgt, table, denom, rowwise)
 
 
-def cochain_matrix(ctx, src: list, tgt: list, coding: WordCoding | None = None) -> SparseMatrix:
+def cochain_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
     """Exact matrix of the coboundary from src (degree m) to tgt (m+1),
     accumulated in integers over the lcm of the image2 denominators of the
     generator degrees in src: the slot-k generator of a word is replaced
-    by its image2, with sign (-1)^k.  coding, when given, must hold both
-    bases."""
-    return _coboundary(ctx, src, tgt, coding, False)
+    by its image2, with sign (-1)^k."""
+    return _coboundary(ctx, src, tgt, False)
 
 
-def boundary_matrix(ctx, src: list, tgt: list, coding: WordCoding | None = None) -> SparseMatrix:
+def boundary_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
     """Exact matrix of the boundary operator from src (degree m) to tgt
     (m-1): the transpose of the coboundary from tgt to src, since the
     boundary is the dual of the coboundary under the wedge-basis pairing,
     placed row by row."""
-    return _coboundary(ctx, tgt, src, coding, True)
+    return _coboundary(ctx, tgt, src, True)
 
 
 def weight_degree_range(ctx, w: int) -> int:
@@ -367,8 +366,10 @@ def with_constants_split(pi: PoissonStructure, m: int, w: int) -> tuple:
     without the degree-0 slot and the part carrying it (h > 0 only)."""
     if pi.h == 0:
         raise ValueError("the split requires h > 0")
-    basis = build_basis(PolyContext(pi, "full"), m, w)
-    with_delta = sum((0, 0) in tup for tup in basis)
+    ctx = PolyContext(pi, "full")
+    basis = build_basis(ctx, m, w)
+    delta = ctx.bit((0, 0))
+    with_delta = sum(1 for word in basis if word & delta)
     return len(basis) - with_delta, with_delta
 
 
@@ -380,12 +381,13 @@ def constant_two_cochain(pi: PoissonStructure) -> tuple:
     return [((1, i), (1, j), c) for i, j, _, c in sorted(pi.terms)], pi.denom
 
 
-def wedge_cochain_matrix(two_cochain: tuple, src: list, tgt: list) -> SparseMatrix:
-    """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain given as
-    (terms, denom) by constant_two_cochain: each source word is one slot,
-    None, whose bit 0 leaves the whole word as rest."""
+def wedge_cochain_matrix(ctx, two_cochain: tuple, src: list, tgt: list) -> SparseMatrix:
+    """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain of ctx's
+    generators given as (terms, denom) by constant_two_cochain: each
+    source word carries one phantom slot, a bit above it and above
+    every generator of the terms, whose rest is the whole word."""
     terms, denom = two_cochain
-    coding = WordCoding((src, tgt))
-    pairs = coding.pairs(terms, 1)
-    return _wedge_place(((mask, (None,)) for mask in coding.basis(src)[0]),
-                        coding.basis(tgt)[0], {None: (0, pairs, pairs)}, denom)
+    pairs = ctx.pairs(terms, 1)
+    phantom = 1 << max(0, max(src, default=0), *(ab for ab, _, _ in pairs)).bit_length()
+    return _wedge_place(((mask | phantom, phantom) for mask in src), tgt,
+                        {phantom: (pairs, pairs)}, denom, False)

@@ -9,10 +9,10 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (PolyContext, PoissonLikeContext, WordCoding,
-                        basis_dimension, boundary_matrix, build_basis,
-                        cochain_matrix, constant_two_cochain,
-                        wedge_cochain_matrix, weight_degree_range)
+from .complexes import (PolyContext, PoissonLikeContext, basis_dimension,
+                        boundary_matrix, build_basis, cochain_matrix,
+                        constant_two_cochain, wedge_cochain_matrix,
+                        weight_degree_range)
 from .diagrams import polymodule_dim
 from .linalg import (SparseMatrix, compose_is_zero, in_span_coordinates,
                      matmul, rank_kernel)
@@ -198,16 +198,14 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
 
 def _context_complex(ctx, w: int, direction: str) -> tuple:
     """A PolyContext or PoissonLikeContext complex: coboundaries m -> m+1,
-    or boundaries m -> m-1 in the chain direction, each placed, when
-    built, on one coding of its bases."""
+    or boundaries m -> m-1 in the chain direction."""
     hi = weight_degree_range(ctx, w)
     bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
-    coding = WordCoding(bases.values())
     dims = {m: len(bases[m]) for m in range(hi + 1)}
     if direction == "cochain":
-        return dims, {m: lambda m=m: cochain_matrix(ctx, bases[m], bases[m + 1], coding)
+        return dims, {m: lambda m=m: cochain_matrix(ctx, bases[m], bases[m + 1])
                       for m in range(hi + 1) if bases[m]}, 1
-    return dims, {m: lambda m=m: boundary_matrix(ctx, bases[m], bases[m - 1], coding)
+    return dims, {m: lambda m=m: boundary_matrix(ctx, bases[m], bases[m - 1])
                   for m in range(1, hi + 1) if bases[m]}, -1
 
 
@@ -220,13 +218,12 @@ def _annihilator_complex(ctx: PolyContext, w: int, direction: str) -> tuple:
     two = constant_two_cochain(ctx.pi)
     hi = weight_degree_range(ctx, w)
     bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
-    coding = WordCoding(bases.values())
     kmats: dict = {}
     for m, basis in bases.items():
-        wedge = wedge_cochain_matrix(two, basis, build_basis(ctx, m + 2, w - 2))
+        wedge = wedge_cochain_matrix(ctx, two, basis, build_basis(ctx, m + 2, w - 2))
         kmats[m] = SparseMatrix(len(basis), rank_kernel(wedge, want_basis=True).kernel)
     maps = {m: lambda m=m: in_span_coordinates(kmats[m + 1], matmul(
-                cochain_matrix(ctx, bases[m], bases[m + 1], coding), kmats[m]))
+                cochain_matrix(ctx, bases[m], bases[m + 1]), kmats[m]))
             for m in range(hi + 1) if kmats[m].n_cols}
     return {m: kmats[m].n_cols for m in range(hi + 1)}, maps, 1
 

@@ -1,4 +1,3 @@
-import io
 import os
 import subprocess
 import sys
@@ -318,19 +317,18 @@ def test_golden_parse():
     assert spec["label"] == "some label"
 
 
-def test_run_goldens_detects_perturbation(tmp_path):
+def test_run_goldens_detects_perturbation(tmp_path, capsys):
     good = ("# sl2 weight 1\nstructure = builtin:sl2\nmode = poly-bar\n"
             "weight = 1\nrows = m dim ker rank betti\n"
             "1 6 1 5 1\n2 18 5 13 0\n3 18 13 5 0\n4 6 6 0 1\neuler = 0\n")
     (tmp_path / "ok.golden").write_text(good)
     (tmp_path / "bad.golden").write_text(good.replace("1 6 1 5 1", "1 6 2 4 2"))
-    buf = io.StringIO()
-    passed, failed, skipped = run_goldens(str(tmp_path), out=buf)
+    passed, failed, skipped = run_goldens(str(tmp_path))
     assert (passed, failed, skipped) == (1, 1, 0)
-    assert "FAIL bad.golden" in buf.getvalue()
+    assert "FAIL bad.golden" in capsys.readouterr().out
 
 
-def test_run_goldens_fails_incomplete_golden(tmp_path):
+def test_run_goldens_fails_incomplete_golden(tmp_path, capsys):
     """A golden is compared as a whole table: one that leaves out a row
     of the report, or keeps only its first row and no euler line, fails."""
     src = os.path.join(os.path.dirname(fx.__file__), "goldens", "case1_bar_w3.golden")
@@ -339,9 +337,8 @@ def test_run_goldens_fails_incomplete_golden(tmp_path):
     (tmp_path / "dropped_row.golden").write_text(text.replace("3 1 1 0 0\n", ""))
     head = text.split("rows =", 1)[0] + "rows = m dim ker rank betti\n1 10 2 8 2\n"
     (tmp_path / "row_1_only.golden").write_text(head)
-    buf = io.StringIO()
-    assert run_goldens(str(tmp_path), out=buf) == (0, 2, 0)
-    out = buf.getvalue()
+    assert run_goldens(str(tmp_path)) == (0, 2, 0)
+    out = capsys.readouterr().out
     assert "FAIL dropped_row.golden" in out and "FAIL row_1_only.golden" in out
     assert "no euler line" in out
 
@@ -363,11 +360,10 @@ def test_golden_missing_line_exits_2(tmp_path, capsys, key):
     assert err.startswith("error: ") and key in err
 
 
-def test_packaged_fast_goldens_all_pass():
+def test_packaged_fast_goldens_all_pass(capsys):
     """Every packaged fast golden, whole table and Euler line, including
     those no acceptance criterion names; the one gated entry is skipped."""
-    buf = io.StringIO()
-    assert run_goldens(out=buf) == (86, 0, 1), buf.getvalue()
+    assert run_goldens() == (86, 0, 1), capsys.readouterr().out
 
 
 def test_goldens_cli_exit_code_on_failure(tmp_path):
@@ -377,10 +373,9 @@ def test_goldens_cli_exit_code_on_failure(tmp_path):
     assert main(["goldens", str(tmp_path)]) == 1
 
 
-def test_run_goldens_empty_corpus(tmp_path):
-    buf = io.StringIO()
-    assert run_goldens(str(tmp_path), out=buf) == (0, 0, 0)
-    assert "empty golden corpus" in buf.getvalue()
+def test_run_goldens_empty_corpus(tmp_path, capsys):
+    assert run_goldens(str(tmp_path)) == (0, 0, 0)
+    assert "empty golden corpus" in capsys.readouterr().out
 
 
 def test_goldens_cli_on_fast_entry(tmp_path, capsys):

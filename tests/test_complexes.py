@@ -12,16 +12,49 @@ from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, mono_index
 from poisson_cohom.casimir import normal_form, quotient_basis
 from poisson_cohom.cli import _golden_paths, parse_golden
-from poisson_cohom.complexes import (PolyContext, PoissonLikeContext, WordCoding,
+from poisson_cohom.complexes import (GeneratorBits, PolyContext, PoissonLikeContext,
                                      basis_dimension_check, boundary_matrix,
                                      build_basis, cochain_matrix,
                                      constant_two_cochain, wedge_cochain_matrix,
                                      weight_degree_range, with_constants_split)
+from poisson_cohom.diagrams import enumerate_signatures
 from poisson_cohom.engine import build_report, homology_vs_cohomology_check
 from poisson_cohom.linalg import (SparseMatrix, clear_denominators, compose_is_zero,
                                   matmul, rank_kernel)
 
 from test_linalg import cells_matrix, transpose
+
+
+# ----------------------------------------------------------------------
+# reference oracle: the basis as ascending tuples of gids
+# ----------------------------------------------------------------------
+
+def oracle_build_basis(ctx, m: int, w: int) -> list:
+    """The degree-m, weight-w basis as ascending tuples of gids: the
+    words of a signature are its blocks' combinations joined in product
+    order, the last block varying fastest."""
+    basis = []
+    if m or ctx.include_m0:
+        for sig in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start):
+            words = [()]
+            for j, k in sig:
+                pool = list(combinations([(j, p) for p in range(ctx.cap(j))], k))
+                words = [word + block for word in words for block in pool]
+            basis += words
+    return basis
+
+
+def _mask(ctx, word: tuple) -> int:
+    """A tuple word as the OR of its generators' bits."""
+    out = 0
+    for g in word:
+        out |= ctx.bit(g)
+    return out
+
+
+def _decoded(ctx, basis: list) -> list:
+    """The tuple words of a basis of masks."""
+    return [tuple(ctx.gids(mask)) for mask in basis]
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +242,41 @@ def test_basis_deterministic_and_distinct():
     b2 = build_basis(PolyContext(fx.sl2(), "bar"), 2, 2)
     assert b1 == b2
     assert len(set(b1)) == len(b1)
-    for tup in b1:
-        assert list(tup) == sorted(tup)
+    assert all(word.bit_count() == 2 for word in b1)
+
+
+def _basis_jobs():
+    """(label, context, weight) of every fast golden context (bar, full
+    and hamiltonian) and of poisson_like_h2 at weight -2."""
+    jobs = _polynomial_golden_contexts()
+    jobs.append(("poisson_like_h2", PoissonLikeContext(fx.poisson_like_h2(), 2), -2))
+    return jobs
+
+
+def test_basis_masks_match_oracle_words():
+    """build_basis is the OR of the context's bits over each tuple word of
+    the oracle, in the oracle's order, and decodes back to it."""
+    count = 0
+    for label, ctx, w in _basis_jobs():
+        for m in range(weight_degree_range(ctx, w) + 2):
+            words = oracle_build_basis(ctx, m, w)
+            basis = build_basis(ctx, m, w)
+            assert basis == [_mask(ctx, word) for word in words], (label, m)
+            assert _decoded(ctx, basis) == words, (label, m)
+            count += len(words)
+    assert count > 10000
+
+
+def test_generator_bits_follow_gid_order():
+    """In every context kind the bits run in gid order, consecutive from
+    the lowest degree, so a word's mask order is its tuple order and the
+    popcount below a bit is the tuple position: no sign can move."""
+    contexts = [PolyContext(fx.sl2(), mode) for mode in ("bar", "full", "hamiltonian")]
+    contexts += [PoissonLikeContext(fx.poisson_like_h2(), 2), _StubContext({}, {}, [2, 1, 3])]
+    for ctx in contexts:
+        gids = [(j, p) for j in range(ctx.start, ctx.start + 4) for p in range(ctx.cap(j))]
+        assert [ctx.bit(g) for g in gids] == [1 << i for i in range(len(gids))]
+        assert ctx.gids(sum(ctx.bit(g) for g in gids)) == gids
 
 
 def test_signature_dimension_cross_check():
@@ -295,7 +361,7 @@ def test_boundary_squared_zero():
         ctx = PolyContext(s, mode)
         for w in (0, 1, 2):
             hi = weight_degree_range(ctx, w)
-            bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
+            bases = {m: oracle_build_basis(ctx, m, w) for m in range(hi + 2)}
             mats = {m: oracle_boundary_matrix(ctx, bases[m], bases[m - 1])
                     for m in range(1, hi + 1)}
             for m in range(2, hi + 1):
@@ -322,9 +388,10 @@ def test_coboundary_is_transpose_of_boundary():
     for label, ctx, w in _polynomial_golden_contexts():
         hi = weight_degree_range(ctx, w)
         bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
+        words = {m: _decoded(ctx, basis) for m, basis in bases.items()}
         for m in range(hi + 1):
             d = cochain_matrix(ctx, bases[m], bases[m + 1])
-            bd = oracle_boundary_matrix(ctx, bases[m + 1], bases[m])
+            bd = oracle_boundary_matrix(ctx, words[m + 1], words[m])
             assert transpose(d) == bd, (label, m)
             nonzero += d.nnz() > 0
     assert nonzero > 0
@@ -465,8 +532,8 @@ def test_hamiltonian_complex_embeds_in_plain_complex():
                 bar_tgt = build_basis(bar, m + 1, w)
                 if not len(ham_src):
                     continue
-                e_src = _embedding_matrix(pi, ham_src, bar_src)
-                e_tgt = _embedding_matrix(pi, ham_tgt, bar_tgt)
+                e_src = _embedding_matrix(pi, _decoded(ham, ham_src), _decoded(bar, bar_src))
+                e_tgt = _embedding_matrix(pi, _decoded(ham, ham_tgt), _decoded(bar, bar_tgt))
                 d_ham = cochain_matrix(ham, ham_src, ham_tgt)
                 d_bar = cochain_matrix(bar, bar_src, bar_tgt)
                 assert matmul(d_bar, e_src) == matmul(e_tgt, d_ham), (pi.name, w, m)
@@ -481,9 +548,9 @@ def test_wedge_matrix_against_basis_filter():
     for (m, w) in ((2, 0), (3, 0), (3, 1)):
         src = build_basis(ctx, m, w)
         tgt = build_basis(ctx, m + 2, w - 2)
-        wedge = wedge_cochain_matrix(two, src, tgt)
+        wedge = wedge_cochain_matrix(ctx, two, src, tgt)
         res = rank_kernel(wedge, want_basis=True)
-        expect = sum(1 for tup in src if any(g[0] == 1 for g in tup))
+        expect = sum(1 for tup in _decoded(ctx, src) if any(g[0] == 1 for g in tup))
         assert res.kernel_dim == expect
 
 
@@ -492,15 +559,14 @@ def test_cochain_matrix_matches_oracle():
     """The bitmask coboundary equals the tuple/bisect oracle exactly on
     every matrix of the polynomial-mode goldens (bar, full and
     hamiltonian contexts) and of poisson_like_h2 at weight -2."""
-    jobs = _polynomial_golden_contexts()
-    jobs.append(("poisson_like_h2", PoissonLikeContext(fx.poisson_like_h2(), 2), -2))
     count = 0
-    for label, ctx, w in jobs:
+    for label, ctx, w in _basis_jobs():
         hi = weight_degree_range(ctx, w)
         bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
+        words = {m: _decoded(ctx, basis) for m, basis in bases.items()}
         for m in range(hi + 1):
             d = cochain_matrix(ctx, bases[m], bases[m + 1])
-            assert _same_matrix(d, oracle_cochain_matrix(ctx, bases[m], bases[m + 1])), \
+            assert _same_matrix(d, oracle_cochain_matrix(ctx, words[m], words[m + 1])), \
                 (label, m)
             count += d.nnz() > 0
     assert count > 100
@@ -529,26 +595,26 @@ def _engine_map_jobs():
 
 
 def test_engine_maps_match_oracles():
-    """Every map the engine hands to the matrix_sink, placed on the one
-    coding of its complex, equals the oracle on bases built alone, key
-    order included: a coboundary the cochain oracle, a chain boundary the
-    transpose of the cochain oracle (rows filled in ascending source
-    order) and, by value, the independent boundary oracle."""
+    """Every map the engine hands to the matrix_sink equals the oracle on
+    the decoded tuple words, key order included: a coboundary the
+    cochain oracle, a chain boundary the transpose of the cochain oracle
+    (rows filled in ascending source order) and, by value, the
+    independent boundary oracle."""
     count = chain = 0
     for label, s, mode, ctx, w, direction in _engine_map_jobs():
         maps: dict = {}
         build_report(s, mode, w, direction, matrix_sink=maps.__setitem__)
         assert maps, label
         for m, d in maps.items():
-            src = build_basis(ctx, m, w)
+            src = _decoded(ctx, build_basis(ctx, m, w))
             if direction == "chain":
-                tgt = build_basis(ctx, m - 1, w)
+                tgt = _decoded(ctx, build_basis(ctx, m - 1, w))
                 assert _same_matrix(d, transpose(oracle_cochain_matrix(ctx, tgt, src))), \
                     (label, m)
                 assert d == oracle_boundary_matrix(ctx, src, tgt), (label, m)
                 chain += 1
             else:
-                tgt = build_basis(ctx, m + 1, w)
+                tgt = _decoded(ctx, build_basis(ctx, m + 1, w))
                 assert _same_matrix(d, oracle_cochain_matrix(ctx, src, tgt)), (label, m)
             count += d.nnz() > 0
     assert count > 100 and chain >= 30
@@ -567,19 +633,26 @@ def test_wedge_matrix_matches_oracle():
         ctx, two = PolyContext(pi, "bar"), constant_two_cochain(pi)
         for m in range(weight_degree_range(ctx, w) + 2):
             src, tgt = build_basis(ctx, m, w), build_basis(ctx, m + 2, w - 2)
-            d = wedge_cochain_matrix(two, src, tgt)
-            assert _same_matrix(d, oracle_wedge_cochain_matrix(two, src, tgt)), (path, m)
+            d = wedge_cochain_matrix(ctx, two, src, tgt)
+            assert _same_matrix(d, oracle_wedge_cochain_matrix(
+                two, _decoded(ctx, src), _decoded(ctx, tgt))), (path, m)
             count += d.nnz() > 0
     assert count > 5
 
 
-class _StubContext:
-    """The two methods the assembly reads: image2 tables given per
-    generator, and a denominator per generator degree."""
+class _StubContext(GeneratorBits):
+    """What the assembly reads: the bits of generator blocks of degrees
+    1, 2, ... with the given caps, image2 tables given per generator, and
+    a denominator per generator degree."""
 
-    def __init__(self, images: dict, denoms: dict):
+    def __init__(self, images: dict, denoms: dict, caps: list):
+        super().__init__(1)
         self.images = images
         self.denoms = denoms
+        self.caps = caps
+
+    def cap(self, j: int) -> int:
+        return self.caps[j - 1] if j <= len(self.caps) else 0
 
     def image2(self, gid) -> list:
         return self.images.get(gid, [])
@@ -590,15 +663,15 @@ class _StubContext:
 
 @st.composite
 def stub_complexes(draw):
-    """Generator blocks of degrees 1..3, a random image2 for each generator
+    """Generator blocks of degrees 1..4, a random image2 for each generator
     (pairs that meet the rest of a word and pairs that do not, repeated
     pairs included), mixed denominators, and bases of degrees m, m + 1,
     m + 2 in shuffled order: src a sample of the m-words, the targets all
     words of their degree, so every placement lands in them."""
     caps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if sum(caps) < 3:
+        caps.append(1)
     gens = [(j + 1, p) for j, cap in enumerate(caps) for p in range(cap)]
-    if len(gens) < 3:
-        gens.append((len(caps) + 1, 0))
     pair = st.lists(st.sampled_from(gens), min_size=2, max_size=2, unique=True).map(sorted)
     term = st.tuples(pair, st.integers(-4, 4).filter(bool)).map(lambda t: (*t[0], t[1]))
     images = {g: draw(st.lists(term, max_size=4)) for g in gens}
@@ -607,35 +680,33 @@ def stub_complexes(draw):
     words = {k: draw(st.permutations(list(combinations(gens, k)))) for k in (m, m + 1, m + 2)}
     src = draw(st.lists(st.sampled_from(words[m]), min_size=1, unique=True))
     two = (draw(st.lists(term, max_size=4)), draw(st.integers(1, 6)))
-    return _StubContext(images, denoms), two, src, words[m + 1], words[m + 2]
+    return _StubContext(images, denoms, caps), two, src, words[m + 1], words[m + 2]
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(stub_complexes())
 def test_mask_assembly_matches_oracle_on_stubs(stub):
-    """Column-wise placement equals the oracle, on the two bases coded
-    alone and on a coding of three bases (more generators, so other bits)
-    that two maps with their own denominators share; row-wise placement,
-    the boundary, equals its transpose with keys in the same order; with
-    a target word that some column hits removed, both placements raise."""
+    """Column-wise placement of two consecutive maps, with their own
+    denominators, equals the oracle on the tuple words; row-wise
+    placement, the boundary, equals its transpose with keys in the same
+    order; the wedge equals its oracle; with a target word that some
+    column hits removed, both placements raise."""
     ctx, two, src, tgt1, tgt2 = stub
-    d = cochain_matrix(ctx, src, tgt1)
+    src_m, tgt1_m, tgt2_m = ([_mask(ctx, word) for word in b] for b in (src, tgt1, tgt2))
+    d = cochain_matrix(ctx, src_m, tgt1_m)
     assert _same_matrix(d, oracle_cochain_matrix(ctx, src, tgt1))
-    coding = WordCoding((src, tgt1, tgt2))
-    assert _same_matrix(cochain_matrix(ctx, src, tgt1, coding), d)
-    assert _same_matrix(cochain_matrix(ctx, tgt1, tgt2, coding),
+    assert _same_matrix(cochain_matrix(ctx, tgt1_m, tgt2_m),
                         oracle_cochain_matrix(ctx, tgt1, tgt2))
-    assert _same_matrix(boundary_matrix(ctx, tgt1, src), transpose(d))
-    assert _same_matrix(boundary_matrix(ctx, tgt1, src, coding), transpose(d))
-    assert _same_matrix(wedge_cochain_matrix(two, src, tgt2),
+    assert _same_matrix(boundary_matrix(ctx, tgt1_m, src_m), transpose(d))
+    assert _same_matrix(wedge_cochain_matrix(ctx, two, src_m, tgt2_m),
                         oracle_wedge_cochain_matrix(two, src, tgt2))
     hit = next((row for col in d.cols for row in col), None)
     if hit is not None:
-        short = tgt1[:hit] + tgt1[hit + 1:]
+        short = tgt1_m[:hit] + tgt1_m[hit + 1:]
         with pytest.raises(AssertionError):
-            cochain_matrix(ctx, src, short)
+            cochain_matrix(ctx, src_m, short)
         with pytest.raises(AssertionError):
-            boundary_matrix(ctx, short, src)
+            boundary_matrix(ctx, short, src_m)
 
 
 def test_mask_assembly_skips_colliding_pairs_and_rejects_escapes():
@@ -643,23 +714,25 @@ def test_mask_assembly_skips_colliding_pairs_and_rejects_escapes():
     with a generator met nowhere else and an empty target; a pair that
     does not meet the rest must land in the target basis."""
     a, g, x, y = (1, 0), (1, 1), (2, 0), (2, 1)
-    ctx = _StubContext({g: [(a, x, 1)]}, {1: 1})
-    d = cochain_matrix(ctx, [(a, g)], [])
+    ctx = _StubContext({g: [(a, x, 1)]}, {1: 1}, [2, 2])
+
+    def word(*gids):
+        return _mask(ctx, gids)
+
+    d = cochain_matrix(ctx, [word(a, g)], [])
     assert (d.n_rows, d.n_cols, d.entries) == (0, 1, {})
-    assert wedge_cochain_matrix(([(a, x, 1)], 1), [(a,)], []).entries == {}
-    escape = _StubContext({g: [(x, y, 1)]}, {1: 1})
+    assert wedge_cochain_matrix(ctx, ([(a, x, 1)], 1), [word(a)], []).entries == {}
+    escape = _StubContext({g: [(x, y, 1)]}, {1: 1}, [2, 2])
     with pytest.raises(AssertionError):
-        cochain_matrix(escape, [(a, g)], [(a, g, x)])
+        cochain_matrix(escape, [word(a, g)], [word(a, g, x)])
     with pytest.raises(AssertionError):
-        boundary_matrix(escape, [(a, g, x)], [(a, g)])
-    # x and y, met in no basis, take the escape bit, so the pair cannot
-    # land on a target word equal to the rest
+        boundary_matrix(escape, [word(a, g, x)], [word(a, g)])
+    # x and y are in no basis, so the pair cannot land on a target word
+    # equal to the rest
     with pytest.raises(AssertionError):
-        cochain_matrix(escape, [(a, g)], [(a,)])
-    with pytest.raises(ValueError):  # a target basis the coding does not hold
-        cochain_matrix(ctx, [(a, g)], [], WordCoding(([(a, g)],)))
+        cochain_matrix(escape, [word(a, g)], [word(a)])
     with pytest.raises(AssertionError):
-        wedge_cochain_matrix(([(x, y, 1)], 1), [(a,)], [(a, x)])
+        wedge_cochain_matrix(ctx, ([(x, y, 1)], 1), [word(a)], [word(a, x)])
 
 # sha256 of every differential the engine ranks on the fast golden
 # corpus and on solvable22's poly-with-constants chain complex at w 0..4,

@@ -170,14 +170,86 @@ def test_every_constructor_is_called():
     a constructor that only other tests call escapes them."""
     defined, calls = _definitions_and_uses(_called)
     classes = [(name, node) for name, node in defined if isinstance(node, ast.ClassDef)]
+    family = _families(classes)
+    built = [(name, node) for name, node in classes
+             if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body)]
+    assert len(built) > 5
+    assert ["%s:%s" % (name, node.name) for name, node in built
+            if not any(calls[c] for c in family(node.name))] == []
+
+
+def _families(classes: list):
+    """For the (file, class node) pairs, a function from a class name to
+    the names of the class and of its subclasses among them."""
     bases = {node.name: {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
              for _, node in classes}
 
     def family(cls: str) -> set:
         return {cls}.union(*(family(sub) for sub, up in bases.items() if cls in up))
 
-    built = [(name, node) for name, node in classes
-             if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body)]
-    assert len(built) > 5
-    assert ["%s:%s" % (name, node.name) for name, node in built
-            if not any(calls[c] for c in family(node.name))] == []
+    return family
+
+
+def _passed(tree) -> Counter:
+    """The (called name, parameter) pairs a syntax tree passes, with their
+    count: (f, i) for the i-th positional argument of a call f(...) or
+    obj.f(...), (f, keyword) for a keyword argument, and (f, "*") for a
+    call that unpacks *args or **kwargs."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name:
+                for i, arg in enumerate(node.args):
+                    out[name, "*" if isinstance(arg, ast.Starred) else i] += 1
+                for kw in node.keywords:
+                    out[name, kw.arg or "*"] += 1
+    return out
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> list:
+    """(name, position) of fn's parameters that have a default: position
+    is the index of the positional argument that passes it, self or cls
+    not counted when bound, and None for a keyword-only parameter."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    return ([(a.arg, i - bound) for i, a in enumerate(pos) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+# the console-script entry point calls main() with no argv
+_DEFAULT_EXEMPT = {"cli.py:main.argv"}
+
+
+def test_every_default_parameter_is_passed():
+    """Every defaulted parameter of a package top-level function, method
+    or constructor is passed, by position or keyword, by some call in the
+    package, in perfbench/ or in tests/test_acceptance.py, so no default
+    keeps a code path that only other tests take.  A constructor is
+    called by its class's name or a subclass's; nested functions are not
+    checked, since their defaults bind loop variables."""
+    defined, passed = _definitions_and_uses(_passed)
+    family = _families([(name, node) for name, node in defined
+                        if isinstance(node, ast.ClassDef)])
+    fns = []  # (label, function node, names that call it, bound)
+    for name, node in defined:
+        if isinstance(node, ast.FunctionDef):
+            fns.append(("%s:%s" % (name, node.name), node, {node.name}, False))
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("__") and fn.name != "__init__"):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                callers = family(node.name) if fn.name == "__init__" else {fn.name}
+                fns.append(("%s:%s.%s" % (name, node.name, fn.name), fn, callers, not static))
+    unpassed = []
+    for label, fn, callers, bound in fns:
+        for param, pos in _defaulted(fn, bound):
+            if not any(passed[c, param] or passed[c, "*"] or (pos is not None and passed[c, pos])
+                       for c in callers):
+                unpassed.append("%s.%s" % (label, param))
+    assert sum(len(_defaulted(fn, bound)) for _, fn, _, bound in fns) > 10
+    assert sorted(set(unpassed) - _DEFAULT_EXEMPT) == []
