@@ -14,7 +14,11 @@ Generator ids are (degree, position) pairs.  A context gives every
 generator one bit of an integer, consecutive in gid order from its
 lowest degree, so a cochain basis is the list of its word masks:
 wedging a pair onto the rest of a word is an AND (collision) and an OR
-(the target word), and the reordering sign is a popcount parity.
+(the target word), and the reordering sign is a popcount parity.  A
+slot's own sign (-1)^k is a popcount parity too, k being the number of
+the word's bits below the slot's, so each slot table folds it into its
+pairs' parity masks, and assembly visits only the slots whose
+generator has a nonzero image.
 
 Coefficients are integers over a denominator: a context's image2 of a
 degree-j generator is over image2_denom(j), and each builder accumulates
@@ -65,20 +69,25 @@ class GeneratorBits:
         return out
 
     def slot(self, gid: GenId, scale: int) -> tuple:
-        """(even-slot pairs, odd-slot pairs) of generator gid: its image2
-        as pairs scaled by scale, and by -scale for an odd slot."""
-        key = (self.bit(gid), scale)
+        """The slot table of generator gid: its image2 as pairs scaled by
+        scale, each parity mask xored with bit - 1 (bit that of gid).  In
+        a word whose other bits are rest, gid sits in slot
+        popcount(rest & (bit - 1)), so the parity of the pair's placement
+        and of the slot's sign together is that of
+        popcount(rest & (parity mask ^ (bit - 1)))."""
+        bit = self.bit(gid)
+        key = (bit, scale)
         if key not in self._slots:
-            img = self.image2(gid)
-            self._slots[key] = (self.pairs(img, scale), self.pairs(img, -scale))
+            self._slots[key] = tuple((ab, between ^ (bit - 1), c) for ab, between, c
+                                     in self.pairs(self.image2(gid), scale))
         return self._slots[key]
 
     def pairs(self, terms, scale: int) -> tuple:
         """A 2-cochain's terms (ga, gb, c), ga < gb, as (a|b, (a-1) ^ (b-1),
-        scale*c): wedging ga^gb onto a word with mask rest moves ga past
-        popcount(rest & (a-1)) factors and gb past popcount(rest & (b-1)),
-        and when rest misses a the two sum to the parity of
-        popcount(rest & ((a-1) ^ (b-1)))."""
+        scale*c), the middle one the parity mask: wedging ga^gb onto a
+        word with mask rest moves ga past popcount(rest & (a-1)) factors
+        and gb past popcount(rest & (b-1)), and when rest misses a the two
+        sum to the parity of popcount(rest & ((a-1) ^ (b-1)))."""
         out = []
         for ga, gb, c in terms:
             a, b = self.bit(ga), self.bit(gb)
@@ -262,46 +271,54 @@ def build_basis(ctx, m: int, w: int) -> list:
 def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool) -> SparseMatrix:
     """Matrix whose column j is a sum over the slots of the j-th source
     word, given as (mask, slots) by the iterable src: the set bits of
-    slots, ascending, are the slots, slot k holds bit with table[bit] =
-    (even-slot pairs, odd-slot pairs), and every pair of the one for k's
-    parity is wedged onto rest = mask ^ bit.  A pair that meets rest
+    slots are the slots, slot bit holds the pairs table[bit], and every
+    pair (ab, parity, c) is wedged onto rest = mask ^ bit, with sign the
+    parity of popcount(rest & parity).  Only the live slots are walked,
+    those whose bit has a non-empty table.  A pair that meets rest
     contributes nothing, one that lands outside the target is an error.
     The iterable tgt gives the distinct target word masks in row order.
-    Both are read once.  Entries are integers over denom, each column
-    keyed in the order its rows are first met.  rowwise places the
-    transpose: entry (row, j) goes to out[row][j], so each row fills in
-    ascending source order, the key order of a column-by-column
-    transpose."""
+    Both are read once.  Entries are integers over denom, each looked up
+    by row as it is placed, each column keyed in the order its rows are
+    first met and rid of the entries that cancel.  rowwise places the
+    transpose: entry (row, j) is added into out[row][j] as it is met,
+    and dropped again when it cancels, so each row fills in ascending
+    source order, the key order of a column-by-column transpose."""
     index = {mask: row for row, mask in enumerate(tgt)}
     out: list = [{} for _ in index] if rowwise else []
+    live = 0
+    for bit, pairs in table.items():
+        if pairs:
+            live |= bit
     j = -1
     for j, (mask, slots) in enumerate(src):
-        acc: dict = {}  # target mask -> value
-        odd = 0
+        col: dict = {}  # row -> value, filled column-wise only
+        slots &= live
         while slots:
             bit = slots & -slots
             slots ^= bit
             rest = mask ^ bit
-            for ab, between, c in table[bit][odd]:
+            for ab, parity, c in table[bit]:
                 if rest & ab:
                     continue
-                key = rest | ab
-                if (rest & between).bit_count() & 1:
+                try:
+                    row = index[rest | ab]
+                except KeyError:
+                    raise AssertionError("differential left the weight-graded basis") from None
+                if (rest & parity).bit_count() & 1:
                     c = -c
-                acc[key] = acc.get(key, 0) + c
-            odd ^= 1
-        col: dict = {}
-        for key, v in acc.items():
-            row = index.get(key)
-            if row is None:
-                raise AssertionError("differential left the weight-graded basis")
-            if v:
                 if rowwise:
-                    out[row][j] = v
+                    # j is the row's last key, so a cancelled entry that
+                    # comes back keeps its place
+                    entries = out[row]
+                    v = entries.get(j, 0) + c
+                    if v:
+                        entries[j] = v
+                    else:
+                        entries.pop(j, None)
                 else:
-                    col[row] = v
+                    col[row] = col.get(row, 0) + c
         if not rowwise:
-            out.append(col)
+            out.append(col if all(col.values()) else {row: v for row, v in col.items() if v})
     return SparseMatrix(j + 1 if rowwise else len(index), out, denom)
 
 
@@ -385,9 +402,11 @@ def wedge_cochain_matrix(ctx, two_cochain: tuple, src: list, tgt: list) -> Spars
     """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain of ctx's
     generators given as (terms, denom) by constant_two_cochain: each
     source word carries one phantom slot, a bit above it and above
-    every generator of the terms, whose rest is the whole word."""
+    every generator of the terms, whose rest is the whole word.  A
+    2-form commutes with every factor, so the phantom's table is the
+    terms' pairs from ctx.pairs, with no slot sign folded in."""
     terms, denom = two_cochain
     pairs = ctx.pairs(terms, 1)
     phantom = 1 << max(0, max(src, default=0), *(ab for ab, _, _ in pairs)).bit_length()
     return _wedge_place(((mask | phantom, phantom) for mask in src), tgt,
-                        {phantom: (pairs, pairs)}, denom, False)
+                        {phantom: pairs}, denom, False)

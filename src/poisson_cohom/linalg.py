@@ -25,7 +25,8 @@ complement of the image; the report pipeline uses this to rank the next
 differential of a complex on fewer columns (clearing).  The retired
 columns alone span the image, so the pipeline's exact d o d = 0 check
 multiplies the next differential by those rank-many columns instead of
-the whole map.
+the whole map.  That check adds each product column into one dense
+accumulator and tests only the rows the column touched.
 """
 
 from __future__ import annotations
@@ -276,9 +277,24 @@ def _product_columns(a: SparseMatrix, b: SparseMatrix):
 
 
 def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
-    """True iff a @ b is exactly the zero matrix (checked on the integers,
-    one column at a time, stopping at the first nonzero one)."""
-    return not any(any(col.values()) for col in _product_columns(a, b))
+    """True iff a @ b is exactly the zero matrix, checked on the integers
+    one column at a time, stopping at the first nonzero one.  Every
+    product column is added into one dense list of a.n_rows zeros and
+    only the rows it touched are tested, so a zero column leaves the
+    list all zero for the next one, with nothing to reset."""
+    if a.n_cols != b.n_rows:
+        raise ValueError("inner dimensions do not match")
+    a_cols = a.cols
+    acc = [0] * a.n_rows
+    for col in b.cols:
+        for k, v in col.items():
+            for r, w in a_cols[k].items():
+                acc[r] += w * v
+        for k in col:
+            for r in a_cols[k]:
+                if acc[r]:
+                    return False
+    return True
 
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

@@ -49,7 +49,9 @@ def _slot_table(coded: list, axes: tuple) -> list:
     delta (the monomial mu - e_k and the output axis mask), and the
     coefficient is coeff, times a[k] when k is not None.  Signs are those
     of schouten, with the wedge reordering a popcount parity on axis
-    masks as in complexes._wedge_place; pieces come in schouten's order."""
+    masks as in complexes.GeneratorBits.pairs; the sign of d_I's slot pos
+    stays a factor of its own, not folded into the mask as
+    GeneratorBits.slot does.  Pieces come in schouten's order."""
     mask = sum(1 << ax for ax in axes)
     out = []
     for vector, ij, between, shifted in coded:

@@ -734,6 +734,23 @@ def test_mask_assembly_skips_colliding_pairs_and_rejects_escapes():
     with pytest.raises(AssertionError):
         wedge_cochain_matrix(ctx, ([(x, y, 1)], 1), [word(a)], [word(a, x)])
 
+def test_dead_generator_below_a_live_slot_keeps_its_sign():
+    """A generator whose image2 is empty is never walked as a slot, yet it
+    still counts toward the slot sign of a live generator above it and
+    toward the placement sign of a pair that straddles it: the dead d
+    below the live g flips the entry, the dead e between the pair's x
+    and y flips it again, and every map equals the oracle."""
+    d, g, x, e, y = (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)
+    ctx = _StubContext({g: [(x, y, 3)]}, {1: 2, 2: 1}, [2, 3])
+    cases = [((g,), (x, y), 3), ((d, g), (d, x, y), -3),
+             ((g, e), (x, e, y), -3), ((d, g, e), (d, x, e, y), 3)]
+    for word, target, value in cases:
+        src, tgt = [_mask(ctx, word)], [_mask(ctx, target)]
+        got = cochain_matrix(ctx, src, tgt)
+        assert _same_matrix(got, oracle_cochain_matrix(ctx, [word], [target])), word
+        assert (got.cols, got.denom) == ([{0: value}], 2), word
+        assert _same_matrix(boundary_matrix(ctx, tgt, src), transpose(got)), word
+
 # sha256 of every differential the engine ranks on the fast golden
 # corpus and on solvable22's poly-with-constants chain complex at w 0..4,
 # recorded from the tuple/bisect assembly that the oracles below keep

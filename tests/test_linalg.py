@@ -384,6 +384,52 @@ def test_compose_dimension_mismatch():
         compose_is_zero(cells_matrix(2, 3), cells_matrix(2, 3))
 
 
+def test_compose_zero_column_with_cancelling_partial_sums():
+    """Column 0 of a @ b cancels to zero only after its second term, on
+    the rows that the nonzero column 1 then touches; a nonzero column
+    followed by its negative, or by zero columns, is caught at the first
+    one, and so is a column nonzero only on the rows of its last term.
+    A compose that skips a column's zero test, tests only the last
+    column, or tests only some of a column's rows answers wrongly."""
+    a = cells_matrix(4, 3, {(0, 0): 1, (2, 0): 3, (0, 1): 2, (2, 1): 6, (3, 2): 1})
+    cancel, shared = {(0, 0): 2, (1, 0): -1}, {(1, 1): 1}
+    assert compose_is_zero(a, cells_matrix(3, 1, cancel))
+    assert compose_is_zero(a, cells_matrix(3, 2, {**cancel, (0, 1): 2, (1, 1): -1}))
+    assert not compose_is_zero(a, cells_matrix(3, 2, {**cancel, **shared}))
+    assert not compose_is_zero(a, cells_matrix(3, 2, {(0, 0): 1, (0, 1): -1}))
+    assert not compose_is_zero(a, cells_matrix(3, 3, {(0, 0): 1, (0, 2): 2, (1, 2): -1}))
+    assert not compose_is_zero(a, cells_matrix(3, 1, {**cancel, (2, 0): 1}))
+
+
+def test_compose_nonzero_column_after_many_zero_columns():
+    """Forty zero product columns, each with cancelling partial sums, and
+    then one nonzero column: False, and True without the last one.  A
+    nonzero column before forty zero ones on other rows is False too."""
+    a = cells_matrix(4, 3, {(0, 0): 1, (1, 0): -2, (0, 1): -1, (1, 1): 2,
+                            (2, 2): 5, (3, 2): 1})
+    zero = {(0, c): 1 for c in range(40)} | {(1, c): 1 for c in range(40)}
+    assert compose_is_zero(a, cells_matrix(3, 40, zero))
+    assert not compose_is_zero(a, cells_matrix(3, 41, {**zero, (2, 40): 1}))
+    assert not compose_is_zero(a, cells_matrix(3, 41, {**zero, (0, 40): 1, (1, 40): 2}))
+    after = {(r, c + 1): v for (r, c), v in zero.items()}
+    assert not compose_is_zero(a, cells_matrix(3, 41, {(2, 0): 1, **after}))
+
+
+def test_compose_with_empty_columns():
+    """Empty columns of b give zero product columns, and so do columns of
+    b that reach only empty columns of a; a nonzero column among them,
+    first, in the middle or last, is still found, and an a with no rows
+    composes to zero."""
+    a = cells_matrix(2, 3, {(0, 0): 1, (1, 2): -1})
+    assert compose_is_zero(a, cells_matrix(3, 4))
+    assert compose_is_zero(a, cells_matrix(3, 3, {(1, 1): 7}))
+    assert not compose_is_zero(a, cells_matrix(3, 3, {(0, 0): 1}))
+    assert not compose_is_zero(a, cells_matrix(3, 3, {(1, 0): 7, (2, 1): 1}))
+    assert not compose_is_zero(a, cells_matrix(3, 3, {(1, 1): 7, (0, 2): 1}))
+    assert compose_is_zero(cells_matrix(0, 3), cells_matrix(3, 2, {(0, 0): 1, (2, 1): 4}))
+    assert compose_is_zero(a, cells_matrix(3, 0))
+
+
 def test_matmul_small():
     a = cells_matrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): 3})
     b = cells_matrix(2, 1, {(0, 0): 5, (1, 0): -1})

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, mono_basis, parse_poly
@@ -423,6 +423,55 @@ def test_structure_file_round_trip():
         else:
             assert again == s and again.poly_degree() == s.poly_degree(), name
         assert again.serialize() == s.serialize(), name
+
+
+_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def random_poisson_structures(draw):
+    """A PoissonStructure with n <= 4 and h <= 2 whose entries are random
+    h-homogeneous polynomials with rational coefficients, some of them
+    zero; the Jacobi identity is not asked for."""
+    n, h = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    monos = mono_basis(n, h)
+    entries = {(i, j): RatPoly(n, draw(st.dictionaries(st.sampled_from(monos), _rationals,
+                                                       max_size=3)))
+               for i in range(n) for j in range(i + 1, n)}
+    return PoissonStructure(n, h, entries, check=False)
+
+
+@st.composite
+def random_graded_two_vectors(draw):
+    """A nonzero GradedMultiVector 2-vector with n <= 4 whose terms
+    w^A d_i ^ w^B d_j have |A| + |B| = h <= 2 and rational coefficients."""
+    n, h = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+
+    def gen(degree):
+        return st.tuples(st.sampled_from(mono_basis(n, degree)), st.integers(0, n - 1))
+
+    split = st.integers(0, h).flatmap(lambda k: st.tuples(gen(k), gen(h - k)))
+    g = GradedMultiVector(n, 2, draw(st.dictionaries(split, _rationals, min_size=1,
+                                                     max_size=4)))
+    assume(not g.is_zero())
+    return g
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(random_poisson_structures(), random_graded_two_vectors()))
+def test_random_structure_file_round_trip(s):
+    """parse_structure(serialize(s), check=False) is s for random
+    structures: a Poisson one with its entries, integer terms and
+    denominator, a Poisson-like one with its value and degree, and the
+    text again the same."""
+    again = parse_structure(s.serialize(), check=False)
+    assert type(again) is type(s)
+    if isinstance(s, PoissonStructure):
+        assert (again.n, again.h, again.p) == (s.n, s.h, s.p)
+        assert (sorted(again.terms), again.denom) == (sorted(s.terms), s.denom)
+    else:
+        assert again == s and again.poly_degree() == s.poly_degree()
+    assert again.serialize() == s.serialize()
 
 
 def test_packaged_structure_files_match_their_builtins():
