@@ -7,12 +7,11 @@ Hamiltonian differential matrices all use."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import RatPoly, mi_unit, mono_basis, mono_index
-from .linalg import SparseMatrix, rank_kernel
+from .linalg import Record, SparseMatrix, rank_kernel
 from .poisson import PoissonStructure
 
 
@@ -112,11 +111,14 @@ def normal_form(basis: CasimirBasis, g: RatPoly) -> RatPoly:
     return RatPoly(g.n, {m: Fraction(c, basis.big) for m, c in basis.reduce(g.terms).items()})
 
 
-@dataclass
-class QuotientBasis:
-    degree: int
-    primal: list       # MultiIndex: monomials fixed by the normal form
-    dual: list         # dict MultiIndex -> Fraction over the degree-j duals
+class QuotientBasis(Record):
+    """primal lists the monomials (MultiIndex) the normal form fixes, and
+    dual the degree-j dual functionals, dicts MultiIndex -> Fraction."""
+
+    __slots__ = _shown = ("degree", "primal", "dual")
+
+    def __init__(self, degree: int, primal: list, dual: list):
+        self.degree, self.primal, self.dual = degree, primal, dual
 
     def __len__(self) -> int:
         return len(self.primal)

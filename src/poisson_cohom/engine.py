@@ -7,14 +7,13 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
 
 from .complexes import (PolyContext, PoissonLikeContext, basis_dimension,
                         boundary_matrix, build_basis, cochain_matrix,
                         constant_two_cochain, wedge_cochain_matrix,
                         weight_degree_range)
 from .diagrams import polymodule_dim
-from .linalg import (SparseMatrix, compose_is_zero, in_span_coordinates,
+from .linalg import (Record, SparseMatrix, compose_is_zero, in_span_coordinates,
                      matmul, rank_kernel)
 from .multivector import poly_module_basis, poly_module_matrix
 from .poisson import GradedMultiVector, PoissonStructure, jacobi_check
@@ -56,23 +55,21 @@ def read_table(text: str) -> tuple:
     return fields, rows
 
 
-@dataclass
-class ReportRow:
-    m: int
-    dim: int
-    kernel_dim: int
-    rank: int
-    betti: int
+class ReportRow(Record):
+    __slots__ = _shown = ("m", "dim", "kernel_dim", "rank", "betti")
+
+    def __init__(self, m: int, dim: int, kernel_dim: int, rank: int, betti: int):
+        self.m, self.dim, self.kernel_dim, self.rank, self.betti = m, dim, kernel_dim, rank, betti
 
 
-@dataclass
-class ComplexReport:
-    mode: str
-    weight: int
-    structure: str = ""
-    direction: str = "cochain"
-    rows: list = field(default_factory=list)
-    seconds: float = 0.0
+class ComplexReport(Record):
+    __slots__ = _shown = ("mode", "weight", "structure", "direction", "rows", "seconds")
+
+    def __init__(self, mode: str, weight: int, structure: str = "",
+                 direction: str = "cochain", rows: list | None = None, seconds: float = 0.0):
+        self.mode, self.weight, self.structure, self.direction = mode, weight, structure, direction
+        self.rows = [] if rows is None else rows
+        self.seconds = seconds
 
     def row_at(self, m: int) -> ReportRow:
         for r in self.rows:
@@ -230,7 +227,7 @@ def _annihilator_complex(ctx: PolyContext, w: int, direction: str) -> tuple:
 
 def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     """The Poisson polynomial complex u -> [pi, u] of multivector fields."""
-    if not jacobi_check(pi)[0]:
+    if not pi.jacobi_passed and not jacobi_check(pi)[0]:
         raise ValueError("structure is not Poisson")
     bases = {m: poly_module_basis(pi.n, pi.h, m, w) for m in range(0, pi.n + 2)}
     maps = {m: lambda m=m: poly_module_matrix(pi, bases[m], bases[m + 1])
@@ -309,11 +306,10 @@ def build_report(structure, mode: str, w: int, direction: str = "cochain",
     context, builder = _mode_entry(structure, mode, direction)
     dims, maps, step = builder(structure if context is None else context(structure),
                                w, direction)
-    rep = ComplexReport(mode=mode, weight=w, direction=direction,
-                        structure=_structure_name(structure),
-                        rows=_complex_rows(dims, maps, step, matrix_sink))
-    rep.seconds = time.monotonic() - start
-    return rep
+    rows = _complex_rows(dims, maps, step, matrix_sink)
+    return ComplexReport(mode=mode, weight=w, direction=direction,
+                         structure=_structure_name(structure), rows=rows,
+                         seconds=time.monotonic() - start)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -84,15 +83,42 @@ class SparseMatrix:
                    for mine, theirs in zip(self.cols, other.cols))
 
 
-@dataclass
-class RankResult:
-    rank: int
-    kernel_dim: int
-    kernel: list | None = None  # list of dict col -> int, primitive
-    # the pivot row index of m at each rank step, in step order
-    pivots: list = field(default_factory=list, repr=False, compare=False)
-    # the column of m retired at each rank step, in step order
-    spanning: list = field(default_factory=list, repr=False, compare=False)
+class Record:
+    """A plain record with __slots__: repr and == read the fields named in
+    _shown, in order, with a dataclass's output and semantics (== only
+    between instances of one class, comparing the fields as a tuple), and
+    instances are unhashable.  A dataclass would do the same, but
+    importing dataclasses pulls in inspect, ast, dis and tokenize, which
+    every short-lived process would then pay for at start-up."""
+
+    __slots__ = ()
+    _shown: tuple = ()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._shown))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, f) for f in self._shown)
+                == tuple(getattr(other, f) for f in self._shown))
+
+
+class RankResult(Record):
+    """kernel is a list of dict col -> int, primitive, or None; pivots
+    holds the pivot row index of m at each rank step and spanning the
+    column of m retired there, in step order.  repr and == ignore pivots
+    and spanning."""
+
+    __slots__ = ("rank", "kernel_dim", "kernel", "pivots", "spanning")
+    _shown = ("rank", "kernel_dim", "kernel")
+
+    def __init__(self, rank: int, kernel_dim: int, kernel: list | None = None,
+                 pivots: list | None = None, spanning: list | None = None):
+        self.rank, self.kernel_dim, self.kernel = rank, kernel_dim, kernel
+        self.pivots = [] if pivots is None else pivots
+        self.spanning = [] if spanning is None else spanning
 
 
 def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:

@@ -30,14 +30,14 @@ def _coded_terms(terms: list, unit: list) -> list:
     """The integer terms (i, j, mu, c) of pi coded once for every axis
     set: the vector part as (code of mu - e_k, bit of the other slot,
     coeff, k) for the slots k = i, j, the slot mask of (i, j) and the
-    axis bits between its slots, and for each axis k with mu[k] > 0 the
-    code of mu - e_k with c * mu[k]."""
+    axis bits between its slots, and for each axis k with mu[k] > 0, in
+    ascending k, the bit of k and the code of mu - e_k with c * mu[k]."""
     out = []
     for i, j, mu, c in terms:
         base = _code(mu, unit)
         vector = ((base - unit[i], 1 << j, -c, i), (base - unit[j], 1 << i, c, j))
         between = ((1 << i) - 1) ^ ((1 << j) - 1)
-        shifted = {k: (base - unit[k], c * e) for k, e in enumerate(mu) if e}
+        shifted = [(1 << k, base - unit[k], c * e) for k, e in enumerate(mu) if e]
         out.append((vector, (1 << i) | (1 << j), between, shifted))
     return out
 
@@ -62,13 +62,14 @@ def _slot_table(coded: list, axes: tuple) -> list:
             if (mask & (bit - 1)).bit_count() & 1:
                 coeff = -coeff
             out.append((code + (mask | bit), coeff, k))
-        # d_I differentiates the coefficient mu of pi along its slot pos
-        for pos, k in enumerate(axes):
-            rest = mask ^ (1 << k)
-            if k not in shifted or rest & ij:
+        # d_I differentiates the coefficient mu of pi along the axis of its
+        # slot pos = popcount(mask & (bit - 1)); only the axes of I where mu
+        # is nonzero give a piece, in I's order
+        for bit, code, coeff in shifted:
+            rest = mask ^ bit
+            if not mask & bit or rest & ij:
                 continue
-            code, coeff = shifted[k]
-            if not pos & 1:
+            if not (mask & (bit - 1)).bit_count() & 1:
                 coeff = -coeff
             if (rest & between).bit_count() & 1:
                 coeff = -coeff

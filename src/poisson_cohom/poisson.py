@@ -53,6 +53,8 @@ class PoissonStructure:
                 (i, j, k), res = cert
                 raise ValueError("Jacobi identity fails at (%d,%d,%d): %s"
                                  % (i + 1, j + 1, k + 1, format_poly(res)))
+        # true when the check above ran and passed, so users need not rerun it
+        self.jacobi_passed = check
 
     def is_trivial(self) -> bool:
         return not self.p

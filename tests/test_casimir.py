@@ -7,8 +7,8 @@ import pytest
 
 from poisson_cohom import fixtures as fx
 from poisson_cohom.algebra import RatPoly, grevlex_key, mono_basis, parse_poly
-from poisson_cohom.casimir import (_echelonize, casimir_space, normal_form,
-                                   quotient_basis, quotient_bracket)
+from poisson_cohom.casimir import (QuotientBasis, _echelonize, casimir_space,
+                                   normal_form, quotient_basis, quotient_bracket)
 from poisson_cohom.linalg import clear_denominators, rank_kernel
 from poisson_cohom.poisson import PoissonStructure
 
@@ -157,6 +157,18 @@ def test_sl2_dual_basis_degree_two():
     for b in qb.primal:
         if b != (0, 0, 2):
             assert qb.dual[qb.primal.index(b)] == {b: Fraction(1)}
+
+
+def test_quotient_basis_keeps_the_dataclass_behaviour():
+    """QuotientBasis is a plain slotted class that keeps the repr and ==
+    it had as a dataclass, and has no hash."""
+    qb = QuotientBasis(1, [(1, 0)], [{(1, 0): Fraction(1, 2)}])
+    assert repr(qb) == "QuotientBasis(degree=1, primal=[(1, 0)], dual=[{(1, 0): Fraction(1, 2)}])"
+    assert qb == QuotientBasis(1, [(1, 0)], [{(1, 0): Fraction(1, 2)}])
+    assert qb != QuotientBasis(2, [(1, 0)], [{(1, 0): Fraction(1, 2)}])
+    assert len(qb) == 1 and not hasattr(qb, "__dict__")
+    with pytest.raises(TypeError):
+        hash(qb)
 
 
 def test_sl2_r4_dual_basis_degree_one():

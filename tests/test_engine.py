@@ -51,6 +51,51 @@ def test_report_serialization_round_trip():
     assert again.serialize().splitlines()[:-1] == text.splitlines()[:-1]
 
 
+def test_report_records_keep_the_dataclass_behaviour():
+    """ReportRow and ComplexReport are plain slotted classes that keep the
+    repr, defaults, field-by-field == and lack of a hash they had as
+    dataclasses."""
+    row = ReportRow(1, 3, 2, 1, 0)
+    assert repr(row) == "ReportRow(m=1, dim=3, kernel_dim=2, rank=1, betti=0)"
+    empty = ComplexReport("poly-bar", 2)
+    assert repr(empty) == ("ComplexReport(mode='poly-bar', weight=2, structure='', "
+                           "direction='cochain', rows=[], seconds=0.0)")
+    assert ComplexReport("poly-bar", 2).rows is not empty.rows
+    full = ComplexReport(mode="hamiltonian", weight=-1, structure="sl2", direction="chain",
+                         rows=[row], seconds=0.25)
+    assert repr(full) == (
+        "ComplexReport(mode='hamiltonian', weight=-1, structure='sl2', direction='chain', "
+        "rows=[ReportRow(m=1, dim=3, kernel_dim=2, rank=1, betti=0)], seconds=0.25)")
+    assert row == ReportRow(1, 3, 2, 1, 0) and row != ReportRow(1, 3, 2, 1, 1)
+    assert row != (1, 3, 2, 1, 0)
+    assert full == ComplexReport("hamiltonian", -1, "sl2", "chain", [ReportRow(1, 3, 2, 1, 0)],
+                                 0.25)
+    assert full != ComplexReport("hamiltonian", -1, "sl2", "chain", [row], 0.5)
+    assert empty != ComplexReport("poly-bar", 2, direction="chain")
+    for obj in (row, empty):
+        with pytest.raises(TypeError):
+            hash(obj)
+        assert not hasattr(obj, "__dict__")
+    full.structure, full.seconds = "other", 1.5
+    assert (full.structure, full.seconds) == ("other", 1.5)
+
+
+def test_checked_structure_skips_the_module_jacobi_rerun(monkeypatch):
+    """A structure whose constructor ran the Jacobi check is not checked
+    again by the poly-module complex; one built with check=False is."""
+    calls = []
+    real = engine.jacobi_check
+    monkeypatch.setattr(engine, "jacobi_check", lambda pi: calls.append(pi) or real(pi))
+    checked = fx.sl2()
+    assert checked.jacobi_passed
+    want = build_report(checked, "poly-module", 1).rows
+    assert calls == []
+    unchecked = PoissonStructure(checked.n, checked.h, checked.p, check=False)
+    assert not unchecked.jacobi_passed
+    assert build_report(unchecked, "poly-module", 1).rows == want
+    assert calls == [unchecked]
+
+
 def test_cross_check_clean_and_corrupted():
     rep = build_report(fx.sl2(), "poly-bar", 1)
     assert cross_check(rep) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import heapq
 import random
@@ -323,6 +322,24 @@ def test_rank_kernel_output_pinned():
         "e9eed67a3c7c81f45236a9b8bb3b35ddc958461b1f688f652d67b5d596ffbd9f"
 
 
+def test_rank_result_keeps_the_dataclass_behaviour():
+    """RankResult is a plain slotted class that keeps the repr, defaults
+    and == it had as a dataclass, both ignoring pivots and spanning, and
+    has no hash."""
+    res = RankResult(2, 1, [{0: 1, 2: -3}], pivots=[0, 1], spanning=[1, 0])
+    assert repr(res) == "RankResult(rank=2, kernel_dim=1, kernel=[{0: 1, 2: -3}])"
+    bare = RankResult(2, 1)
+    assert repr(bare) == "RankResult(rank=2, kernel_dim=1, kernel=None)"
+    assert (bare.kernel, bare.pivots, bare.spanning) == (None, [], [])
+    assert RankResult(2, 1).pivots is not bare.pivots
+    assert RankResult(2, 1).spanning is not bare.spanning
+    assert res == RankResult(2, 1, [{0: 1, 2: -3}]) and res != bare
+    assert res != RankResult(1, 1, [{0: 1, 2: -3}]) and res != (2, 1, [{0: 1, 2: -3}])
+    with pytest.raises(TypeError):
+        hash(res)
+    assert not hasattr(res, "__dict__")
+
+
 def test_rank_kernel_pivots_contract():
     """One pivot and one spanning column per rank step, each a distinct
     row or column index of m; the rows of m at the pivots alone keep the
@@ -342,7 +359,7 @@ def test_rank_kernel_pivots_contract():
         kept = {k: v for k, v in m.entries.items() if k[1] in set(res.spanning)}
         assert dense_rank(kept, m.n_rows, m.n_cols) == res.rank
     res = rank_kernel(cells_matrix(2, 2, {(0, 0): 1, (1, 1): 1}), want_basis=True)
-    bare = dataclasses.replace(res, pivots=[], spanning=[])
+    bare = RankResult(res.rank, res.kernel_dim, res.kernel)
     assert res.pivots and res.spanning and res == bare and repr(res) == repr(bare)
 
 

@@ -4,6 +4,8 @@ import ast
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 from collections import Counter
 
 from poisson_cohom import engine
@@ -27,6 +29,24 @@ def test_no_assert_statements_in_package():
         found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """Importing the package and its CLI in a fresh interpreter loads
+    neither dataclasses nor inspect: that import chain (inspect, ast,
+    dis, tokenize, ...) costs every short process a fifth of the
+    package's import time, so the records are plain slotted classes."""
+    code = ("import sys; before = set(sys.modules); import poisson_cohom, poisson_cohom.cli; "
+            "print(poisson_cohom.__file__); "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules and m not in before))")
+    path = os.pathsep.join(filter(None, [os.path.dirname(PKG), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    where, loaded = out.stdout.split("\n")[:2]
+    assert os.path.dirname(where) == PKG
+    assert loaded == ""
 
 
 def test_benchmark_tracer_layers_exist():
