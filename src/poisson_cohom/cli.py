@@ -108,6 +108,9 @@ def cmd_casimir(args) -> int:
         raise CliError("casimir needs a Poisson structure")
     if args.min_degree < 0:
         raise CliError("--min-degree must be >= 0, got %d" % args.min_degree)
+    if args.max_degree < args.min_degree:
+        raise CliError("empty degree range: --max-degree %d is below --min-degree %d"
+                       % (args.max_degree, args.min_degree))
     for j in range(args.min_degree, args.max_degree + 1):
         cb = casimir_space(obj, j)
         print("degree %d: dim %d" % (j, len(cb)))
@@ -116,27 +119,27 @@ def cmd_casimir(args) -> int:
     return 0
 
 
-def _check_max_dim(obj, mode: str, weights: list, limit: int) -> None:
+def _check_max_dim(obj, mode: str, direction: str, weights: list, limit: int) -> None:
     """CliError naming the first space of the requested complexes whose
-    dimension, counted before any basis is built, exceeds limit."""
+    dimension, counted before any basis is built, exceeds limit, or, as
+    build_report would, a mode, direction or structure that do not fit."""
     if limit < 0:
         raise CliError("--max-dim must be >= 0, got %d" % limit)
-    for w in weights:
-        try:
-            dims = engine.space_dims(obj, mode, w)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        for space_w, m, dim in dims:
-            if dim > limit:
-                raise CliError("the cochain space at w = %d, m = %d has dimension %d, "
-                               "above --max-dim %d" % (space_w, m, dim, limit))
+    try:
+        for w in weights:
+            for space_w, m, dim in engine.space_dims(obj, mode, w, direction):
+                if dim > limit:
+                    raise CliError("the cochain space at w = %d, m = %d has dimension %d, "
+                                   "above --max-dim %d" % (space_w, m, dim, limit))
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def cmd_betti(args) -> int:
     obj = _load(args.structure, args.no_check)
     weights = _parse_weights(args.weights)
     if args.max_dim is not None:
-        _check_max_dim(obj, args.mode, weights, args.max_dim)
+        _check_max_dim(obj, args.mode, args.direction, weights, args.max_dim)
     sink_dir = args.dump_matrices
     failures = 0
     for w in weights:
@@ -206,7 +209,7 @@ def cmd_diagrams(args) -> int:
     for w in _parse_weights(args.weights):
         print("weight %d:" % w)
         for m in range(weight_degree_range(ctx, w) + 1):
-            sigs = enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start)
+            sigs = enumerate_signatures(m, w, ctx.shift, ctx.cap, ctx.start)
             if not sigs:
                 continue
             total = basis_dimension(ctx, m, w)

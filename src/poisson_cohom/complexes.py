@@ -3,8 +3,9 @@
 Every mode (polynomial algebra without constants, with constants, the
 Hamiltonian quotient, the constant-structure annihilator subcomplex and
 the Poisson-like multivector complex) supplies the same small interface:
-graded generators with caps and weights plus the differential's action
-on a single generator.  The basis/matrix builders below are shared.
+graded generators with caps, one integer shift that makes a degree-j
+slot weigh j + shift, and the differential's action on a single
+generator.  The basis/matrix builders below are shared.
 The coboundary is the one assembly routine of a context: the chain
 boundary is the dual of the coboundary under the wedge-basis pairing,
 so boundary_matrix places the coboundary's entries row by row, as its
@@ -114,12 +115,10 @@ class PolyContext(GeneratorBits):
         self.mode = mode
         self.n = pi.n
         self.h = pi.h
+        self.shift = pi.h - 2  # a degree-j slot has weight j + shift
         self._gens: dict = {}
         self._casimirs: dict = {}
         self._cob: dict = {}
-
-    def wt(self, j: int) -> int:
-        return j - 2 + self.h
 
     def gens(self, j: int) -> list:
         if j not in self._gens:
@@ -130,7 +129,9 @@ class PolyContext(GeneratorBits):
         return self._gens[j]
 
     def cap(self, j: int) -> int:
-        return len(self.gens(j))
+        if self.mode == "hamiltonian":
+            return len(self.gens(j))
+        return comb(self.n - 1 + j, j)
 
     def casimirs(self, j: int):
         if j not in self._casimirs:
@@ -196,11 +197,11 @@ class PoissonLikeContext(GeneratorBits):
 
     include_m0 = False  # tables never carry the scalar slot
 
-    def __init__(self, pi_like: GradedMultiVector, h: int):
+    def __init__(self, pi_like: GradedMultiVector):
         super().__init__(0)
         self.pi_like = pi_like
         self.n = pi_like.n
-        self.h = h
+        self.shift = 1 - pi_like.poly_degree()
         self._image2: dict = {}
         self._monos: dict = {}  # degree -> mono_basis, read by label
         if pi_like.degree != 2:
@@ -210,9 +211,6 @@ class PoissonLikeContext(GeneratorBits):
                              "(nonzero R-Schouten self-bracket)")
         self._denom = clear_denominators(list(pi_like.terms.values()))[1]
         self._pi_int = pi_like.scale(self._denom)
-
-    def wt(self, j: int) -> int:
-        return j + 1 - self.h
 
     def cap(self, j: int) -> int:
         return self.n * comb(self.n - 1 + j, j)
@@ -256,7 +254,7 @@ def build_basis(ctx, m: int, w: int) -> list:
     basis = []
     if m or ctx.include_m0:
         blocks: dict = {}  # (degree, size) -> masks of its combinations
-        for sig in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start):
+        for sig in enumerate_signatures(m, w, ctx.shift, ctx.cap, ctx.start):
             words = [0]
             for j, k in sig:
                 if (j, k) not in blocks:
@@ -353,7 +351,7 @@ def boundary_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
 
 def weight_degree_range(ctx, w: int) -> int:
     """Largest degree whose weight-w cochain space can be non-empty."""
-    return degree_range(w, ctx.wt, ctx.cap, ctx.start)
+    return degree_range(w, ctx.shift, ctx.cap, ctx.start)
 
 
 def basis_dimension(ctx, m: int, w: int) -> int:
@@ -362,7 +360,7 @@ def basis_dimension(ctx, m: int, w: int) -> int:
     if m == 0 and not ctx.include_m0:
         return 0
     return sum(sig_dim(s, ctx.cap)
-               for s in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start))
+               for s in enumerate_signatures(m, w, ctx.shift, ctx.cap, ctx.start))
 
 
 def basis_dimension_check(ctx, m: int, w: int, basis: list) -> None:

@@ -1,8 +1,8 @@
 """Young-diagram machinery: partition sets by area and height, signature
-enumeration for weighted cochain spaces, and purely combinatorial Euler
-characteristics.  The tower (column) decomposition helpers that check
-the enumerator's recursion live beside their tests in
-tests/test_diagrams.py.
+enumeration for cochain spaces whose degree-j slots weigh j + shift,
+and purely combinatorial Euler characteristics.  The tower (column)
+decomposition helpers that check the enumerator's recursion live beside
+their tests in tests/test_diagrams.py.
 
 A signature is the multiplicity vector [k_1, k_2, ...] (optionally with
 k_0) recording how many wedge slots sit in each graded piece; stored as
@@ -29,7 +29,7 @@ def nabla(area: int, height: int) -> tuple:
 
         nabla(A, k) = T(k) . (nabla(A-k, 0) u ... u nabla(A-k, k)).
     """
-    sigs = enumerate_signatures(height, area, lambda j: j, lambda j: height)
+    sigs = enumerate_signatures(height, area, 0, lambda j: height)
     return tuple(sorted((signature_to_partition(s) for s in sigs), reverse=True))
 
 
@@ -51,16 +51,16 @@ def sig_dim(sig: Signature, cap) -> int:
     return out
 
 
-def enumerate_signatures(m: int, w: int, wt, cap, start: int = 1) -> list:
-    """All signatures with sum k_j = m, sum k_j wt(j) = w, 0 <= k_j <= cap(j),
-    degrees running from `start`.
+def enumerate_signatures(m: int, w: int, shift: int, cap, start: int = 1) -> list:
+    """All signatures with sum k_j = m, sum k_j (j + shift) = w and
+    0 <= k_j <= cap(j), degrees running from `start`.
 
-    The weight must be wt(j) = j + wt(0), as every grading here is, so a
-    signature of height m and weight w is a diagram of area
-    w - wt(0) m.  The diagram is built by the tower recursion of nabla,
-    capped per degree: the m_left slots still open all have degree >= d,
-    k_d of them close at degree d and the rest go on to d + 1, which
-    needs area at least m_left d.
+    A signature of height m and weight w is a diagram of area
+    w - shift m, built by the tower recursion of nabla, capped per
+    degree: the m_left slots still open all have degree >= d, so the
+    next occupied degree e needs area at least m_left e, and 1 to
+    cap(e) of them close there.  The recursion descends only at
+    occupied degrees, so its depth is their number.
 
     The list comes out descending-lexicographic on (k_start, k_start+1,
     ...), which fixes basis order downstream.
@@ -72,26 +72,20 @@ def enumerate_signatures(m: int, w: int, wt, cap, start: int = 1) -> list:
             if a_left == 0:
                 out.append(acc)
             return
-        if a_left < m_left * d:
-            return
-        for k in range(min(cap(d), m_left), -1, -1):
-            rec(d + 1, m_left - k, a_left - k * d, acc + ((d, k),) if k else acc)
+        for e in range(d, a_left // m_left + 1):
+            for k in range(min(cap(e), m_left), 0, -1):
+                rec(e + 1, m_left - k, a_left - k * e, acc + ((e, k),))
 
     if m >= 0:
-        rec(start, m, w - wt(0) * m, ())
+        rec(start, m, w - shift * m, ())
     return out
 
 
-def degree_range(w: int, wt, cap, start: int = 1) -> int:
+def degree_range(w: int, shift: int, cap, start: int = 1) -> int:
     """Largest m whose weight-w signature set can be non-empty: every slot
-    of positive weight adds at least 1 to w, so
-    m <= w + sum over non-positive-weight degrees of (1 - wt(j)) cap(j)."""
-    m_max = w
-    j = start
-    while wt(j) <= 0:
-        m_max += (1 - wt(j)) * cap(j)
-        j += 1
-    return max(m_max, 0)
+    of positive weight j + shift adds at least 1 to w, so
+    m <= w + sum over the degrees j < 1 - shift of (1 - j - shift) cap(j)."""
+    return max(w + sum((1 - j - shift) * cap(j) for j in range(start, 1 - shift)), 0)
 
 
 # ----------------------------------------------------------------------
@@ -104,13 +98,13 @@ def poly_caps(n: int):
 
 def euler_combinatorial(n: int, h: int, w: int) -> int:
     """Alternating sum over m of the weighted cochain dimensions for the
-    polynomial grading wt(j) = j - 2 + h.  Includes the m = 0 scalar term
-    when w = 0."""
+    polynomial grading j + shift, shift = h - 2.  Includes the m = 0
+    scalar term when w = 0."""
     cap = poly_caps(n)
-    wt = lambda j: j - 2 + h
+    shift = h - 2
     total = 0
-    for m in range(0, degree_range(w, wt, cap) + 1):
-        dims = sum(sig_dim(s, cap) for s in enumerate_signatures(m, w, wt, cap))
+    for m in range(0, degree_range(w, shift, cap) + 1):
+        dims = sum(sig_dim(s, cap) for s in enumerate_signatures(m, w, shift, cap))
         total += dims if m % 2 == 0 else -dims
     return total
 

@@ -235,23 +235,18 @@ def _module_complex(pi: PoissonStructure, w: int, direction: str) -> tuple:
     return {m: len(bases[m]) for m in range(0, pi.n + 1)}, maps, 1
 
 
-def _poly_context(kind: str):
-    return lambda pi: PolyContext(pi, kind)
-
-
-def _poisson_like_context(pi_like: GradedMultiVector) -> PoissonLikeContext:
-    return PoissonLikeContext(pi_like, pi_like.poly_degree())
-
-
 # mode -> (context of its cochain spaces, or None; complex builder, which
 # takes the context or, without one, the structure; structure type it
 # needs; has a chain direction)
 _MODES = {
-    "poly-bar": (_poly_context("bar"), _context_complex, PoissonStructure, True),
-    "poly-with-constants": (_poly_context("full"), _context_complex, PoissonStructure, True),
-    "hamiltonian": (_poly_context("hamiltonian"), _context_complex, PoissonStructure, True),
-    "pi-annihilator": (_poly_context("bar"), _annihilator_complex, PoissonStructure, False),
-    "poisson-like": (_poisson_like_context, _context_complex, GradedMultiVector, False),
+    "poly-bar": (lambda pi: PolyContext(pi, "bar"), _context_complex, PoissonStructure, True),
+    "poly-with-constants": (lambda pi: PolyContext(pi, "full"), _context_complex,
+                            PoissonStructure, True),
+    "hamiltonian": (lambda pi: PolyContext(pi, "hamiltonian"), _context_complex,
+                    PoissonStructure, True),
+    "pi-annihilator": (lambda pi: PolyContext(pi, "bar"), _annihilator_complex,
+                       PoissonStructure, False),
+    "poisson-like": (lambda pi: PoissonLikeContext(pi), _context_complex, GradedMultiVector, False),
     "poly-module": (None, _module_complex, PoissonStructure, False),
 }
 MODES = tuple(_MODES)
@@ -280,22 +275,26 @@ def _mode_entry(structure, mode: str, direction: str) -> tuple:
     return context, builder
 
 
-def space_dims(structure, mode: str, w: int) -> list:
-    """(weight, degree, dimension) of every space the weight-w complex of
-    mode enumerates, counted without building a word: by the signature
-    count of basis_dimension for the context modes, where pi-annihilator
-    also counts the weight-(w - 2) targets of its wedge, and by the
-    closed form for poly-module.  ValueError as from build_report."""
-    context, _ = _mode_entry(structure, mode, "cochain")
+def space_dims(structure, mode: str, w: int, direction: str = "cochain"):
+    """Yield (weight, degree, dimension) of every space the weight-w
+    complex of mode enumerates, each counted without building a word
+    when it is asked for: by the signature count of basis_dimension for
+    the context modes, by ascending degree and then, for pi-annihilator,
+    the weight-(w - 2) targets of its wedge; by the closed form for
+    poly-module.  Both directions have the same spaces.  ValueError as
+    from build_report, at the first step."""
+    context, _ = _mode_entry(structure, mode, direction)
     if context is None:
-        return [(w, m, polymodule_dim(structure.n, structure.h, m, w))
-                for m in range(structure.n + 1)]
+        for m in range(structure.n + 1):
+            yield w, m, polymodule_dim(structure.n, structure.h, m, w)
+        return
     ctx = context(structure)
     degrees = range(weight_degree_range(ctx, w) + 2)
-    out = [(w, m, basis_dimension(ctx, m, w)) for m in degrees]
+    for m in degrees:
+        yield w, m, basis_dimension(ctx, m, w)
     if mode == "pi-annihilator":
-        out += [(w - 2, m + 2, basis_dimension(ctx, m + 2, w - 2)) for m in degrees]
-    return out
+        for m in degrees:
+            yield w - 2, m + 2, basis_dimension(ctx, m + 2, w - 2)
 
 
 def build_report(structure, mode: str, w: int, direction: str = "cochain",

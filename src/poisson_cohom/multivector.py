@@ -166,7 +166,7 @@ def top_betti_probe(pi: PoissonStructure, mode: str, ell: int) -> dict:
     ctx = PolyContext(pi, kinds[mode])
     caps = [ctx.cap(j) for j in range(1, ell + 1)]
     m0 = sum(caps)
-    w0 = sum((j - 2 + pi.h) * caps[j - 1] for j in range(1, ell + 1))
+    w0 = sum((j + ctx.shift) * caps[j - 1] for j in range(1, ell + 1))
     top = build_basis(ctx, m0, w0)
     report = {
         "m0": m0,

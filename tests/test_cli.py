@@ -154,7 +154,7 @@ def test_failing_d_o_d_check_leaves_the_dumped_maps(tmp_path, capsys, monkeypatc
     assert sorted(os.listdir(dump)) == ["poly-bar_w0_d%d.mtx" % m for m in range(4)]
 
 
-@pytest.mark.parametrize("args", [
+_BAD_MODE_ARGS = [
     ["builtin:poisson_like_h2", "--mode", "poisson-like", "--direction", "chain",
      "--weights=-3"],
     ["builtin:sl2", "--mode", "poly-module", "--direction", "chain", "--weights", "1"],
@@ -162,8 +162,13 @@ def test_failing_d_o_d_check_leaves_the_dumped_maps(tmp_path, capsys, monkeypatc
      "--weights", "1"],
     ["builtin:poisson_like_h2", "--mode", "poly-bar", "--weights", "1"],
     ["builtin:sl2", "--mode", "poisson-like", "--weights", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("args", _BAD_MODE_ARGS + [
+    args + ["--max-dim", "10"] for args in _BAD_MODE_ARGS])
 def test_betti_bad_mode_combination_exits_2(capsys, args):
+    """Refused before any space is counted, with or without --max-dim."""
     assert main(["betti", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "mode" in err
@@ -240,6 +245,12 @@ def test_casimir_rejects_negative_min_degree(capsys):
     assert capsys.readouterr().err.startswith("error: --min-degree must be >= 0")
 
 
+def test_casimir_rejects_empty_degree_range(capsys):
+    assert main(["casimir", "builtin:sl2", "--min-degree", "3", "--max-degree", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: empty degree range: --max-degree 1 is below --min-degree 3\n")
+
+
 @pytest.mark.parametrize("args, limit, space", [
     (["builtin:sl2", "--weights", "1,2"], 74, (2, 3, 75)),
     (["builtin:solvable22", "--mode", "poly-with-constants", "--direction", "chain",
@@ -265,6 +276,30 @@ def test_max_dim_exits_2_before_any_basis(monkeypatch, capsys, args, limit, spac
         % (*space, limit))
     assert main(["betti", *args, "--max-dim", str(limit + 1)]) == 1
     assert capsys.readouterr().err == "invariant failure: a basis was built\n"
+
+
+@pytest.mark.parametrize("args, limit, space", [
+    (["builtin:sl2", "--weights", "20"], 100, (20, 1, 253)),
+    (["builtin:symplectic_r2", "--weights", "2000"], 1000, (2000, 1, 2003)),
+])
+def test_max_dim_stops_at_the_first_space_over_the_limit(monkeypatch, capsys,
+                                                         args, limit, space):
+    """The spaces are counted one at a time, so the count stops at the
+    first one over the limit: here the degree-1 space, after the empty
+    degree 0, however many degrees the weight admits."""
+    calls, real = [], engine.basis_dimension
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(engine, "basis_dimension", counted)
+    assert main(["betti", *args, "--max-dim", str(limit)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the cochain space at w = %d, m = %d has dimension %d, above --max-dim %d\n"
+        % (*space, limit))
+    assert calls == [(0, space[0]), (1, space[0])]
 
 
 def test_max_dim_at_the_largest_space_changes_nothing(monkeypatch, capsys):

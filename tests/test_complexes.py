@@ -35,7 +35,7 @@ def oracle_build_basis(ctx, m: int, w: int) -> list:
     order, the last block varying fastest."""
     basis = []
     if m or ctx.include_m0:
-        for sig in enumerate_signatures(m, w, ctx.wt, ctx.cap, ctx.start):
+        for sig in enumerate_signatures(m, w, ctx.shift, ctx.cap, ctx.start):
             words = [()]
             for j, k in sig:
                 pool = list(combinations([(j, p) for p in range(ctx.cap(j))], k))
@@ -249,7 +249,7 @@ def _basis_jobs():
     """(label, context, weight) of every fast golden context (bar, full
     and hamiltonian) and of poisson_like_h2 at weight -2."""
     jobs = _polynomial_golden_contexts()
-    jobs.append(("poisson_like_h2", PoissonLikeContext(fx.poisson_like_h2(), 2), -2))
+    jobs.append(("poisson_like_h2", PoissonLikeContext(fx.poisson_like_h2()), -2))
     return jobs
 
 
@@ -272,7 +272,7 @@ def test_generator_bits_follow_gid_order():
     the lowest degree, so a word's mask order is its tuple order and the
     popcount below a bit is the tuple position: no sign can move."""
     contexts = [PolyContext(fx.sl2(), mode) for mode in ("bar", "full", "hamiltonian")]
-    contexts += [PoissonLikeContext(fx.poisson_like_h2(), 2), _StubContext({}, {}, [2, 1, 3])]
+    contexts += [PoissonLikeContext(fx.poisson_like_h2()), _StubContext({}, {}, [2, 1, 3])]
     for ctx in contexts:
         gids = [(j, p) for j in range(ctx.start, ctx.start + 4) for p in range(ctx.cap(j))]
         assert [ctx.bit(g) for g in gids] == [1 << i for i in range(len(gids))]
@@ -325,7 +325,7 @@ def test_poisson_like_images_hand_worked():
     """Coboundaries of single Poisson-like generators, worked by hand from
     [u1 ^ u2, v] = [u1, v] ^ u2 - [u2, v] ^ u1.  Generator ids are
     (|A|, position of A * n + axis); degree 1 lists x1, x2, x3."""
-    h0 = PoissonLikeContext(fx.poisson_like_h0(), 0)  # d1 ^ d2
+    h0 = PoissonLikeContext(fx.poisson_like_h0())  # d1 ^ d2
     # [d1, x1 d3] = d3 and [d2, x1 d3] = 0, so the image is d3 ^ d2 = -d2 ^ d3
     assert h0.image2((1, 2)) == [((0, 1), (0, 2), -1)]
     # [d1, x1 d1] = d1 gives d1 ^ d2
@@ -333,7 +333,7 @@ def test_poisson_like_images_hand_worked():
     assert h0.image2_denom(1) == 1
     # (d1 - d3) ^ (x1 d3 + x3 d3) against x1 d1: the d1 ^ x1 d3 term
     # cancels and d1 ^ x3 d3 + d3 ^ x1 d3 is left
-    h1 = PoissonLikeContext(fx.poisson_like_h1(), 1)
+    h1 = PoissonLikeContext(fx.poisson_like_h1())
     assert h1.image2((1, 0)) == [((0, 0), (1, 8), 1), ((0, 2), (1, 2), 1)]
 
 
@@ -343,8 +343,8 @@ def test_d_squared_zero_many_modes():
         (PolyContext(fx.heisenberg(), "full"), (0, 1)),
         (PolyContext(fx.solvable22(), "hamiltonian"), (0, 1, 2)),
         (PolyContext(fx.symplectic_r2(), "bar"), (-2, -1, 0)),
-        (PoissonLikeContext(fx.poisson_like_h1(), 1), (0, 1)),
-        (PoissonLikeContext(fx.poisson_like_h2(), 2), (-3,)),
+        (PoissonLikeContext(fx.poisson_like_h1()), (0, 1)),
+        (PoissonLikeContext(fx.poisson_like_h2()), (-3,)),
     ]
     for ctx, weights in jobs:
         for w in weights:
@@ -584,7 +584,7 @@ def _engine_map_jobs():
         if spec["slow"] or spec["mode"] not in (*kinds, "poisson-like"):
             continue
         s = fx.load_structure(spec["structure"])
-        ctx = (PoissonLikeContext(s, s.poly_degree()) if spec["mode"] == "poisson-like"
+        ctx = (PoissonLikeContext(s) if spec["mode"] == "poisson-like"
                else PolyContext(s, kinds[spec["mode"]]))
         jobs.append((path.rsplit("/", 1)[-1], s, spec["mode"], ctx, spec["weight"],
                      spec.get("direction", "cochain")))

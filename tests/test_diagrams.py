@@ -57,8 +57,8 @@ def sig_height(sig: Signature) -> int:
     return sum(k for _, k in sig)
 
 
-def sig_weight(sig: Signature, wt) -> int:
-    return sum(k * wt(j) for j, k in sig)
+def sig_weight(sig: Signature, shift: int) -> int:
+    return sum(k * (j + shift) for j, k in sig)
 
 
 def brute_partitions(area, height):
@@ -127,29 +127,31 @@ def test_prepend_tower():
 
 def test_enumerate_signatures_h1_examples():
     cap = poly_caps(3)
-    wt = lambda j: j - 1  # h = 1
+    shift = -1  # h = 1
     for m in (2, 3, 4):
         second = ((2, 2),) if m == 2 else ((1, m - 2), (2, 2))
-        assert enumerate_signatures(m, 2, wt, cap) == [((1, m - 1), (3, 1)), second]
-    assert enumerate_signatures(3, 0, wt, cap) == [((1, 3),)]
-    assert enumerate_signatures(4, 0, wt, cap) == []  # cap(1) = 3
+        assert enumerate_signatures(m, 2, shift, cap) == [((1, m - 1), (3, 1)), second]
+    assert enumerate_signatures(3, 0, shift, cap) == [((1, 3),)]
+    assert enumerate_signatures(4, 0, shift, cap) == []  # cap(1) = 3
+    # one slot at degree 5000: the recursion descends only where slots sit
+    assert enumerate_signatures(1, 5000, 0, lambda j: 1) == [((5000, 1),)]
+    assert degree_range(5000, 0, lambda j: 1) == 5000
 
 
 def test_enumerate_signatures_h0_full_extreme():
     n = 3
     cap = poly_caps(n)
-    wt = lambda j: j - 2  # h = 0
+    shift = -2  # h = 0
     for m in (4, 5, 6):
         expect = ((0, 1), (1, n)) if m == n + 1 else ((0, 1), (1, n), (2, m - 1 - n))
-        assert enumerate_signatures(m, -2 - n, wt, cap, start=0) == [expect]
+        assert enumerate_signatures(m, -2 - n, shift, cap, start=0) == [expect]
 
 
 def test_signature_dim():
     cap = poly_caps(3)
     assert sig_dim(((1, 2), (2, 1)), cap) == 18
     assert sig_dim((), cap) == 1
-    wt = lambda j: j - 1
-    total = sum(sig_dim(s, cap) for s in enumerate_signatures(3, 3, wt, cap))
+    total = sum(sig_dim(s, cap) for s in enumerate_signatures(3, 3, -1, cap))
     assert total == 245
     with pytest.raises(ValueError):
         sig_dim(((1, 7),), cap)
@@ -158,24 +160,24 @@ def test_signature_dim():
 def test_signatures_respect_constraints():
     cap = poly_caps(3)
     for h in (0, 1, 2, 3):
-        wt = lambda j, h=h: j - 2 + h
+        shift = h - 2
         for w in range(-2, 5):
             for m in range(0, 8):
-                for sig in enumerate_signatures(m, w, wt, cap):
+                for sig in enumerate_signatures(m, w, shift, cap):
                     assert sig_height(sig) == m
-                    assert sig_weight(sig, wt) == w
+                    assert sig_weight(sig, shift) == w
                     assert all(0 < k <= cap(j) for j, k in sig)
 
 
-def brute_signatures(m, w, wt, cap, start):
-    """Every k-vector over degrees start..A (A = w - wt(0) m, the area, so
+def brute_signatures(m, w, shift, cap, start):
+    """Every k-vector over degrees start..A (A = w - shift m, the area, so
     no slot can sit higher) with 0 <= k_j <= cap(j), filtered by height
     and weight, in descending-lexicographic order of the dense vector."""
-    area = w - wt(0) * m
+    area = w - shift * m
     degrees = range(start, max(area, start) + 1)
     ranges = [range(min(cap(j), m) + 1) for j in degrees]
     hits = [ks for ks in product(*ranges)
-            if sum(ks) == m and sum(k * wt(j) for j, k in zip(degrees, ks)) == w]
+            if sum(ks) == m and sum(k * (j + shift) for j, k in zip(degrees, ks)) == w]
     return [tuple((j, k) for j, k in zip(degrees, ks) if k)
             for ks in sorted(hits, reverse=True)]
 
@@ -185,24 +187,24 @@ def brute_signatures(m, w, wt, cap, start):
                          ids=["zero", "one", "j_mod_3", "poly_n2"])
 def test_signatures_complete_and_ordered(cap):
     for h in (0, 1, 2, 3):
-        wt = lambda j, h=h: j - 2 + h
+        shift = h - 2
         for start in (0, 1):
             for m in range(0, 5):
                 for w in range(-4, 7):
-                    if w - wt(0) * m > 7:
+                    if w - shift * m > 7:
                         continue
-                    assert (enumerate_signatures(m, w, wt, cap, start)
-                            == brute_signatures(m, w, wt, cap, start)), (h, start, m, w)
+                    assert (enumerate_signatures(m, w, shift, cap, start)
+                            == brute_signatures(m, w, shift, cap, start)), (h, start, m, w)
 
 
 def test_degree_range_is_sharp_enough():
     cap = poly_caps(3)
     for h in (0, 1, 2):
-        wt = lambda j, h=h: j - 2 + h
+        shift = h - 2
         for w in range(0, 5):
-            hi = degree_range(w, wt, cap)
+            hi = degree_range(w, shift, cap)
             for m in range(hi + 1, hi + 4):
-                assert enumerate_signatures(m, w, wt, cap) == []
+                assert enumerate_signatures(m, w, shift, cap) == []
 
 
 def test_euler_h1_always_zero():
