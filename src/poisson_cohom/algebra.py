@@ -41,11 +41,15 @@ def mono_basis(n: int, j: int) -> list[MultiIndex]:
     """All multi-indices of degree j in n variables, descending grevlex.
 
     The position in this list (1-based) is the canonical numbering of the
-    degree-j monomials used by every other module.
+    degree-j monomials used by every other module.  The list is built once
+    per (n, j) and shared, so callers must not mutate it.
     """
+    out = _BASIS_CACHE.get((n, j))
+    if out is not None:
+        return out
     if n < 1 or j < 0:
         raise ValueError("need n >= 1 and j >= 0")
-    out: list[MultiIndex] = []
+    out = []
 
     def rec(prefix: list[int], remaining: int, slots: int) -> None:
         if slots == 1:
@@ -59,9 +63,11 @@ def mono_basis(n: int, j: int) -> list[MultiIndex]:
     if len(out) != comb(n - 1 + j, j):
         raise AssertionError("mono_basis(%d, %d) has %d monomials, expected %d"
                              % (n, j, len(out), comb(n - 1 + j, j)))
+    _BASIS_CACHE[n, j] = out
     return out
 
 
+_BASIS_CACHE: dict = {}
 _MONO_CACHE: dict = {}
 
 

@@ -1,8 +1,11 @@
 """Command-line surface: structure checks, Casimir listings, Betti and
 Euler tables, signature listings and the golden-table corpus runner.
 
-Exit codes: 0 success, 1 invariant or golden failure, 2 bad input, 141
-when the reader closes stdout (128 + SIGPIPE, as a shell reports it).
+Exit codes: 0 success, 1 a golden or identity check that fails, and
+main maps what a command raises, the same for every command: ValueError,
+OSError or CliError (bad input, unusable path) to 2 with "error: ...",
+AssertionError (a broken invariant) to 1 with "invariant failure: ...",
+and a closed stdout to 141 (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from importlib import resources
 
 from . import diagrams, engine, fixtures
 from .casimir import casimir_space
-from .complexes import PolyContext, basis_dimension, weight_degree_range
-from .diagrams import enumerate_signatures
+from .complexes import PolyContext, weight_degree_range
+from .diagrams import enumerate_signatures, sig_dim
 from .engine import ComplexReport, cross_check, run
 from .poisson import PoissonStructure, jacobi_check
 
@@ -69,19 +72,12 @@ def render_table(report: ComplexReport) -> str:
     return "\n".join(lines)
 
 
-def _load(path: str, no_check: bool):
-    try:
-        return fixtures.load_structure(path, check=not no_check)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
-
-
 def _cache_dir(args) -> str | None:
     return os.environ.get(CACHE_ENV) or getattr(args, "cache_dir", None) or None
 
 
 def cmd_check(args) -> int:
-    obj = _load(args.structure, no_check=True)
+    obj = fixtures.load_structure(args.structure, check=False)
     if isinstance(obj, PoissonStructure):
         ok, cert = jacobi_check(obj)
         print("n = %d, h = %d, entries = %d" % (obj.n, obj.h, len(obj.p)))
@@ -103,7 +99,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_casimir(args) -> int:
-    obj = _load(args.structure, args.no_check)
+    obj = fixtures.load_structure(args.structure, check=not args.no_check)
     if not isinstance(obj, PoissonStructure):
         raise CliError("casimir needs a Poisson structure")
     if args.min_degree < 0:
@@ -122,25 +118,25 @@ def cmd_casimir(args) -> int:
 def _check_max_dim(obj, mode: str, direction: str, weights: list, limit: int) -> None:
     """CliError naming the first space of the requested complexes whose
     dimension, counted before any basis is built, exceeds limit, or, as
-    build_report would, a mode, direction or structure that do not fit."""
+    build_report would, ValueError for a mode, direction or structure that
+    do not fit."""
     if limit < 0:
         raise CliError("--max-dim must be >= 0, got %d" % limit)
-    try:
-        for w in weights:
-            for space_w, m, dim in engine.space_dims(obj, mode, w, direction):
-                if dim > limit:
-                    raise CliError("the cochain space at w = %d, m = %d has dimension %d, "
-                                   "above --max-dim %d" % (space_w, m, dim, limit))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    for w in weights:
+        for space_w, m, dim in engine.space_dims(obj, mode, w, direction):
+            if dim > limit:
+                raise CliError("the cochain space at w = %d, m = %d has dimension %d, "
+                               "above --max-dim %d" % (space_w, m, dim, limit))
 
 
 def cmd_betti(args) -> int:
-    obj = _load(args.structure, args.no_check)
+    obj = fixtures.load_structure(args.structure, check=not args.no_check)
     weights = _parse_weights(args.weights)
     if args.max_dim is not None:
         _check_max_dim(obj, args.mode, args.direction, weights, args.max_dim)
     sink_dir = args.dump_matrices
+    if sink_dir:
+        os.makedirs(sink_dir, exist_ok=True)
     failures = 0
     for w in weights:
         sink = None
@@ -153,13 +149,8 @@ def cmd_betti(args) -> int:
                         v = Fraction(x, mat.denom)
                         fh.write("%d %d %d/%d\n" % (r, c, v.numerator, v.denominator))
 
-        try:
-            if sink_dir:
-                os.makedirs(sink_dir, exist_ok=True)
-            rep = run(obj, args.mode, [w], direction=args.direction,
-                      cache_dir=_cache_dir(args), matrix_sink=sink)[0]
-        except (OSError, ValueError) as exc:
-            raise CliError(str(exc))
+        rep = run(obj, args.mode, [w], direction=args.direction,
+                  cache_dir=_cache_dir(args), matrix_sink=sink)[0]
         bad = cross_check(rep)
         if bad:
             failures += 1
@@ -197,7 +188,7 @@ def cmd_euler(args) -> int:
 def cmd_diagrams(args) -> int:
     kind = "hamiltonian" if args.mode == "hamiltonian" else "bar"
     if args.structure:
-        obj = _load(args.structure, args.no_check)
+        obj = fixtures.load_structure(args.structure, check=not args.no_check)
         if not isinstance(obj, PoissonStructure):
             raise CliError("diagrams needs a Poisson structure")
     elif kind == "hamiltonian":
@@ -212,7 +203,7 @@ def cmd_diagrams(args) -> int:
             sigs = enumerate_signatures(m, w, ctx.shift, ctx.cap, ctx.start)
             if not sigs:
                 continue
-            total = basis_dimension(ctx, m, w)
+            total = sum(sig_dim(s, ctx.cap) for s in sigs)
             desc = "  +  ".join(
                 " ".join("k%d=%d" % (j, k) for j, k in sig) for sig in sigs)
             print("  m=%d dim=%d: %s" % (m, total, desc))
@@ -293,11 +284,7 @@ def run_goldens(directory: str | None = None, slow: bool = False,
 
 
 def cmd_goldens(args) -> int:
-    try:
-        _, failed, _ = run_goldens(args.corpus, slow=args.slow,
-                                   cache_dir=_cache_dir(args))
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
+    _, failed, _ = run_goldens(args.corpus, slow=args.slow, cache_dir=_cache_dir(args))
     return 1 if failed else 0
 
 
@@ -376,12 +363,12 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it comes before the exit-2 clause
         # the rest of the output goes to devnull, so the flush at exit
         # cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except CliError as exc:
+    except (CliError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:

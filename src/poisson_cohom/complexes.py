@@ -116,17 +116,13 @@ class PolyContext(GeneratorBits):
         self.n = pi.n
         self.h = pi.h
         self.shift = pi.h - 2  # a degree-j slot has weight j + shift
-        self._gens: dict = {}
         self._casimirs: dict = {}
         self._cob: dict = {}
 
     def gens(self, j: int) -> list:
-        if j not in self._gens:
-            if self.mode == "hamiltonian":
-                self._gens[j] = self.casimirs(j).primal
-            else:
-                self._gens[j] = mono_basis(self.n, j)
-        return self._gens[j]
+        if self.mode == "hamiltonian":
+            return self.casimirs(j).primal
+        return mono_basis(self.n, j)
 
     def cap(self, j: int) -> int:
         if self.mode == "hamiltonian":
@@ -203,7 +199,6 @@ class PoissonLikeContext(GeneratorBits):
         self.n = pi_like.n
         self.shift = 1 - pi_like.poly_degree()
         self._image2: dict = {}
-        self._monos: dict = {}  # degree -> mono_basis, read by label
         if pi_like.degree != 2:
             raise ValueError("Poisson-like structure must be a 2-vector")
         if not r_schouten(pi_like, pi_like).is_zero():
@@ -217,9 +212,7 @@ class PoissonLikeContext(GeneratorBits):
 
     def label(self, gid: GenId):
         j, pos = gid
-        if j not in self._monos:
-            self._monos[j] = mono_basis(self.n, j)
-        return (self._monos[j][pos // self.n], pos % self.n)
+        return (mono_basis(self.n, j)[pos // self.n], pos % self.n)
 
     def _gen_id(self, gen) -> GenId:
         a, i = gen

@@ -288,20 +288,6 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
                       kernel=kernel, pivots=pivots, spanning=spanning)
 
 
-def _product_columns(a: SparseMatrix, b: SparseMatrix):
-    """The integer columns of a @ b one at a time, as dicts row -> int
-    that may hold zeros."""
-    if a.n_cols != b.n_rows:
-        raise ValueError("inner dimensions do not match")
-    a_cols = a.cols
-    for col in b.cols:
-        acc: dict = {}
-        for k, v in col.items():
-            for r, w in a_cols[k].items():
-                acc[r] = acc.get(r, 0) + w * v
-        yield acc
-
-
 def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
     """True iff a @ b is exactly the zero matrix, checked on the integers
     one column at a time, stopping at the first nonzero one.  Every
@@ -325,7 +311,16 @@ def compose_is_zero(a: SparseMatrix, b: SparseMatrix) -> bool:
 
 def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Exact product; its denominator is a.denom * b.denom."""
-    cols = [{r: x for r, x in col.items() if x} for col in _product_columns(a, b)]
+    if a.n_cols != b.n_rows:
+        raise ValueError("inner dimensions do not match")
+    a_cols = a.cols
+    cols = []
+    for col in b.cols:
+        acc: dict = {}
+        for k, v in col.items():
+            for r, w in a_cols[k].items():
+                acc[r] = acc.get(r, 0) + w * v
+        cols.append({r: x for r, x in acc.items() if x})
     return SparseMatrix(a.n_rows, cols, a.denom * b.denom)
 
 

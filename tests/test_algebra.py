@@ -24,6 +24,16 @@ def test_mono_basis_counts():
             assert keys == sorted(keys, reverse=True)
 
 
+def test_mono_basis_is_built_once_per_degree():
+    """One shared table per (n, j); a rejected size is not remembered."""
+    assert mono_basis(3, 4) is mono_basis(3, 4)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            mono_basis(0, 1)
+        with pytest.raises(ValueError):
+            mono_basis(2, -1)
+
+
 def test_grevlex_classic_order():
     # x1^2 > x1 x2 > x2^2 > x1 x3 > x2 x3 > x3^2
     assert mono_basis(3, 2) == [(2, 0, 0), (1, 1, 0), (0, 2, 0),

@@ -7,7 +7,7 @@ import pytest
 from poisson_cohom.cli import (CACHE_ENV, _golden_paths, main, parse_golden, render_table,
                                run_goldens)
 from poisson_cohom.engine import ComplexReport, build_report
-from poisson_cohom import engine, fixtures as fx
+from poisson_cohom import cli, complexes, diagrams, engine, fixtures as fx
 
 STRUCT_DIR = os.path.join(os.path.dirname(fx.__file__), "structures")
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -320,6 +320,29 @@ def test_goldens_bad_mode_exits_2(tmp_path, capsys):
     assert "poisson-like mode needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [ValueError("boom"), OSError("boom")],
+                         ids=["ValueError", "OSError"])
+@pytest.mark.parametrize("argv, owner, callee", [
+    (["check", "builtin:sl2"], cli, "jacobi_check"),
+    (["casimir", "builtin:sl2"], cli, "casimir_space"),
+    (["betti", "builtin:sl2", "--weights", "1"], cli, "run"),
+    (["euler", "--n", "3", "--h", "1", "--weights", "1"], diagrams, "euler_combinatorial"),
+    (["diagrams", "--n", "3", "--h", "1", "--weights", "1"], cli, "enumerate_signatures"),
+    (["goldens"], cli, "run_goldens"),
+], ids=["check", "casimir", "betti", "euler", "diagrams", "goldens"])
+def test_bad_input_exits_2_from_every_command(monkeypatch, capsys, argv, owner, callee, exc):
+    """main alone maps exceptions to exit codes, the same for every
+    command: a ValueError or OSError raised anywhere below a command is
+    bad input, exit 2 with its message, not a traceback."""
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    monkeypatch.setattr(owner, callee, fail)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 @pytest.mark.parametrize("structure, extra, ref", [
     ("builtin:sl2", ["--mode", "hamiltonian"], "dump_sl2_ham_w2"),
     ("builtin:h2_case1", [], "dump_h2_case1_w2"),
@@ -434,6 +457,22 @@ def test_diagrams_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "m=2 dim=18" in out
+
+
+def test_diagrams_walks_each_degree_once(monkeypatch, capsys):
+    """The listing's total is the dimension sum over the signatures it
+    lists, so each (w, m) visited enumerates its signatures once."""
+    calls, real = [], diagrams.enumerate_signatures
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "enumerate_signatures", counted)
+    monkeypatch.setattr(complexes, "enumerate_signatures", counted)
+    assert main(["diagrams", "--n", "3", "--h", "1", "--weights", "0..12"]) == 0
+    assert len(calls) == len(set(calls)) == 130
+    assert "  m=2 dim=18: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [

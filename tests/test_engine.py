@@ -19,7 +19,8 @@ from poisson_cohom.diagrams import euler_combinatorial, euler_polymodule
 from poisson_cohom.engine import (ComplexReport, ReportRow, _complex_rows,
                                   build_report, cache_key, cross_check, run)
 from poisson_cohom.linalg import SparseMatrix, compose_is_zero, rank_kernel
-from poisson_cohom.poisson import PoissonStructure, parse_structure
+from poisson_cohom.poisson import (GradedMultiVector, PoissonStructure, parse_structure,
+                                 r_schouten, wedge2)
 
 from test_linalg import cells_matrix, transpose
 from test_poisson import entry
@@ -634,23 +635,25 @@ def _unimodular(n: int, seed: int) -> tuple:
     return a, inv
 
 
+def _substitute(p: RatPoly, inv: list) -> RatPoly:
+    """p(x) with x = inv y substituted."""
+    n = p.n
+    forms = [RatPoly(n, {mi_unit(n, l): inv[k][l] for l in range(n)}) for k in range(n)]
+    out = RatPoly.zero(n)
+    for mono, c in p.terms.items():
+        term = RatPoly.const(n, c)
+        for k, e in enumerate(mono):
+            for _ in range(e):
+                term = term * forms[k]
+        out = out + term
+    return out
+
+
 def _in_coordinates(pi: PoissonStructure, a: list, inv: list) -> PoissonStructure:
     """pi in the coordinates y = a x: {y_i, y_j} = sum_kl a_ik a_jl p_kl(x)
     with x = inv y substituted."""
     n = pi.n
-    forms = [RatPoly(n, {mi_unit(n, l): inv[k][l] for l in range(n)}) for k in range(n)]
-
-    def substitute(p):
-        out = RatPoly.zero(n)
-        for mono, c in p.terms.items():
-            term = RatPoly.const(n, c)
-            for k, e in enumerate(mono):
-                for _ in range(e):
-                    term = term * forms[k]
-            out = out + term
-        return out
-
-    p = {(k, l): substitute(entry(pi, k, l)) for k in range(n) for l in range(n)}
+    p = {(k, l): _substitute(entry(pi, k, l), inv) for k in range(n) for l in range(n)}
     entries = {(i, j): sum((p[k, l].scale(a[i][k] * a[j][l])
                             for k in range(n) for l in range(n)), RatPoly.zero(n))
                for i in range(n) for j in range(i + 1, n)}
@@ -698,6 +701,41 @@ def test_rows_invariant_under_unimodular_change(name, mode, direction, weights, 
         assert not rep.is_empty()
     if name == "constant_r3":
         assert max(denoms) > 1
+
+
+def _like_in_coordinates(x: GradedMultiVector, a: list, inv: list) -> GradedMultiVector:
+    """The 2-vector x in the coordinates y = a x: a generator x^A d_i
+    becomes the field sum_k (x^A with x = inv y substituted) a_ki d_k."""
+    n = x.n
+
+    def field(gen):
+        mono, i = gen
+        p = _substitute(RatPoly.monomial(mono), inv)
+        return [(p.scale(a[k][i]), k) for k in range(n)]
+
+    out = GradedMultiVector(n, 2)
+    for (u1, u2), c in x.terms.items():
+        out = out + wedge2(field(u1), field(u2), n).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("name, weights", [
+    ("poisson_like_h0", range(2, 5)),
+    ("poisson_like_h1", range(0, 3)),
+    ("poisson_like_h2", range(-3, -1)),
+])
+def test_poisson_like_rows_invariant_under_unimodular_change(name, weights):
+    """The same isomorphism for the R-linear multivector complex: a 2-vector
+    in new coordinates is still Poisson-like and has the same rows."""
+    x = fx.load_structure("builtin:" + name)
+    a, inv = _unimodular(x.n, 1)
+    changed = _like_in_coordinates(x, a, inv)
+    assert changed != x
+    assert r_schouten(changed, changed).is_zero()
+    for w in weights:
+        rep = build_report(changed, "poisson-like", w)
+        assert rep.rows == build_report(x, "poisson-like", w).rows, w
+        assert not rep.is_empty()
 
 
 def test_report_euler_matches_combinatorial_count():

@@ -31,6 +31,34 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+# what cli.py may catch of the exceptions main maps to exit 2, per function
+_CLI_CATCHES = {"main": {"CliError", "OSError", "ValueError"}, "_parse_weights": {"ValueError"}}
+
+
+def test_cli_maps_bad_input_to_exit_2_in_main_only():
+    """main is the one place that turns CliError, OSError or ValueError
+    into exit 2, so no command needs a wrapper of its own; _parse_weights
+    may catch int()'s ValueError to word its message.  A bare except or
+    one naming Exception counts as naming all three."""
+    path = os.path.join(PKG, "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+            if names & {None, "Exception", "BaseException"}:
+                names = {"CliError", "OSError", "ValueError"}
+            caught = names & {"CliError", "OSError", "ValueError"}
+            if caught - _CLI_CATCHES.get(where, set()):
+                found.append("%s:%d %s" % (where, node.lineno, " ".join(sorted(caught))))
+    assert found == []
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     """Importing the package and its CLI in a fresh interpreter loads
     neither dataclasses nor inspect: that import chain (inspect, ast,
