@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from collections import Counter
 
 from .complexes import (PolyContext, PoissonLikeContext, basis_dimension,
                         boundary_matrix, build_basis, cochain_matrix,
@@ -142,13 +143,15 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
 
     The maps are built and ranked in complex order, ascending m for a
     cochain complex and descending m for a chain complex, in one pass:
-    d_m is ranked on the previous map's cleared view, d_{m+step} is built
-    and checked against d_m's retired columns, and only then is d_m
-    dropped, so no more than two maps are alive at once, and only the
-    previous map's pivots are kept.  A matrix_sink instead receives
-    every map, all built in ascending m, before any is checked or
-    ranked, so a failing complex still leaves its dumps; the same pass
-    then runs over those maps.
+    d_m is ranked on its cleared view, a copy of its column list with an
+    empty column assigned at each of the previous map's pivots, and then
+    dropped but for its retired columns S_m and its pivots; d_{m+step}
+    is built and checked against S_m, and S_m is dropped in turn.  So
+    one full map is alive at a time, beside at most the rank-many
+    columns of the one before it.  A matrix_sink instead receives every
+    map, all built in ascending m, before any is checked or ranked, so a
+    failing complex still leaves its dumps; the same pass then runs over
+    those maps.
 
     The pivots R of d_{m-step} are coordinates of degree m, and the unit
     vectors outside R span a complement of that map's image.  d_m
@@ -174,17 +177,20 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     d = None  # d_m, when the step before built it as its d_{m+step}
     for m in sorted(maps, reverse=step < 0):
         if d is None:
-            d, cleared = maps[m](), ()
-        if cleared:
-            d = SparseMatrix(d.n_rows, [
-                {} if c in cleared else col for c, col in enumerate(d.cols)], d.denom)
+            d, pivots = maps[m](), ()
+        if pivots:
+            d = SparseMatrix(d.n_rows, d.cols[:], d.denom)
+            for c in pivots:
+                d.cols[c] = {}
         res = rank_kernel(d)
-        ranks[m], cleared = res.rank, set(res.pivots)
-        nxt = maps[m + step]() if m + step in maps else None
-        if nxt is not None and not compose_is_zero(
-                nxt, SparseMatrix(d.n_rows, [d.cols[c] for c in res.spanning], d.denom)):
-            raise AssertionError("d o d != 0 at degree %d" % m)
-        d = nxt
+        ranks[m], pivots = res.rank, res.pivots
+        retired = SparseMatrix(d.n_rows, [d.cols[c] for c in res.spanning], d.denom)
+        d = None  # d_m goes before d_{m+step} is built; S_m stays for the check
+        if m + step in maps:
+            d = maps[m + step]()
+            if not compose_is_zero(d, retired):
+                raise AssertionError("d o d != 0 at degree %d" % m)
+        del retired
     rows = []
     for m, dim in sorted(dims.items()):
         rank = ranks.get(m, 0)
@@ -193,17 +199,42 @@ def _complex_rows(dims: dict, maps: dict, step: int, matrix_sink=None) -> list:
     return _trim_rows(rows)
 
 
+def _context_degrees(ctx, w: int):
+    """Yield (degree, dimension) of the weight-w cochain spaces of a
+    context, degrees 0 to weight_degree_range + 1 ascending, each counted
+    by basis_dimension when it is asked for, with no word built."""
+    for m in range(weight_degree_range(ctx, w) + 2):
+        yield m, basis_dimension(ctx, m, w)
+
+
 def _context_complex(ctx, w: int, direction: str) -> tuple:
     """A PolyContext or PoissonLikeContext complex: coboundaries m -> m+1,
-    or boundaries m -> m-1 in the chain direction."""
+    or boundaries m -> m-1 in the chain direction.
+
+    The dimensions are counted, not built.  A degree's word list is built
+    when the first map that reads it is built, and dropped once the last
+    one is, counted by its readers so that any order of the maps works:
+    with the maps built in ascending or descending degree, only the two
+    degrees of the map being built are alive, and each is built once."""
     hi = weight_degree_range(ctx, w)
-    bases = {m: build_basis(ctx, m, w) for m in range(hi + 2)}
-    dims = {m: len(bases[m]) for m in range(hi + 1)}
-    if direction == "cochain":
-        return dims, {m: lambda m=m: cochain_matrix(ctx, bases[m], bases[m + 1])
-                      for m in range(hi + 1) if bases[m]}, 1
-    return dims, {m: lambda m=m: boundary_matrix(ctx, bases[m], bases[m - 1])
-                  for m in range(1, hi + 1) if bases[m]}, -1
+    counts = dict(_context_degrees(ctx, w))
+    step = 1 if direction == "cochain" else -1
+    sources = [m for m in range(0 if step > 0 else 1, hi + 1) if counts[m]]
+    readers = Counter(k for m in sources for k in (m, m + step))
+    words: dict = {}  # degree -> its word list, while a reader is still to come
+
+    def basis(k: int) -> list:
+        out = words.pop(k) if k in words else build_basis(ctx, k, w)
+        readers[k] -= 1
+        if readers[k]:
+            words[k] = out
+        return out
+
+    if step > 0:
+        maps = {m: lambda m=m: cochain_matrix(ctx, basis(m), basis(m + 1)) for m in sources}
+    else:
+        maps = {m: lambda m=m: boundary_matrix(ctx, basis(m), basis(m - 1)) for m in sources}
+    return {m: counts[m] for m in range(hi + 1)}, maps, step
 
 
 def _annihilator_complex(ctx: PolyContext, w: int, direction: str) -> tuple:
@@ -278,20 +309,21 @@ def _mode_entry(structure, mode: str, direction: str) -> tuple:
 def space_dims(structure, mode: str, w: int, direction: str = "cochain"):
     """Yield (weight, degree, dimension) of every space the weight-w
     complex of mode enumerates, each counted without building a word
-    when it is asked for: by the signature count of basis_dimension for
-    the context modes, by ascending degree and then, for pi-annihilator,
-    the weight-(w - 2) targets of its wedge; by the closed form for
-    poly-module.  Both directions have the same spaces.  ValueError as
-    from build_report, at the first step."""
+    when it is asked for: for the context modes by _context_degrees,
+    the walk _context_complex takes its dimensions from, and then, for
+    pi-annihilator, the weight-(w - 2) targets of its wedge; by the
+    closed form for poly-module.  Both directions have the same spaces.
+    ValueError as from build_report, at the first step."""
     context, _ = _mode_entry(structure, mode, direction)
     if context is None:
         for m in range(structure.n + 1):
             yield w, m, polymodule_dim(structure.n, structure.h, m, w)
         return
     ctx = context(structure)
-    degrees = range(weight_degree_range(ctx, w) + 2)
-    for m in degrees:
-        yield w, m, basis_dimension(ctx, m, w)
+    degrees = []
+    for m, dim in _context_degrees(ctx, w):
+        degrees.append(m)
+        yield w, m, dim
     if mode == "pi-annihilator":
         for m in degrees:
             yield w - 2, m + 2, basis_dimension(ctx, m + 2, w - 2)

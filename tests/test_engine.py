@@ -568,6 +568,49 @@ def test_sink_gets_every_map_ascending_before_any_rank(monkeypatch, name, mode, 
     assert events == sorted(sunk) + ["rank"] * len(sunk)
 
 
+class _Words(list):
+    """A word list whose lifetime a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("sink", [False, True], ids=["streamed", "sink"])
+@pytest.mark.parametrize("name, mode, w, direction", [
+    ("solvable22", "poly-with-constants", 4, "cochain"),
+    ("solvable22", "poly-with-constants", 4, "chain"),
+    ("poisson_like_h2", "poisson-like", -2, "cochain"),
+])
+def test_two_word_lists_alive_at_each_map(monkeypatch, name, mode, w, direction, sink):
+    """A context mode builds each degree's word list once, when a map
+    first reads it, and drops it after the last map that reads it:
+    whenever a map is placed, in complex order or in the ascending
+    pre-build of a matrix sink, no more than two word lists are alive."""
+    pi = fx.load_structure("builtin:" + name)
+    want = build_report(pi, mode, w, direction)
+    real_basis = engine.build_basis
+    refs, degrees, alive = [], [], []
+
+    def basis(*args):
+        out = _Words(real_basis(*args))
+        refs.append(weakref.ref(out))
+        degrees.append(args[1])
+        return out
+
+    def counting(real):
+        def place(*args):
+            alive.append(sum(r() is not None for r in refs))
+            return real(*args)
+        return place
+
+    monkeypatch.setattr(engine, "build_basis", basis)
+    for builder in ("cochain_matrix", "boundary_matrix"):
+        monkeypatch.setattr(engine, builder, counting(getattr(engine, builder)))
+    rep = build_report(pi, mode, w, direction, matrix_sink={}.__setitem__ if sink else None)
+    assert rep.rows == want.rows
+    assert len(alive) >= 3 and max(alive) <= 2, alive
+    assert len(degrees) == len(set(degrees)), degrees
+
+
 def test_streamed_maps_lower_the_traced_peak():
     """solvable22 poly-with-constants, chain direction, w = 4: the traced
     peak of a build without a sink stays below 0.9 of the peak of the
@@ -679,28 +722,43 @@ _UNIMODULAR_ROWS = [
 ]
 
 
-# ids name the direction only when it is not the cochain default
+# ids name the direction only when it is not the cochain default, and end
+# in the seed each case always runs
 @pytest.mark.parametrize("name, mode, direction, weights, seed", _UNIMODULAR_ROWS, ids=[
     "%s-%s%s-weights%d-%d" % (name, mode, "" if direction == "cochain" else "-" + direction,
                               i, seed)
     for i, (name, mode, direction, _, seed) in enumerate(_UNIMODULAR_ROWS)])
 def test_rows_invariant_under_unimodular_change(name, mode, direction, weights, seed):
     """A linear change of coordinates in GL(n, Z) is an isomorphism of
-    every complex, weight by weight, so every report row is unchanged."""
+    every complex, weight by weight, so every report row is unchanged:
+    for the case's own seed, built with a matrix sink, and for the seeds
+    Hypothesis searches, built without one, so random coordinates also
+    go through the streamed maps and bases."""
     pi = fx.load_structure("builtin:" + name)
-    a, inv = _unimodular(pi.n, seed)
-    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)] for row in a] == \
-        [[int(i == j) for j in range(pi.n)] for i in range(pi.n)]
-    changed = _in_coordinates(pi, a, inv)
-    assert changed.p != pi.p
+    want = {w: build_report(pi, mode, w, direction).rows for w in weights}
+
+    def check(seed: int, matrix_sink=None) -> None:
+        a, inv = _unimodular(pi.n, seed)
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)] for row in a] \
+            == [[int(i == j) for j in range(pi.n)] for i in range(pi.n)]
+        changed = _in_coordinates(pi, a, inv)
+        assert changed.p != pi.p
+        for w in weights:
+            rep = build_report(changed, mode, w, direction, matrix_sink=matrix_sink)
+            assert rep.rows == want[w], (seed, w)
+            assert not rep.is_empty()
+
     denoms = []
-    for w in weights:
-        rep = build_report(changed, mode, w, direction,
-                           matrix_sink=lambda m, d: denoms.append(d.denom))
-        assert rep.rows == build_report(pi, mode, w, direction).rows, w
-        assert not rep.is_empty()
+    check(seed, lambda m, d: denoms.append(d.denom))
     if name == "constant_r3":
         assert max(denoms) > 1
+
+    @settings(max_examples=3, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def search(drawn):
+        check(drawn)
+
+    search()
 
 
 def _like_in_coordinates(x: GradedMultiVector, a: list, inv: list) -> GradedMultiVector:
