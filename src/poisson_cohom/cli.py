@@ -22,7 +22,7 @@ from .casimir import casimir_space
 from .complexes import PolyContext, weight_degree_range
 from .diagrams import enumerate_signatures, sig_dim
 from .engine import ComplexReport, cross_check, run
-from .poisson import PoissonStructure, jacobi_check
+from .poisson import PoissonStructure, jacobi_check, r_schouten
 
 CACHE_ENV = "POISSON_COHOM_CACHE"
 
@@ -88,7 +88,6 @@ def cmd_check(args) -> int:
         print("Jacobi identity: FAILS at (%d,%d,%d), residual %s"
               % (i + 1, j + 1, k + 1, res))
         return 1
-    from .poisson import r_schouten
     sb = r_schouten(obj, obj)
     print("graded 2-vector, n = %d, polynomial degree = %d" % (obj.n, obj.poly_degree()))
     if sb.is_zero():

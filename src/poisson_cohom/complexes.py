@@ -18,8 +18,11 @@ wedging a pair onto the rest of a word is an AND (collision) and an OR
 (the target word), and the reordering sign is a popcount parity.  A
 slot's own sign (-1)^k is a popcount parity too, k being the number of
 the word's bits below the slot's, so each slot table folds it into its
-pairs' parity masks, and assembly visits only the slots whose
-generator has a nonzero image.
+pairs' parity masks.  Assembly reads plain word masks and visits only
+a word's live slots, its bits whose generator has a nonzero image; the
+annihilator wedge ORs into each word one phantom bit, the only live
+bit of its table.  Every entry is added where it lands, and the
+entries that cancel are dropped once, at the end of the matrix.
 
 Coefficients are integers over a denominator: a context's image2 of a
 degree-j generator is over image2_denom(j), and each builder accumulates
@@ -137,14 +140,7 @@ class PolyContext(GeneratorBits):
     def _splits(self, g_degree: int) -> list:
         """Degree pairs (a, b), a <= b, with a + b = g_degree + 2 - h."""
         total = g_degree + 2 - self.h
-        out = []
-        a = self.start
-        while 2 * a <= total:
-            b = total - a
-            if b >= self.start:
-                out.append((a, b))
-            a += 1
-        return out
+        return [(a, total - a) for a in range(self.start, total // 2 + 1)]
 
     def _coboundaries(self, deg: int) -> tuple:
         """(gid -> image2 list, denom) for the degree-deg dual generators:
@@ -260,20 +256,20 @@ def build_basis(ctx, m: int, w: int) -> list:
 
 
 def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool) -> SparseMatrix:
-    """Matrix whose column j is a sum over the slots of the j-th source
-    word, given as (mask, slots) by the iterable src: the set bits of
-    slots are the slots, slot bit holds the pairs table[bit], and every
-    pair (ab, parity, c) is wedged onto rest = mask ^ bit, with sign the
-    parity of popcount(rest & parity).  Only the live slots are walked,
-    those whose bit has a non-empty table.  A pair that meets rest
+    """Matrix whose column j is a sum over the slots of the j-th word mask
+    of the iterable src: a word's slots are its bits that have a
+    non-empty table, slot bit holds the pairs table[bit], and every pair
+    (ab, parity, c) is wedged onto rest = mask ^ bit, with sign the
+    parity of popcount(rest & parity).  A pair that meets rest
     contributes nothing, one that lands outside the target is an error.
     The iterable tgt gives the distinct target word masks in row order.
     Both are read once.  Entries are integers over denom, each looked up
-    by row as it is placed, each column keyed in the order its rows are
-    first met and rid of the entries that cancel.  rowwise places the
-    transpose: entry (row, j) is added into out[row][j] as it is met,
-    and dropped again when it cancels, so each row fills in ascending
-    source order, the key order of a column-by-column transpose."""
+    by row and added where it lands, into its column or, when rowwise
+    places the transpose, into out[row][j]; the entries that cancel are
+    dropped once, at the end.  Each column is keyed in the order its
+    rows are first met, and each row in ascending source order, the key
+    order of a column-by-column transpose, since word j is the last key
+    of every row it touches while it is placed."""
     index = {mask: row for row, mask in enumerate(tgt)}
     out: list = [{} for _ in index] if rowwise else []
     live = 0
@@ -281,9 +277,9 @@ def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool) -> SparseMatr
         if pairs:
             live |= bit
     j = -1
-    for j, (mask, slots) in enumerate(src):
+    for j, mask in enumerate(src):
         col: dict = {}  # row -> value, filled column-wise only
-        slots &= live
+        slots = mask & live
         while slots:
             bit = slots & -slots
             slots ^= bit
@@ -298,18 +294,13 @@ def _wedge_place(src, tgt, table: dict, denom: int, rowwise: bool) -> SparseMatr
                 if (rest & parity).bit_count() & 1:
                     c = -c
                 if rowwise:
-                    # j is the row's last key, so a cancelled entry that
-                    # comes back keeps its place
                     entries = out[row]
-                    v = entries.get(j, 0) + c
-                    if v:
-                        entries[j] = v
-                    else:
-                        entries.pop(j, None)
+                    entries[j] = entries.get(j, 0) + c
                 else:
                     col[row] = col.get(row, 0) + c
         if not rowwise:
-            out.append(col if all(col.values()) else {row: v for row, v in col.items() if v})
+            out.append(col)
+    out = [line if all(line.values()) else {k: v for k, v in line.items() if v} for line in out]
     return SparseMatrix(j + 1 if rowwise else len(index), out, denom)
 
 
@@ -323,7 +314,7 @@ def _coboundary(ctx, src: list, tgt: list, rowwise: bool) -> SparseMatrix:
     denoms = {j: ctx.image2_denom(j) for j, _ in gens}
     denom = lcm(1, *denoms.values())
     table = {ctx.bit(g): ctx.slot(g, denom // denoms[g[0]]) for g in gens}
-    return _wedge_place(zip(src, src), tgt, table, denom, rowwise)
+    return _wedge_place(src, tgt, table, denom, rowwise)
 
 
 def cochain_matrix(ctx, src: list, tgt: list) -> SparseMatrix:
@@ -392,12 +383,13 @@ def constant_two_cochain(pi: PoissonStructure) -> tuple:
 def wedge_cochain_matrix(ctx, two_cochain: tuple, src: list, tgt: list) -> SparseMatrix:
     """Matrix of sigma -> (2-cochain) ^ sigma, for a 2-cochain of ctx's
     generators given as (terms, denom) by constant_two_cochain: each
-    source word carries one phantom slot, a bit above it and above
-    every generator of the terms, whose rest is the whole word.  A
-    2-form commutes with every factor, so the phantom's table is the
-    terms' pairs from ctx.pairs, with no slot sign folded in."""
+    source word is placed with one phantom bit ORed in, a bit above it
+    and above every generator of the terms.  The phantom is the only
+    bit with a table, so it is every word's one slot and the rest is
+    the whole word.  A 2-form commutes with every factor, so the
+    phantom's table is the terms' pairs from ctx.pairs, with no slot
+    sign folded in."""
     terms, denom = two_cochain
     pairs = ctx.pairs(terms, 1)
     phantom = 1 << max(0, max(src, default=0), *(ab for ab, _, _ in pairs)).bit_length()
-    return _wedge_place(((mask | phantom, phantom) for mask in src), tgt,
-                        {phantom: pairs}, denom, False)
+    return _wedge_place((mask | phantom for mask in src), tgt, {phantom: pairs}, denom, False)

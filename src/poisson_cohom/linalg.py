@@ -17,16 +17,19 @@ keeps results identical across runs.  Elimination reads the shared
 columns as its rows and copies a row, gcd-reduced, only when a step that
 clears rows first touches it; the rows nonzero in a coordinate are kept
 as their count and the xor of their ids, so a step with one row retires
-it without listing any.  Each rank step also records its pivot, a row
-index of the matrix, that is a coordinate of the target space, and the
-column it retires.  The rows retired at those pivots span the image and
-are triangular on them, so the coordinates outside the pivots span a
-complement of the image; the report pipeline uses this to rank the next
-differential of a complex on fewer columns (clearing).  The retired
-columns alone span the image, so the pipeline's exact d o d = 0 check
-multiplies the next differential by those rank-many columns instead of
-the whole map.  That check adds each product column into one dense
-accumulator and tests only the rows the column touched.
+it without listing any.  The coordinates of count 1 at the start come
+off a stack, in the heap's order, before the heap, and every step ends
+in the one block that retires its pivot row.  Each rank step also
+records its pivot, a row index of the matrix, that is a coordinate of
+the target space, and the column it retires.  The rows retired at
+those pivots span the image and are triangular on them, so the
+coordinates outside the pivots span a complement of the image; the
+report pipeline uses this to rank the next differential of a complex
+on fewer columns (clearing).  The retired columns alone span the image,
+so the pipeline's exact d o d = 0 check multiplies the next
+differential by those rank-many columns instead of the whole map.  That
+check adds each product column into one dense accumulator and tests
+only the rows the column touched.
 """
 
 from __future__ import annotations
@@ -146,11 +149,12 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     a coordinate are listed only for a step that clears some.  A row is
     the shared column of m itself until such a step first touches it
     and copies it, gcd-reduced (with its tail), so no column of m is
-    written.  The keys of count 1 are the smallest and nothing is pushed
-    while they come off the heap, so the coordinates of count 1 at the
-    start are retired first, in ascending order, without the heap; the
-    heap key of (count, c) is the one int count * (n_rows + 1) + c, and
-    elimination stops once no active row has an entry.
+    written.  The heap key of (count, c) is the one int
+    count * (n_rows + 1) + c.  The keys of count 1 at the start would be
+    its first pops, and retiring their rows pushes nothing, so they sit
+    on a stack in the heap's order instead and the one loop takes them
+    first, each through the same retire block; elimination stops once no
+    active row has an entry.
 
     pivots lists the pivot column c of each rank step, a row index of m.
     A row retired later is zero at every earlier pivot, so the retired
@@ -175,24 +179,14 @@ def rank_kernel(m: SparseMatrix, want_basis: bool = False) -> RankResult:
     rows = list(cols)
     tails: dict = {}  # row -> its tail, from the first touch on
     rows_at = None  # coordinate -> rows that may be nonzero in it, built when first needed
-    singles = [c for c, k in enumerate(count) if k == 1]
+    # the count-1 keys at the start, the heap's first pops, stacked in its order
+    singles = [base + c for c in range(m.n_rows - 1, -1, -1) if count[c] == 1]
     heap = [k * base + c for c, k in enumerate(count) if k > 1]
     heapq.heapify(heap)
     pivots, spanning = [], []
 
-    for c in singles:  # the heap's first pops, in its order; retiring pushes nothing
-        if count[c]:
-            pr = xor[c]
-            prow = rows[pr]
-            for k in prow:
-                count[k] -= 1
-                xor[k] ^= pr
-            live -= len(prow)
-            rows[pr] = None
-            pivots.append(c)
-            spanning.append(pr)
     while live:  # what is left on the heap would only be skipped
-        key = heapq.heappop(heap)
+        key = singles.pop() if singles else heapq.heappop(heap)
         c = key % base
         cnt = count[c]
         if not cnt:

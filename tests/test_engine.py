@@ -146,6 +146,19 @@ def test_annihilator_runs_on_degenerate_structure():
     assert not rep.is_empty()
 
 
+def test_annihilator_of_the_zero_structure_is_the_whole_complex():
+    """With no entries the 2-cochain is zero, so no word has a live slot
+    in the coboundary or in the phantom wedge: every map is all zero,
+    the wedge kernels are the unit vectors, and pi-annihilator gives the
+    poly-bar rows with every rank 0."""
+    for n, weights in ((2, range(-2, 3)), (3, range(-3, 0))):
+        pi = PoissonStructure(n, 0, {})
+        for w in weights:
+            rows = build_report(pi, "pi-annihilator", w).rows
+            assert rows == build_report(pi, "poly-bar", w).rows
+            assert rows and all(r.rank == 0 for r in rows)
+
+
 def test_annihilator_checks_every_basis(monkeypatch):
     """pi-annihilator checks its weight-w bases and its weight-(w - 2)
     wedge targets against the signature count, as the other context

@@ -77,6 +77,21 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert loaded == ""
 
 
+def test_package_imports_at_module_level_only():
+    """Every import of the package is a top-level statement of its
+    module: perfbench/tracer.py wraps the layer functions only of the
+    modules loaded when it installs, so a module imported lazily, inside
+    a function, would run untraced."""
+    found = []
+    for name in sorted(f for f in os.listdir(PKG) if f.endswith(".py")):
+        with open(os.path.join(PKG, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        top = set(map(id, tree.body))
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert found == []
+
+
 def test_benchmark_tracer_layers_exist():
     """Every function and method the benchmark's tracer wraps (its LAYERS
     and METHODS tables, read from perfbench/tracer.py without importing
